@@ -22,6 +22,7 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
+    _mask_indices,
     express_in_basis,
     is_eulerian,
     max_independent_subset,
@@ -163,48 +164,17 @@ def largest_fundamental_circuit(n: BinaryMatroid) -> Circuit:
     if best_m is None:
         # Eulerian and nonempty implies a dependent element exists.
         raise NotEulerianError("no dependent element found")
-    support = [basis[i] for i in _mask_bits(best_mask)]
+    support = [basis[i] for i in _mask_indices(best_mask)]
     return Circuit([best_m] + support)
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _minimal_circuit_keys(dim: int, anchor: int, support: list[int]) -> list[int]:
-    """Shrink {anchor} | support to a minimal zero-sum set containing anchor.
-
-    Repeatedly drops a support element while anchor stays in the span of the
-    rest, re-reading the witness each time; O(|support|) eliminations.
-    """
-    cur = sorted(support)
-    changed = True
-    while changed:
-        changed = False
-        for k in cur:
-            trial = [t for t in cur if t != k]
-            elim = Gf2Eliminator()
-            inserted = []
-            for t in trial:
-                if elim.insert(t) is None:
-                    inserted.append(t)
-            residual, mask = elim.reduce(anchor)
-            if residual == 0:
-                cur = sorted(inserted[i] for i in _mask_bits(mask))
-                changed = True
-                break
-    return [anchor] + cur
 
 
 def extract_any_circuit(n: BinaryMatroid) -> Circuit:
     """Some circuit contained in n, found at the first elimination dependency.
 
-    Elements are inserted in canonical order; the first dependent element
-    together with its witness set already forms a circuit (the witness prefix
-    is independent), and a minimization pass guards the invariant anyway.
+    Elements are inserted in canonical order. The first dependent element
+    together with its witness set is a circuit: the witnesses are drawn from
+    the independent prefix, so the dependent element's expansion in them is
+    unique and no proper subset sums to zero. Circuit() re-checks the law.
     """
     if len(n) == 0:
         raise EmptyMatroidError("empty matroid has no circuits")
@@ -215,8 +185,6 @@ def extract_any_circuit(n: BinaryMatroid) -> Circuit:
     for v in n.elements:
         witness = elim.insert(v.key)
         if witness is not None:
-            support = [inserted[i].key for i in _mask_bits(witness)]
-            keys = _minimal_circuit_keys(n.dim, v.key, support)
-            return Circuit.from_keys(n.dim, keys)
+            return Circuit([v] + [inserted[i] for i in _mask_indices(witness)])
         inserted.append(v)
     raise NotEulerianError("independent set cannot be Eulerian")

@@ -5,8 +5,8 @@ with a fixed key set (missing values are null, never absent) and human
 diagnostics on stderr. Artifacts written to disk are re-read and re-verified
 before the command reports success.
 
-Exit codes: 0 success (verification PASS), 1 usage or input error,
-2 verification failure.
+Exit codes: 0 success (verification PASS), 1 usage or input error (an
+unreadable or unwritable path included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .decompose import (
     log_greedy_decompose,
     peel_decompose,
 )
-from .errors import BmcError, FormatError, OrderConditionError
+from .errors import BmcError, OrderConditionError
 from .formats import (
     DecFile,
     check_decomposition,
@@ -225,7 +225,7 @@ def _cmd_decompose(args) -> int:
         "circuits", m.dim, [c.elements for c in dec.circuits], meta=meta
     )
     reloaded = _write_and_reload(args.out, text)
-    reason = check_decomposition(m, reloaded)
+    reason = check_decomposition(m, reloaded.dim, reloaded.blocks)
     bound = _quotient_bound(m)
     if reason is None and len(dec.circuits) < bound:
         reason = "circuit count below the quotient lower bound (verifier bug)"
@@ -255,15 +255,14 @@ def _cmd_oddcover(args) -> int:
     m = _read_matroid(args.infile)
     start = time.perf_counter()
     if args.method == "arboricity":
-        cover = oddcover_via_arboricity(m)
-        a_value, _ = arboricity(m)
+        a_value, cover = oddcover_via_arboricity(m)
     else:
         cover = symdiff_reduce(m)
         a_value = None
     elapsed = time.perf_counter() - start
     text = format_bmdec("oddcover", m.dim, [c.elements for c in cover.circuits])
     reloaded = _write_and_reload(args.out, text)
-    reason = check_oddcover(m, reloaded)
+    reason = check_oddcover(m, reloaded.dim, reloaded.blocks)
     if reason is not None:
         print(f"verification failed: {reason}", file=sys.stderr)
     _emit(
@@ -290,7 +289,7 @@ def _cmd_arboricity(args) -> int:
         "indsets", m.dim, [p for p in partition.parts], block_comment="independent-set"
     )
     reloaded = _write_and_reload(args.out, text)
-    reason = check_partition(m, reloaded)
+    reason = check_partition(m, reloaded.dim, reloaded.blocks)
     if reason is not None:
         print(f"verification failed: {reason}", file=sys.stderr)
     _emit(
@@ -318,6 +317,7 @@ def _cmd_orbit(args) -> int:
             f"sizes {sizes[0]} and {sizes[1]}",
             file=sys.stderr,
         )
+        verified = not report.orbit_is_circuit and sizes == [3, 4]
         _emit(
             instance="orbit-demo-p7",
             algorithm="orbit-demo",
@@ -326,9 +326,9 @@ def _cmd_orbit(args) -> int:
             circuits=2,
             n=7,
             size=len(report.orbit),
-            verified=not report.orbit_is_circuit and sizes == [3, 4],
+            verified=verified,
         )
-        return 0
+        return 0 if verified else 2
     if args.p is None:
         raise UsageError("orbit needs --p or --demo-p7")
     if args.out is None:
@@ -347,7 +347,7 @@ def _cmd_orbit(args) -> int:
         ]
     text = format_bmdec("circuits", model.dim, blocks, meta={"p": args.p})
     reloaded = _write_and_reload(args.out, text)
-    reason = check_decomposition(model, reloaded)
+    reason = check_decomposition(model, reloaded.dim, reloaded.blocks)
     if reason is not None:
         print(f"verification failed: {reason}", file=sys.stderr)
     _emit(
@@ -420,7 +420,7 @@ def _cmd_verify(args) -> int:
         "oddcover": check_oddcover,
         "partition": check_partition,
     }[args.mode]
-    reason = checker(m, dec)
+    reason = checker(m, dec.dim, dec.blocks)
     if reason is not None:
         print(f"verification failed: {reason}", file=sys.stderr)
     _emit(
@@ -449,8 +449,7 @@ def _cmd_bench(args) -> int:
     for name, m in instances:
         start = time.perf_counter()
         dec = auto_decompose(m)
-        cover = oddcover_via_arboricity(m)
-        a_value, _ = arboricity(m)
+        a_value, cover = oddcover_via_arboricity(m)
         elapsed = time.perf_counter() - start
         ok = len(dec.circuits) >= _quotient_bound(m)
         failures += 0 if ok else 1
@@ -493,13 +492,7 @@ def run(argv: list[str]) -> int:
     except OrderConditionError as exc:
         print(f"error: {exc} (computed order {exc.order})", file=sys.stderr)
         return 1
-    except (UsageError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BmcError as exc:
+    except (BmcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,6 +22,7 @@ from typing import Union
 
 from .circuits import Circuit, extract_any_circuit, largest_fundamental_circuit
 from .errors import NotDenseEnoughError, NotEulerianError, OutOfRangeError
+from .formats import check_decomposition
 from .gf2core import BinaryMatroid, is_eulerian, rank
 
 #: log-comparison slack; ties resolve toward staying in the dense phase
@@ -101,21 +102,12 @@ class Decomposition:
     phase2: int = 0
 
     def __post_init__(self):
-        self.validate()
+        reason = check_decomposition(self.source, self.source.dim, self.circuits)
+        if reason is not None:
+            raise OutOfRangeError(reason)
 
     def __len__(self) -> int:
         return len(self.circuits)
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for c in self.circuits:
-            if c.dim != self.source.dim:
-                raise OutOfRangeError("circuit dimension mismatch")
-            if seen & c.key_set:
-                raise OutOfRangeError("circuits are not pairwise disjoint")
-            seen |= c.key_set
-        if seen != set(self.source.key_set):
-            raise OutOfRangeError("circuit union differs from the source matroid")
 
 
 def _meets_pow2(size: int, exponent: float) -> bool:

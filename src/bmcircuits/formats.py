@@ -20,10 +20,11 @@ Parsers report 1-based line numbers on every error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection, Sequence
 
 from .circuits import Circuit, is_circuit
 from .errors import FormatError
-from .gf2core import BinaryMatroid, Gf2Vector
+from .gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector
 
 DEC_KINDS = ("circuits", "oddcover", "indsets")
 
@@ -92,15 +93,6 @@ class DecFile:
     blocks: tuple[tuple[Gf2Vector, ...], ...]
     meta: dict = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DecFile)
-            and self.kind == other.kind
-            and self.dim == other.dim
-            and self.blocks == other.blocks
-            and self.meta == other.meta
-        )
-
 
 def parse_bmdec(text: str) -> DecFile:
     kind = None
@@ -166,45 +158,63 @@ def format_bmdec(
     return "\n".join(lines) + "\n"
 
 
-def check_decomposition(m: BinaryMatroid, dec: DecFile) -> str | None:
+_Blocks = Sequence[Collection[Gf2Vector]]
+
+
+def _dimension_reason(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
+    if dim != m.dim:
+        return f"dimension mismatch: {dim} vs {m.dim}"
+    for i, block in enumerate(blocks):
+        if any(v.n != dim for v in block):
+            return f"block {i} has a vector outside dimension {dim}"
+    return None
+
+
+def check_decomposition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
     """None if the blocks are disjoint circuits whose union is m, else a reason."""
-    if dec.dim != m.dim:
-        return f"dimension mismatch: {dec.dim} vs {m.dim}"
+    reason = _dimension_reason(m, dim, blocks)
+    if reason is not None:
+        return reason
     seen: set[int] = set()
-    for i, block in enumerate(dec.blocks):
+    for i, block in enumerate(blocks):
         if not is_circuit(block):
             return f"block {i} is not a circuit"
         keys = {v.key for v in block}
         if seen & keys:
             return f"block {i} overlaps an earlier block"
         seen |= keys
-    if seen != set(m.key_set):
+    if seen != m.key_set:
         return "union of blocks differs from the matroid"
     return None
 
 
-def check_oddcover(m: BinaryMatroid, dec: DecFile) -> str | None:
-    """None if every block is a circuit and the blocks XOR to m, else a reason."""
-    if dec.dim != m.dim:
-        return f"dimension mismatch: {dec.dim} vs {m.dim}"
+def check_oddcover(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
+    """None if every block is a circuit and the blocks XOR to m, else a reason.
+
+    Blocks may use vectors outside m; each must occur an even number of times.
+    """
+    reason = _dimension_reason(m, dim, blocks)
+    if reason is not None:
+        return reason
     parity: set[int] = set()
-    for i, block in enumerate(dec.blocks):
+    for i, block in enumerate(blocks):
         if not is_circuit(block):
             return f"block {i} is not a circuit"
         parity ^= {v.key for v in block}
-    if parity != set(m.key_set):
+    if parity != m.key_set:
         return "symmetric difference of blocks differs from the matroid"
     return None
 
 
-def check_partition(m: BinaryMatroid, dec: DecFile) -> str | None:
-    """None if the blocks are disjoint independent sets covering m."""
-    from .gf2core import Gf2Eliminator
-
-    if dec.dim != m.dim:
-        return f"dimension mismatch: {dec.dim} vs {m.dim}"
+def check_partition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
+    """None if the blocks are nonempty, disjoint independent sets covering m."""
+    reason = _dimension_reason(m, dim, blocks)
+    if reason is not None:
+        return reason
     seen: set[int] = set()
-    for i, block in enumerate(dec.blocks):
+    for i, block in enumerate(blocks):
+        if not block:
+            return f"block {i} is empty"
         elim = Gf2Eliminator(track_witnesses=False)
         for v in block:
             if v.key in seen:
@@ -212,6 +222,6 @@ def check_partition(m: BinaryMatroid, dec: DecFile) -> str | None:
             seen.add(v.key)
             if elim.insert(v.key) is not None:
                 return f"block {i} is not independent"
-    if seen != set(m.key_set):
+    if seen != m.key_set:
         return "union of blocks differs from the matroid"
     return None

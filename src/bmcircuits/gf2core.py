@@ -109,7 +109,7 @@ class Gf2Eliminator:
 
     def __init__(self, track_witnesses: bool = True):
         self._rows: dict[int, tuple[int, int]] = {}  # pivot -> (row key, mask)
-        self._stack: list[int] = []  # pivots in insertion order, for pop_last_row
+        self._stack: list[int] = []  # pivots in insertion order, for undo
         self._track = track_witnesses
         self.n_inserted = 0
 
@@ -150,9 +150,15 @@ class Gf2Eliminator:
             return None
         return mask
 
-    def pop_last_row(self) -> None:
-        """Undo the most recent independent insert (LIFO search use only)."""
-        del self._rows[self._stack.pop()]
+    def undo(self, inserted: int | None) -> None:
+        """Undo the most recent insert, given what that insert returned.
+
+        None (an independent insert) also drops the row it added; a witness
+        mask only frees the insertion index. Undos must come in LIFO order,
+        as in depth-first searches that insert on the way down.
+        """
+        if inserted is None:
+            del self._rows[self._stack.pop()]
         self.n_inserted -= 1
 
 

@@ -23,6 +23,7 @@ from .errors import (
     OutOfRangeError,
     TooSmallError,
 )
+from .formats import check_oddcover
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
@@ -46,13 +47,9 @@ class OddCover:
     circuits: tuple[Circuit, ...]
 
     def __post_init__(self):
-        covered: set[int] = set()
-        for c in self.circuits:
-            if c.dim != self.target.dim:
-                raise OutOfRangeError("circuit dimension mismatch")
-            covered ^= c.key_set
-        if covered != set(self.target.key_set):
-            raise OutOfRangeError("symmetric difference differs from the target")
+        reason = check_oddcover(self.target, self.target.dim, self.circuits)
+        if reason is not None:
+            raise OutOfRangeError(reason)
 
     def __len__(self) -> int:
         return len(self.circuits)
@@ -123,12 +120,12 @@ def _cancel_pairs(circuits: Iterable[Circuit]) -> tuple[Circuit, ...]:
     return tuple(out)
 
 
-def _smallest_other_key(dim: int, avoid: int) -> int:
+def _smallest_other_key(avoid: int) -> int:
     return 2 if avoid == 1 else 1
 
 
-def oddcover_via_arboricity(m: BinaryMatroid) -> OddCover:
-    """Odd-cover of size at most ceil(4/3 * a(M)).
+def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
+    """a(M) and an odd-cover of size at most ceil(4/3 * a(M)).
 
     Computes a minimum independent partition, completes every part to a
     circuit, and covers the leftover symmetric difference with the reduction
@@ -159,7 +156,7 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> OddCover:
             allowed_leftover |= completion
         else:
             y = part[0]
-            z = _smallest_other_key(m.dim, y.key)
+            z = _smallest_other_key(y.key)
             c = Circuit.from_keys(m.dim, (y.key, z, y.key ^ z))
             allowed_leftover |= {z, y.key ^ z}
         base.append(c)
@@ -179,7 +176,7 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> OddCover:
         # uses at most |remainder| / 3 <= (t + 1) / 3 circuits and restores
         # the guarantee
         final = _cancel_pairs(list(base) + list(peel_decompose(remainder).circuits))
-    return OddCover(m, final)
+    return t, OddCover(m, final)
 
 
 def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:

@@ -18,6 +18,7 @@ from .errors import NotEulerianError, TooLargeError
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
+    _mask_indices,
     express_in_basis,
     is_eulerian,
     max_independent_subset,
@@ -40,20 +41,13 @@ class CircuitCatalog:
 
     def to_circuit(self, mask: int) -> Circuit:
         elems = self.universe.elements
-        return Circuit(elems[i] for i in _bits(mask))
+        return Circuit(elems[i] for i in _mask_indices(mask))
 
     def circuits(self):
         return [self.to_circuit(mask) for mask in self.masks]
 
     def max_size(self) -> int:
         return max((mask.bit_count() for mask in self.masks), default=0)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
@@ -77,11 +71,10 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
             if xi is not None and xi > last:
                 masks.append(chosen | (1 << xi))
         for j in range(start, len(keys)):
-            if elim.insert(keys[j]) is None:
+            inserted = elim.insert(keys[j])
+            if inserted is None:  # dependent additions cannot stay minimal
                 dfs(j + 1, acc ^ keys[j], chosen | (1 << j), size + 1, j)
-                elim.pop_last_row()
-            else:
-                elim.n_inserted -= 1  # dependent additions cannot stay minimal
+            elim.undo(inserted)
 
     dfs(0, 0, 0, 0, -1)
     return CircuitCatalog(m, tuple(sorted(masks)))
@@ -93,14 +86,14 @@ def _min_disjoint_cover(sub: BinaryMatroid, masks: list[int]) -> int:
     keys = [v.key for v in sub.elements]
     by_element: list[list[int]] = [[] for _ in range(n)]
     for mk in masks:
-        for b in _bits(mk):
+        for b in _mask_indices(mk):
             by_element[b].append(mk)
     for lst in by_element:
         lst.sort(key=lambda mk: -mk.bit_count())  # largest first
 
     def rank_of(mask: int) -> int:
         elim = Gf2Eliminator(track_witnesses=False)
-        for b in _bits(mask):
+        for b in _mask_indices(mask):
             elim.insert(keys[b])
         return elim.rank
 
@@ -144,7 +137,7 @@ def exact_c(m: BinaryMatroid) -> int:
         return i
 
     for mk in catalog.masks:
-        bits = list(_bits(mk))
+        bits = list(_mask_indices(mk))
         r0 = find(bits[0])
         for b in bits[1:]:
             parent[find(b)] = r0
@@ -164,7 +157,7 @@ def exact_c(m: BinaryMatroid) -> int:
         for mk in catalog.masks:
             if mk & ~group_mask == 0:
                 lm = 0
-                for b in _bits(mk):
+                for b in _mask_indices(mk):
                     lm |= 1 << local[b]
                 local_masks.append(lm)
         total += _min_disjoint_cover(sub, local_masks)

@@ -22,8 +22,9 @@ from .errors import (
 )
 from .gf2core import BinaryMatroid, Gf2Vector
 
-#: 2^p visited-bitmap bytes cap the model size
-MAX_P = 31
+#: the model holds 2^(p-1) - 1 vectors as Python objects; p = 19 needs about
+#: 150 MB, and the next admissible prime, 29, would need 2^28 of them
+MAX_P = 19
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -51,12 +52,16 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-def build_even_weight_model(p: int) -> BinaryMatroid:
-    """All nonzero even-weight vectors of F_2^p: 2^(p-1) - 1 elements, rank p - 1."""
+def _require_capped_prime(p: int) -> None:
     if not _is_odd_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
     if p > MAX_P:
         raise OutOfRangeError(f"p = {p} exceeds the cap {MAX_P}")
+
+
+def build_even_weight_model(p: int) -> BinaryMatroid:
+    """All nonzero even-weight vectors of F_2^p: 2^(p-1) - 1 elements, rank p - 1."""
+    _require_capped_prime(p)
     # leading p-1 bits free, last coordinate fixes even parity
     keys = ((y << 1) | (y.bit_count() & 1) for y in range(1, 1 << (p - 1)))
     return BinaryMatroid.from_keys(p, keys)
@@ -107,15 +112,17 @@ def orbit_decompose(p: int) -> OrbitDecomposition:
     """Partition the even-weight model into rotation orbits and verify each
     is a circuit.
 
-    Precondition: the multiplicative order of 2 mod p equals p - 1; otherwise
-    OrderConditionError(order) is raised and nothing is computed. Orbit
+    Preconditions, checked before anything is built: p is an odd prime
+    (NotPrimeError) no larger than MAX_P (OutOfRangeError), and the
+    multiplicative order of 2 mod p equals p - 1 (OrderConditionError). Orbit
     representatives are the canonically smallest members, discovered by a
     linear scan over a visited bitmap.
     """
-    model = build_even_weight_model(p)
+    _require_capped_prime(p)
     order = multiplicative_order(2, p)
     if order != p - 1:
         raise OrderConditionError(p, order)
+    model = build_even_weight_model(p)
     visited = bytearray(((1 << p) + 7) // 8)
     orbits: list[Circuit] = []
     for v in model.elements:

@@ -3,8 +3,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from bmcircuits.generators import random_eulerian
+
+# property tests replay the same examples on every run and never time out
+settings.register_profile(
+    "bmcircuits", derandomize=True, deadline=None, max_examples=50, database=None
+)
+settings.load_profile("bmcircuits")
 
 
 def eulerian_corpus(count, seed, n_range=(3, 14), size_cap=40):

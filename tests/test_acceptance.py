@@ -186,7 +186,7 @@ def test_criterion_9_cover_bound_and_minmax():
     failures = 0
     for m in corpus:
         a, partition = arboricity(m)
-        cover = oddcover_via_arboricity(m)
+        _, cover = oddcover_via_arboricity(m)
         if not cover_is_valid(m, cover):
             failures += 1
         if len(cover.circuits) > math.ceil(4 * a / 3):
@@ -220,7 +220,7 @@ def test_criterion_10_oracle_dominance():
         if c2 is not None:
             assert c2 <= c
             assert len(symdiff_reduce(m).circuits) >= c2
-            assert len(oddcover_via_arboricity(m).circuits) >= c2
+            assert len(oddcover_via_arboricity(m)[1].circuits) >= c2
         rep = probe_conjectures(m)
         assert rep.decomposition_status == "CONSISTENT"
         assert rep.oddcover_status in ("CONSISTENT", "SKIPPED"), (
@@ -248,7 +248,7 @@ def test_criterion_11_round_trip(tmp_path):
     artifacts = [
         ("circuits", [c.elements for c in auto_decompose(m).circuits],
          {"branch": "dense"}),
-        ("oddcover", [c.elements for c in oddcover_via_arboricity(m).circuits], None),
+        ("oddcover", [c.elements for c in oddcover_via_arboricity(m)[1].circuits], None),
         ("indsets", [p for p in arboricity(m)[1].parts], None),
         ("circuits", [c.elements for c in orbit_decompose(5).orbits], {"p": "5"}),
     ]

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from bmcircuits import cli
 from bmcircuits.cli import REPORT_FIELDS, run
 
 
@@ -73,6 +75,22 @@ class TestDecomposeVerify:
         assert run(["decompose", "--in", str(bad), "--out",
                     str(tmp_path / "x.bmdec")]) == 1
 
+    def test_non_utf8_input_exit1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bm"
+        bad.write_bytes(b"dim 2\n\xff\xfe\n")
+        assert run(["decompose", "--in", str(bad), "--out",
+                    str(tmp_path / "x.bmdec")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_directory_as_input_exit1(self, tmp_path, capsys):
+        assert run(["decompose", "--in", str(tmp_path), "--out",
+                    str(tmp_path / "x.bmdec")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_directory_as_output_exit1(self, instance, tmp_path, capsys):
+        assert run(["decompose", "--in", str(instance), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_dense_on_sparse_input_exit1(self, tmp_path, capsys):
         m = tmp_path / "m.bm"
         run(["gen", "--kind", "copies", "--k", "5", "--s", "2", "--out", str(m)])
@@ -119,6 +137,17 @@ class TestOrbit:
         assert run(["orbit", "--demo-p7"]) == 0
         rec = records(capsys)[-1]
         assert rec["order"] == 3 and rec["verified"] is True
+
+    def test_demo_exit2_when_not_verified(self, monkeypatch, capsys):
+        report = cli.demonstrate_order_failure()
+        broken = dataclasses.replace(report, orbit_is_circuit=True)
+        monkeypatch.setattr(cli, "demonstrate_order_failure", lambda: broken)
+        assert run(["orbit", "--demo-p7"]) == 2
+        assert records(capsys)[-1]["verified"] is False
+
+    def test_admissible_prime_over_cap_exit1(self, tmp_path, capsys):
+        assert run(["orbit", "--p", "29", "--out", str(tmp_path / "x.bmdec")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_compress(self, tmp_path, capsys):
         out = tmp_path / "p5c.bmdec"

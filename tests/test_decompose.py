@@ -197,3 +197,11 @@ class TestDecompositionType:
         c = Circuit([vec("001"), vec("010"), vec("011")])
         with pytest.raises(OutOfRangeError):
             Decomposition(m, (c,))
+
+    def test_rejects_circuit_of_another_dimension(self):
+        # same keys as the matroid's elements, but vectors of F_2^2, not F_2^3
+        m = BinaryMatroid(3, [vec("001"), vec("010"), vec("011")])
+        from bmcircuits.circuits import Circuit
+
+        with pytest.raises(OutOfRangeError):
+            Decomposition(m, (Circuit(triangle().elements),))

@@ -95,17 +95,17 @@ class TestSemanticChecks:
         m = complete_matroid(3)
         dec = peel_decompose(m)
         good = parse_bmdec(format_bmdec("circuits", 3, [c.elements for c in dec.circuits]))
-        assert check_decomposition(m, good) is None
+        assert check_decomposition(m, good.dim, good.blocks) is None
         truncated = parse_bmdec(format_bmdec("circuits", 3, [dec.circuits[0].elements]))
-        assert check_decomposition(m, truncated) is not None
+        assert check_decomposition(m, truncated.dim, truncated.blocks) is not None
 
     def test_oddcover_check(self):
         m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
         tri = [vec("01"), vec("10"), vec("11")]
         once = parse_bmdec(format_bmdec("oddcover", 2, [tuple(tri)]))
-        assert check_oddcover(m, once) is None
+        assert check_oddcover(m, once.dim, once.blocks) is None
         twice = parse_bmdec(format_bmdec("oddcover", 2, [tuple(tri), tuple(tri)]))
-        assert check_oddcover(m, twice) is not None
+        assert check_oddcover(m, twice.dim, twice.blocks) is not None
 
     def test_partition_check(self):
         m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
@@ -113,8 +113,8 @@ class TestSemanticChecks:
             "indsets", 2, [(vec("01"), vec("10")), (vec("11"),)],
             block_comment="independent-set",
         ))
-        assert check_partition(m, ok) is None
+        assert check_partition(m, ok.dim, ok.blocks) is None
         bad = parse_bmdec(format_bmdec(
             "indsets", 2, [(vec("01"), vec("10"), vec("11"))]
         ))
-        assert check_partition(m, bad) is not None
+        assert check_partition(m, bad.dim, bad.blocks) is not None

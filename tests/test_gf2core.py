@@ -158,6 +158,22 @@ class TestExpressInBasis:
                 assert acc == v.key
 
 
+class TestEliminatorUndo:
+    def test_undo_takes_what_insert_returned(self):
+        e = Gf2Eliminator()
+        first = e.insert(0b01)
+        second = e.insert(0b10)
+        dependent = e.insert(0b11)
+        assert (first, second, dependent) == (None, None, 0b11)
+        e.undo(dependent)
+        assert e.rank == 2
+        e.undo(second)
+        assert e.rank == 1 and not e.contains(0b10)
+        # the freed insertion index is reused
+        assert e.insert(0b11) is None
+        assert e.insert(0b10) == 0b11
+
+
 class TestBinaryMatroid:
     def test_duplicates_rejected(self):
         with pytest.raises(OutOfRangeError):

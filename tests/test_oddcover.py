@@ -79,7 +79,7 @@ class TestSymdiffReduce:
 
 class TestOddcoverViaArboricity:
     def test_triangle_collapses(self):
-        cover = oddcover_via_arboricity(triangle())
+        _, cover = oddcover_via_arboricity(triangle())
         check_cover(triangle(), cover)
         assert len(cover.circuits) <= 2
 
@@ -89,8 +89,7 @@ class TestOddcoverViaArboricity:
 
     def test_complete_dim4_bound(self):
         m = complete_matroid(4)
-        a, _ = arboricity(m)
-        cover = oddcover_via_arboricity(m)
+        a, cover = oddcover_via_arboricity(m)
         check_cover(m, cover)
         assert a == 4
         assert len(cover.circuits) <= math.ceil(4 * a / 3)
@@ -101,14 +100,15 @@ class TestOddcoverViaArboricity:
         m = independent_copies(2, 3)
         a, _ = arboricity(m)
         assert a == 3
-        cover = oddcover_via_arboricity(m)
+        _, cover = oddcover_via_arboricity(m)
         check_cover(m, cover)
         assert len(cover.circuits) >= 3
 
     def test_four_thirds_bound_on_corpus(self, small_corpus):
         for m in small_corpus:
             a, _ = arboricity(m)
-            cover = oddcover_via_arboricity(m)
+            a_cover, cover = oddcover_via_arboricity(m)
+            assert a_cover == a
             check_cover(m, cover)
             assert len(cover.circuits) <= math.ceil(4 * a / 3)
 
@@ -117,7 +117,7 @@ class TestOddcoverViaArboricity:
         from collections import Counter
 
         m = independent_copies(2, 2)
-        cover = oddcover_via_arboricity(m)
+        _, cover = oddcover_via_arboricity(m)
         counts = Counter()
         for c in cover.circuits:
             for v in c:
@@ -149,7 +149,7 @@ class TestDensityLowerBound:
         for m in small_corpus:
             lb = density_lower_bound(m, exhaustive_limit=16)
             assert lb <= len(symdiff_reduce(m).circuits)
-            assert lb <= len(oddcover_via_arboricity(m).circuits)
+            assert lb <= len(oddcover_via_arboricity(m)[1].circuits)
 
 
 class TestOddCoverType:

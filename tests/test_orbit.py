@@ -5,6 +5,7 @@ from bmcircuits.errors import (
     NotCoprimeError,
     NotPrimeError,
     OrderConditionError,
+    OutOfRangeError,
 )
 from bmcircuits.gf2core import Gf2Vector, rank
 from bmcircuits.orbit import (
@@ -86,6 +87,16 @@ class TestOrbitDecompose:
         with pytest.raises(OrderConditionError) as exc:
             orbit_decompose(7)
         assert exc.value.order == 3
+
+    def test_non_prime_rejected_before_order_check(self):
+        # the order of 2 mod 9 is 6, so only the primality check can reject 9
+        with pytest.raises(NotPrimeError):
+            orbit_decompose(9)
+
+    @pytest.mark.parametrize("p", [23, 29, 31])
+    def test_primes_over_cap_rejected_before_building(self, p):
+        with pytest.raises(OutOfRangeError):
+            orbit_decompose(p)
 
     @pytest.mark.parametrize("p", [3, 5, 11, 13])
     def test_counts_and_optimality(self, p):
