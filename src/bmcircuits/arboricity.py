@@ -3,8 +3,9 @@
 The constructive side is a matroid-union style augmenting search: to place an
 element into one of k parts, look for a breadth-first alternating chain of
 exchanges ending at a part that does not span the moved element. On failure
-the set of reachable elements certifies infeasibility: its quotient
-ceil(|N| / rank(N)) exceeds k, matching the max-side of the min-max formula.
+every part spans the reachable set R, so the flat N = cl(R) ∩ M certifies
+infeasibility: its quotient ceil(|N| / rank(N)) exceeds k, matching the
+max-side of the min-max formula; arboricity() jumps k straight to it.
 
 edmonds_max_bruteforce evaluates that max exhaustively on tiny instances and
 is the module's independent correctness oracle.
@@ -40,7 +41,8 @@ class IndependentPartition:
 class Infeasible:
     """Witness that no partition into k independent sets exists.
 
-    certificate N satisfies ceil(|N| / rank(N)) = quotient > k.
+    certificate N is a flat of M with ceil(|N| / rank(N)) = quotient > k;
+    quotient <= a(M), so every k' < quotient is infeasible as well.
     """
 
     k: int
@@ -49,70 +51,59 @@ class Infeasible:
 
 
 class _PartState:
-    """Working partition with per-part elimination caches for one search round."""
+    """Working partition with per-part elimination caches (None: rebuild)."""
 
-    def __init__(self, dim: int, k: int):
-        self.dim = dim
+    def __init__(self, k: int):
         self.members: list[list[Gf2Vector]] = [[] for _ in range(k)]
-        self._elims: list[Gf2Eliminator | None] = [None] * k
-
-    def invalidate(self) -> None:
-        self._elims = [None] * len(self.members)
+        self.elims: list[Gf2Eliminator | None] = [None] * k
 
     def elim(self, j: int) -> Gf2Eliminator:
-        if self._elims[j] is None:
+        if self.elims[j] is None:
             e = Gf2Eliminator()
             for v in self.members[j]:
                 e.insert(v.key)
-            self._elims[j] = e
-        return self._elims[j]
-
-    def witnesses(self, j: int, key: int) -> list[Gf2Vector] | None:
-        """Members of part j whose XOR equals key, or None if key is outside
-        the span (meaning key can simply be appended)."""
-        residual, mask = self.elim(j).reduce(key)
-        if residual != 0:
-            return None
-        part = self.members[j]
-        out = []
-        # inline, not gf2core._mask_indices: the generator cost arboricity 5-8 % (2-core host)
-        while mask:
-            low = mask & -mask
-            out.append(part[low.bit_length() - 1])
-            mask ^= low
-        return out
+            self.elims[j] = e
+        return self.elims[j]
 
 
-def _augment(state: _PartState, x: Gf2Vector) -> set[int] | None:
+def _augment(state: _PartState, x: Gf2Vector) -> list[Gf2Vector] | None:
     """Place x via a shortest exchange chain. Returns None on success, else
-    the set of reachable element keys (the infeasibility certificate)."""
+    the reachable elements. seen[j] masks the queued members of part j;
+    positions only move when a chain is applied, which ends the search."""
     k = len(state.members)
     parent: dict[int, tuple[Gf2Vector, int]] = {}
-    vec_of: dict[int, Gf2Vector] = {x.key: x}
+    seen = [0] * k
     queue = [x]
     head = 0
     while head < len(queue):
         y = queue[head]
         head += 1
         for j in range(k):
-            support = state.witnesses(j, y.key)
-            if support is None:
-                # free slot found: apply the chain from the end back to x
+            residual, mask = state.elim(j).reduce(y.key)
+            if residual:
+                # free slot found: append keeps insertion index = list position,
+                # then apply the chain back to x, dropping the parts it touches
                 state.members[j].append(y)
+                state.elims[j].insert(y.key)
                 cur = y
                 while cur.key in parent:
                     pred, jj = parent[cur.key]
                     state.members[jj].remove(cur)
                     state.members[jj].append(pred)
+                    state.elims[jj] = None
                     cur = pred
-                state.invalidate()
                 return None
-            for z in support:
-                if z.key not in vec_of:
-                    vec_of[z.key] = z
-                    parent[z.key] = (y, j)
-                    queue.append(z)
-    return set(vec_of)
+            mask &= ~seen[j]
+            seen[j] |= mask
+            part = state.members[j]
+            # inline, not gf2core._mask_indices: the generator cost arboricity 5-8 % (2-core host)
+            while mask:
+                low = mask & -mask
+                z = part[low.bit_length() - 1]
+                parent[z.key] = (y, j)
+                queue.append(z)
+                mask ^= low
+    return queue
 
 
 def can_partition(
@@ -121,16 +112,20 @@ def can_partition(
     """Partition m into at most k independent sets, or return a certificate.
 
     Elements are inserted in canonical order; each insertion runs one
-    breadth-first augmenting search over the exchange structure.
+    breadth-first augmenting search over the exchange structure. On failure
+    the certificate is cl(R) ∩ M for the reachable set R.
     """
     if k < 1:
         raise OutOfRangeError("k must be positive")
-    state = _PartState(m.dim, k)
+    state = _PartState(k)
     for x in m.elements:
         reachable = _augment(state, x)
         if reachable is not None:
-            cert = BinaryMatroid.from_keys(m.dim, reachable)
-            quotient = ceil(len(cert) / rank(cert))
+            span = Gf2Eliminator(track_witnesses=False)
+            for v in reachable:
+                span.insert(v.key)
+            cert = BinaryMatroid(m.dim, (v for v in m.elements if span.contains(v.key)))
+            quotient = ceil(len(cert) / span.rank)
             if quotient <= k:  # would contradict the exchange argument
                 raise OutOfRangeError("augmentation failed without a certificate")
             return Infeasible(k, cert, quotient)
@@ -141,8 +136,8 @@ def can_partition(
 def arboricity(m: BinaryMatroid) -> tuple[int, IndependentPartition]:
     """Least k admitting a partition into k independent sets, plus a witness.
 
-    Search starts at the quotient lower bound ceil(|M| / rank(M)) and
-    increments; low values fail fast through their certificates.
+    Search starts at the quotient lower bound ceil(|M| / rank(M)) and jumps
+    from an infeasible k to its certificate's quotient, also a lower bound.
     """
     if len(m) == 0:
         raise EmptyMatroidError("arboricity of the empty matroid is undefined")
@@ -151,7 +146,7 @@ def arboricity(m: BinaryMatroid) -> tuple[int, IndependentPartition]:
         result = can_partition(m, k)
         if isinstance(result, IndependentPartition):
             return k, result
-        k += 1
+        k = result.quotient
 
 
 def max_quotient_exhaustive(

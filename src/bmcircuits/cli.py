@@ -451,8 +451,13 @@ def _cmd_bench(args) -> int:
         dec = auto_decompose(m)
         a_value, cover = oddcover_via_arboricity(m)
         elapsed = time.perf_counter() - start
-        ok = len(dec.circuits) >= _quotient_bound(m)
+        cover_bound = -(-4 * a_value // 3)
+        ok = len(dec.circuits) >= _quotient_bound(m) and len(cover.circuits) <= cover_bound
         failures += 0 if ok else 1
+        print(
+            f"{name}: odd-cover of {len(cover.circuits)} circuits (bound {cover_bound})",
+            file=sys.stderr,
+        )
         _emit(
             instance=name,
             algorithm="bench",
@@ -462,7 +467,7 @@ def _cmd_bench(args) -> int:
             branch=dec.branch,
             phase1=dec.phase1,
             phase2=dec.phase2,
-            c2=len(cover.circuits),
+            c2=None,
             quotient_bound=_quotient_bound(m),
             seed=args.seed,
             wall_time_s=round(elapsed, 6),

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -12,7 +13,7 @@ from bmcircuits.arboricity import (
 )
 from bmcircuits.errors import EmptyMatroidError, TooLargeError
 from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, rank
-from bmcircuits.generators import complete_matroid, independent_copies
+from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 
 from conftest import eulerian_corpus
 
@@ -36,6 +37,43 @@ def quotient_scan(m):
             elim.insert(v.key)
         best = max(best, math.ceil(len(subset) / elim.rank))
     return best
+
+
+def dense_core():
+    """Complete core on the leading 6 of 10 coordinates, symmetric difference
+    with random_eulerian(10, 12, seed=1): 74 elements, a = 11."""
+    core = {k << 4 for k in range(1, 64)}
+    return BinaryMatroid.from_keys(10, core ^ random_eulerian(10, 12, seed=1).key_set)
+
+
+# exact parts as key tuples: speed-ups of the augmenting search and of the
+# k loop must keep these tie-breaks
+RANDOM_10_60_PARTS = (
+    (14, 54, 59, 90, 149, 154, 157, 263, 272, 516),
+    (255, 269, 270, 285, 289, 303, 311, 315, 330, 541),
+    (344, 350, 359, 371, 405, 482, 487, 550, 556, 578),
+    (585, 591, 607, 609, 621, 639, 663, 672, 705, 782),
+    (637, 669, 696, 697, 725, 743, 760, 804, 807, 820),
+    (818, 847, 858, 902, 903, 945, 1004, 1010, 1013),
+    (1005, 1017),
+)
+DENSE_CORE_PARTS = (
+    (16, 32, 64, 72, 102, 128, 164, 205, 256, 512),
+    (48, 96, 112, 144, 255, 272, 292, 528, 554, 610),
+    (160, 176, 192, 224, 288, 544, 565, 681, 714, 978),
+    (208, 240, 304, 320, 336, 560),
+    (352, 368, 384, 416, 448, 576),
+    (400, 432, 464, 480, 592, 640),
+    (496, 608, 624, 656, 672, 704),
+    (688, 720, 736, 752, 768, 896),
+    (784, 800, 816, 832, 912),
+    (848, 864, 880, 928, 960),
+    (944, 976, 992, 1008),
+)
+
+
+def part_keys(partition):
+    return tuple(tuple(v.key for v in part) for part in partition.parts)
 
 
 class TestCanPartition:
@@ -95,6 +133,34 @@ class TestArboricity:
                 sub = BinaryMatroid.from_keys(m.dim, keys[:cut])
                 a_sub, _ = arboricity(sub)
                 assert a_sub <= a_full
+
+
+class TestTieBreaks:
+    def test_random_parts_pinned(self):
+        a, partition = arboricity(random_eulerian(10, 60, seed=3))
+        assert a == 7
+        assert part_keys(partition) == RANDOM_10_60_PARTS
+
+    def test_dense_core_parts_pinned(self):
+        m = dense_core()
+        assert len(m) == 74
+        a, partition = arboricity(m)
+        assert a == 11
+        assert part_keys(partition) == DENSE_CORE_PARTS
+
+    def test_dense_core_jumps_to_certificate_quotient(self, monkeypatch):
+        # the package re-exports arboricity(), which shadows the module name
+        module = importlib.import_module("bmcircuits.arboricity")
+        tried = []
+
+        def counting(m, k):
+            tried.append(k)
+            return can_partition(m, k)
+
+        monkeypatch.setattr(module, "can_partition", counting)
+        a, _ = arboricity(dense_core())
+        assert a == 11
+        assert tried == [8, 11]
 
 
 class TestEdmondsBruteforce:

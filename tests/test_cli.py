@@ -190,3 +190,5 @@ class TestBench:
         recs = records(capsys)
         assert len(recs) >= 5
         assert all(r["verified"] for r in recs)
+        # c2 is the exact oracle's key; bench computes only the heuristic cover
+        assert all(r["c2"] is None for r in recs)

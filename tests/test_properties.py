@@ -2,18 +2,31 @@
 
 Every constructive output must pass its single checker in formats, the
 checkers must reject simple corruptions of a valid artifact, and
-extract_any_circuit must return the first elimination dependency.
+extract_any_circuit must return the first elimination dependency. On at most
+14 elements, arboricity and its infeasibility certificates are tied to the
+exhaustive max of ceil(|N| / rank(N)).
 """
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bmcircuits.arboricity import arboricity
+from bmcircuits.arboricity import (
+    Infeasible,
+    arboricity,
+    can_partition,
+    edmonds_max_bruteforce,
+)
 from bmcircuits.circuits import extract_any_circuit
 from bmcircuits.decompose import auto_decompose, log_greedy_decompose, peel_decompose
 from bmcircuits.errors import NotInSpanError
 from bmcircuits.formats import check_decomposition, check_oddcover, check_partition
-from bmcircuits.gf2core import Gf2Vector, express_in_basis
+from bmcircuits.gf2core import (
+    BinaryMatroid,
+    Gf2Eliminator,
+    Gf2Vector,
+    express_in_basis,
+    rank,
+)
 from bmcircuits.generators import random_eulerian
 from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
 
@@ -24,6 +37,35 @@ def eulerian_matroids(draw):
     size = draw(st.integers(3, min(24, (1 << n) - 1)))
     seed = draw(st.integers(0, 2**32 - 1))
     return random_eulerian(n, size, seed)
+
+
+@st.composite
+def tiny_eulerian_matroids(draw):
+    """At most 14 elements, within reach of edmonds_max_bruteforce.
+
+    Half the draws add a complete core on the leading 3 coordinates (an
+    Eulerian Fano plane, quotient 3), so that arboricity sees infeasible k.
+    """
+    core = draw(st.booleans())
+    n = draw(st.integers(6 if core else 3, 7))
+    size = draw(st.integers(3, 6 if core else min(13, (1 << n) - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = random_eulerian(n, size, seed)
+    if core:
+        fano = {k << (n - 3) for k in range(1, 8)}
+        m = BinaryMatroid.from_keys(n, fano ^ m.key_set)
+    assume(len(m) > 0)
+    return m
+
+
+def infeasible_rounds(m, a):
+    """can_partition(m, k) for every k below the arboricity a."""
+    out = []
+    for k in range(1, a):
+        result = can_partition(m, k)
+        assert isinstance(result, Infeasible)
+        out.append(result)
+    return out
 
 
 def artifacts(m):
@@ -78,3 +120,32 @@ def test_extract_any_circuit_is_first_dependency_plus_witness(m):
         break
     expected = {v.key} | {prefix[i].key for i in support}
     assert extract_any_circuit(m).key_set == expected
+
+
+@given(tiny_eulerian_matroids())
+def test_arboricity_equals_exhaustive_max(m):
+    assert arboricity(m)[0] == edmonds_max_bruteforce(m)
+
+
+@given(tiny_eulerian_matroids())
+def test_infeasible_certificate_is_closed(m):
+    for result in infeasible_rounds(m, edmonds_max_bruteforce(m)):
+        span = Gf2Eliminator(track_witnesses=False)
+        for v in result.certificate:
+            span.insert(v.key)
+        assert {v.key for v in m if span.contains(v.key)} == result.certificate.key_set
+
+
+@given(tiny_eulerian_matroids())
+def test_certificate_quotient_is_a_lower_bound_above_k(m):
+    a = edmonds_max_bruteforce(m)
+    for result in infeasible_rounds(m, a):
+        cert = result.certificate
+        assert result.quotient == -(-len(cert) // rank(cert))
+        assert result.k < result.quotient <= a
+
+
+@given(tiny_eulerian_matroids())
+def test_arboricity_cover_within_four_thirds(m):
+    a = edmonds_max_bruteforce(m)
+    assert len(oddcover_via_arboricity(m)[1].circuits) <= -(-4 * a // 3)
