@@ -2,19 +2,23 @@
 
 A circuit is a minimal nonempty zero-sum subset: XOR of its elements is zero
 and its rank is size - 1. In a simple binary matroid every circuit has at
-least 3 elements. All functions here are pure and safe to call concurrently.
+least 3 elements. All functions here are pure and safe to call concurrently,
+except that largest_fundamental_circuit lowers the rank bound of a
+WorkingSet it is given, which the set's single owner then reuses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import reduce
 from math import comb
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateMemberError,
     EmptyMatroidError,
     NotEulerianError,
-    NotInSpanError,
     OutOfRangeError,
     TooSmallError,
 )
@@ -23,9 +27,9 @@ from .gf2core import (
     Gf2Eliminator,
     Gf2Vector,
     _mask_indices,
+    expansion_masks,
     express_in_basis,
-    is_eulerian,
-    max_independent_subset,
+    greedy_basis,
     xor_key,
 )
 
@@ -130,45 +134,96 @@ def guaranteed_circuit_size(size: int, r: int) -> int:
     raise OutOfRangeError(f"size {size} exceeds 2^{r} - 1")
 
 
-def largest_fundamental_circuit(n: BinaryMatroid) -> Circuit:
+class WorkingSet:
+    """The elements a peeling loop has yet to cover, as ascending int keys.
+
+    Single-owner and mutable. ``keys`` and ``elements`` run in parallel: a
+    circuit leaves both by bisect deletion (remove) or is XORed in (toggle),
+    and a Circuit is built once per emitted circuit, from the source's own
+    vectors. ``bound`` is an upper bound on the rank of the keys, which
+    stops greedy_basis early; the loops lower it to each rank they find.
+    Removing elements never raises the rank, and neither does toggling a
+    circuit whose elements lie in the span of the keys. ``total``, the XOR
+    of the keys, never changes: circuits sum to zero, and keys change only
+    through remove and toggle.
+    """
+
+    __slots__ = ("dim", "keys", "elements", "bound", "total")
+
+    def __init__(self, m: BinaryMatroid):
+        self.dim = m.dim
+        self.keys = [v.key for v in m.elements]
+        self.elements = list(m.elements)
+        self.bound = m.dim
+        self.total = reduce(xor, self.keys, 0)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def vectors(self, keys: Iterable[int]) -> list[Gf2Vector]:
+        """The vectors of keys, all of which must be present."""
+        return [self.elements[bisect_left(self.keys, key)] for key in keys]
+
+    def circuit(self, keys: Iterable[int]) -> Circuit:
+        return Circuit(self.vectors(keys))
+
+    def remove(self, c: Circuit) -> None:
+        for key in c.key_set:
+            i = bisect_left(self.keys, key)
+            del self.keys[i], self.elements[i]
+
+    def toggle(self, c: Circuit) -> None:
+        """Symmetric difference with c, in place."""
+        keys = self.keys
+        for v in c:
+            i = bisect_left(keys, v.key)
+            if i < len(keys) and keys[i] == v.key:
+                del keys[i], self.elements[i]
+            else:
+                keys.insert(i, v.key)
+                self.elements.insert(i, v)
+
+
+def _working_set(n: BinaryMatroid | WorkingSet) -> WorkingSet:
+    work = n if isinstance(n, WorkingSet) else WorkingSet(n)
+    if not work.keys:
+        raise EmptyMatroidError("empty matroid has no circuits")
+    if work.total:
+        raise NotEulerianError("input must be Eulerian")
+    return work
+
+
+def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     """Largest fundamental circuit over the canonical basis of n.
 
-    The basis is max_independent_subset(n); the maximum runs over all
-    fundamental circuits of elements outside it, ties going to the smallest
-    element in canonical order. The result has at least
-    guaranteed_circuit_size(|n|, rank(n)) elements.
+    The basis is the first-seen one in canonical order (greedy_basis, as in
+    max_independent_subset); the maximum runs over all fundamental circuits
+    of elements outside it, ties going to the smallest element in canonical
+    order. The result has at least guaranteed_circuit_size(|n|, rank(n))
+    elements.
+
+    Peeling loops pass their WorkingSet. Its bound stops the greedy basis
+    early, which gives the same basis as a full scan, and is lowered to the
+    rank found here. Every element is expanded at once through one byte
+    table per 8 bits of the basis rows (gf2core.expansion_masks).
+    Basis elements need no skipping: their expansions have one term, a
+    non-basis element's at least two.
     """
-    if len(n) == 0:
-        raise EmptyMatroidError("empty matroid has no circuits")
-    if not is_eulerian(n):
-        raise NotEulerianError("input must be Eulerian")
-    if len(n) < 3:
+    work = _working_set(n)
+    if len(work) < 3:
         raise TooSmallError("need at least 3 elements")
-    basis = max_independent_subset(n)
-    elim = Gf2Eliminator()
-    for b in basis:
-        elim.insert(b.key)
-    basis_keys = {b.key for b in basis}
-    best_m = None
-    best_mask = 0
-    best_size = 0
-    for v in n.elements:  # canonical order fixes the tie-break
-        if v.key in basis_keys:
-            continue
-        residual, mask = elim.reduce(v.key)
-        if residual != 0:
-            raise NotInSpanError("basis does not span the matroid")
-        c_size = mask.bit_count() + 1
-        if c_size > best_size:
-            best_m, best_mask, best_size = v, mask, c_size
-    if best_m is None:
-        # Eulerian and nonempty implies a dependent element exists.
+    keys = work.keys
+    basis, rows = greedy_basis(keys, work.dim, work.bound)
+    work.bound = len(basis)
+    masks = expansion_masks(keys, rows, work.dim)
+    best = max(masks, key=int.bit_count)  # the first of the largest
+    if best.bit_count() < 2:
         raise NotEulerianError("no dependent element found")
-    support = [basis[i] for i in _mask_indices(best_mask)]
-    return Circuit([best_m] + support)
+    support = [b for j, b in enumerate(basis) if best >> j & 1]
+    return work.circuit(support + [keys[masks.index(best)]])
 
 
-def extract_any_circuit(n: BinaryMatroid) -> Circuit:
+def extract_any_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     """Some circuit contained in n, found at the first elimination dependency.
 
     Elements are inserted in canonical order. The first dependent element
@@ -176,15 +231,21 @@ def extract_any_circuit(n: BinaryMatroid) -> Circuit:
     the independent prefix, so the dependent element's expansion in them is
     unique and no proper subset sums to zero. Circuit() re-checks the law.
     """
-    if len(n) == 0:
-        raise EmptyMatroidError("empty matroid has no circuits")
-    if not is_eulerian(n):
-        raise NotEulerianError("input must be Eulerian")
+    work = _working_set(n)
+    keys = work.keys
     elim = Gf2Eliminator()
-    inserted: list[Gf2Vector] = []
-    for v in n.elements:
-        witness = elim.insert(v.key)
+    for key in keys:
+        witness = elim.insert(key)
         if witness is not None:
-            return Circuit([v] + [inserted[i] for i in _mask_indices(witness)])
-        inserted.append(v)
+            return work.circuit([keys[i] for i in _mask_indices(witness)] + [key])
     raise NotEulerianError("independent set cannot be Eulerian")
+
+
+def extract_all(work: WorkingSet) -> list[Circuit]:
+    """Remove first-dependency circuits from work until it is empty."""
+    circuits = []
+    while work:
+        c = extract_any_circuit(work)
+        circuits.append(c)
+        work.remove(c)
+    return circuits

@@ -9,8 +9,12 @@ Three strategies plus a dispatcher:
   of size at least alpha * rank until an entropy threshold, then extract.
 * auto_decompose: density test picks the dense or sparse routine.
 
-Each run is a single-threaded state machine over its own working copy;
-separate runs may proceed in parallel.
+Each run is a single-threaded state machine over its own circuits.WorkingSet,
+an ascending list of int keys: a peeled circuit leaves it by bisect deletion,
+and a Circuit is built once per emitted circuit. Peeling never raises the
+rank, so each step's greedy basis stops at the previous step's rank; the
+basis, and with it every tie-break, is the one a full scan would find.
+Separate runs may proceed in parallel.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .circuits import Circuit, extract_any_circuit, largest_fundamental_circuit
+from .circuits import (
+    Circuit,
+    WorkingSet,
+    extract_all,
+    largest_fundamental_circuit,
+)
 from .errors import NotDenseEnoughError, NotEulerianError, OutOfRangeError
 from .formats import check_decomposition
 from .gf2core import BinaryMatroid, is_eulerian, rank
@@ -124,14 +133,19 @@ def _require_eulerian(m: BinaryMatroid) -> None:
 
 
 def peel_decompose(m: BinaryMatroid) -> Decomposition:
-    """Remove the largest fundamental circuit until nothing is left."""
+    """Remove the largest fundamental circuit until nothing is left.
+
+    Each step is largest_fundamental_circuit on the working set: a greedy
+    basis that stops at the previous step's rank, then one byte-table
+    expansion scan of every element (see gf2core.expansion_masks).
+    """
     _require_eulerian(m)
-    work = m
+    work = WorkingSet(m)
     circuits: list[Circuit] = []
-    while len(work) > 0:
+    while work:
         c = largest_fundamental_circuit(work)
         circuits.append(c)
-        work = work.difference(c)
+        work.remove(c)
     return Decomposition(m, tuple(circuits), branch="peel", phase1=len(circuits))
 
 
@@ -139,27 +153,23 @@ def log_greedy_decompose(m: BinaryMatroid) -> Decomposition:
     """Peel large fundamental circuits, then extract from the small remainder.
 
     Phase 1 runs while the working set still has at least |M| / ln^2 |M|
-    elements; phase 2 pulls arbitrary circuits out of what remains. The total
-    never exceeds |M| / 3 plus the phase-1 count.
+    elements, with the steps of peel_decompose; phase 2 pulls arbitrary
+    circuits out of what remains. The total never exceeds |M| / 3 plus the
+    phase-1 count.
     """
     _require_eulerian(m)
     if len(m) == 0:
         return Decomposition(m, (), branch="sparse")
     threshold = len(m) / (math.log(len(m)) ** 2)
-    work = m
+    work = WorkingSet(m)
     circuits: list[Circuit] = []
-    phase1 = 0
-    while len(work) >= threshold and len(work) > 0:
+    while work and len(work) >= threshold:
         c = largest_fundamental_circuit(work)
         circuits.append(c)
-        work = work.difference(c)
-        phase1 += 1
-    phase2 = 0
-    while len(work) > 0:
-        c = extract_any_circuit(work)
-        circuits.append(c)
-        work = work.difference(c)
-        phase2 += 1
+        work.remove(c)
+    phase1 = len(circuits)
+    circuits += extract_all(work)
+    phase2 = len(circuits) - phase1
     return Decomposition(m, tuple(circuits), branch="sparse", phase1=phase1, phase2=phase2)
 
 
@@ -184,22 +194,17 @@ def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
         )
     floor_size = math.ceil(params.alpha * r)
     phase1_exp = (1.0 - 2.0 * params.delta) * r
-    work = m
+    work = WorkingSet(m)
     circuits: list[Circuit] = []
-    phase1 = 0
-    while len(work) > 0 and _meets_pow2(len(work), phase1_exp):
+    while work and _meets_pow2(len(work), phase1_exp):
         c = largest_fundamental_circuit(work)
         if c.size < floor_size:
             break  # entropy margin exhausted at the float boundary
         circuits.append(c)
-        work = work.difference(c)
-        phase1 += 1
-    phase2 = 0
-    while len(work) > 0:
-        c = extract_any_circuit(work)
-        circuits.append(c)
-        work = work.difference(c)
-        phase2 += 1
+        work.remove(c)
+    phase1 = len(circuits)
+    circuits += extract_all(work)
+    phase2 = len(circuits) - phase1
     return Decomposition(m, tuple(circuits), branch="dense", phase1=phase1, phase2=phase2)
 
 

@@ -8,6 +8,7 @@ ascending order, which makes greedy choices and bases reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -268,14 +269,52 @@ def is_eulerian(m: BinaryMatroid) -> bool:
     return xor_key(m.elements) == 0
 
 
+def greedy_basis(
+    keys: Sequence[int], dim: int, bound: int
+) -> tuple[list[int], dict[int, int]]:
+    """The first-seen basis of ascending keys: each key independent of all before it.
+
+    ``keys`` must be ascending. The scan stops once ``bound`` keys are taken,
+    so any upper bound on the rank of the keys (the dimension, or the rank
+    of a set whose span holds them) returns the same basis as a full scan:
+    once the basis has rank-many vectors, every later key is dependent.
+    When the basis has as many vectors as its largest key has bits, it spans
+    every key below 2**bits, so the scan bisects past those keys.
+
+    Also returns the basis in row-echelon form, as expansion_masks takes it:
+    pivot -> ``row key | mask << dim``, where the pivot is the highest bit of
+    the row key and mask marks the basis positions whose XOR is the row.
+    This is Gf2Eliminator's elimination on packed rows, without a method
+    call per key.
+    """
+    rows: dict[int, int] = {}
+    low = (1 << dim) - 1
+    basis: list[int] = []
+    i, n = 0, len(keys)
+    while i < n and len(basis) < bound:
+        key = keys[i]
+        i += 1
+        acc = cur = key
+        while cur:
+            row = rows.get(cur.bit_length() - 1)
+            if row is None:
+                break
+            acc ^= row
+            cur = acc & low
+        if not cur:
+            continue
+        rows[cur.bit_length() - 1] = acc ^ 1 << (dim + len(basis))
+        basis.append(key)
+        top = key.bit_length()
+        if len(basis) == top:
+            i = bisect_left(keys, 1 << top, i)
+    return basis, rows
+
+
 def max_independent_subset(m: BinaryMatroid) -> tuple[Gf2Vector, ...]:
     """A basis of M, chosen by first-seen pivots in canonical element order."""
-    elim = Gf2Eliminator(track_witnesses=False)
-    basis = []
-    for v in m.elements:
-        if elim.insert(v.key) is None:
-            basis.append(v)
-    return tuple(basis)
+    basis = set(greedy_basis([v.key for v in m.elements], m.dim, m.dim)[0])
+    return tuple(v for v in m.elements if v.key in basis)
 
 
 def express_in_basis(
@@ -294,3 +333,46 @@ def express_in_basis(
     if residual != 0:
         raise NotInSpanError(f"{x.bits()} is not in the span of the basis")
     return frozenset(_mask_indices(mask))
+
+
+def expansion_masks(keys: Sequence[int], rows: dict[int, int], dim: int) -> list[int]:
+    """For each key, the mask of its unique expansion in the basis behind rows.
+
+    ``rows`` is the row-echelon form that greedy_basis returns, and every key
+    must lie in its span (NotInSpanError otherwise). This is the
+    fundamental-circuit scan, after the Method of Four Russians (Arlazarov,
+    Dinic, Kronrod, Faradzev 1970; Albrecht, Bard, Hart, ACM TOMS 2010).
+    Each 8-bit slice of the key that holds a pivot gets one table, mapping
+    the slice to the XOR of rows that clears its pivot bits top down. That
+    map is linear, so the table is built by doubling: each row is first
+    cleared of the lower pivots of its slice through the table so far, and
+    the new half is that row XOR the old half. No row has a bit above its
+    pivot, so the table entries touch no higher slice: applied from the top
+    slice down, the tables end at the residual, which is zero exactly in
+    the span, with the mask above it. A table is sized to the highest pivot
+    in its slice, so a call builds at most 32 entries per key bit and keeps
+    one table alive at a time; a key costs one lookup per table.
+    """
+    entries = [0] * dim  # per key bit: its row, 0 off the pivots
+    for pivot, row in rows.items():
+        entries[pivot] = row
+    acc = list(keys)
+    for shift in range((dim - 1) & ~7, -1, -8):
+        chunk = entries[shift:shift + 8]
+        while chunk and not chunk[-1]:
+            chunk.pop()
+        if not chunk:
+            continue
+        table = [0]
+        for row in chunk:  # table doubles per bit; the new half has this bit set
+            if row:
+                row ^= table[row >> shift & (len(table) - 1)]  # clear lower pivots
+                table += [row ^ t for t in table]
+            else:
+                table += table
+        sel = len(table) - 1
+        acc = [a ^ table[a >> shift & sel] for a in acc]
+    low = (1 << dim) - 1
+    if any([a & low for a in acc]):
+        raise NotInSpanError("a key lies outside the span")
+    return [a >> dim for a in acc]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arboricity import arboricity, max_quotient_exhaustive
-from .circuits import Circuit, extract_any_circuit
+from .circuits import Circuit, WorkingSet, extract_all
 from .decompose import peel_decompose
 from .errors import (
     EmptyMatroidError,
@@ -28,10 +28,9 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
-    express_in_basis,
+    expansion_masks,
+    greedy_basis,
     is_eulerian,
-    max_independent_subset,
-    rank,
 )
 
 
@@ -85,24 +84,27 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
     drops by at least two while rank(N) >= 3. Once the working set falls
     under |M| / ln^2 |M| elements (or its rank reaches 2, leaving at most a
     triangle), the rest is peeled as ordinary contained circuits.
+
+    The working set is a circuits.WorkingSet, toggled in place. The
+    completion lies in the span of the basis, so a step never raises the
+    rank, and each step's greedy basis stops at the previous step's rank:
+    the basis is still the one a full scan finds, computed once per step.
     """
     _require_eulerian(m)
     if len(m) == 0:
         return OddCover(m, ())
     threshold = len(m) / (math.log(len(m)) ** 2)
-    work = m
+    work = WorkingSet(m)
     cover: list[Circuit] = []
-    peeling = False
-    while len(work) > 0:
-        if not peeling and (rank(work) <= 2 or len(work) < threshold):
-            peeling = True
-        if peeling:
-            c = extract_any_circuit(work)
-            work = work.difference(c)
-        else:
-            c = complete_to_circuit(max_independent_subset(work))
-            work = work.symmetric_difference(c)
+    while work and len(work) >= threshold:
+        basis, _ = greedy_basis(work.keys, m.dim, work.bound)
+        work.bound = len(basis)
+        if work.bound <= 2:
+            break
+        c = complete_to_circuit(work.vectors(basis))
+        work.toggle(c)
         cover.append(c)
+    cover += extract_all(work)
     return OddCover(m, tuple(cover))
 
 
@@ -161,10 +163,11 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
             allowed_leftover |= {z, y.key ^ z}
         base.append(c)
 
-    remainder = m
+    left = set(m.key_set)
     for c in base:
-        remainder = remainder.symmetric_difference(c)
-    stray = set(remainder.key_set) - allowed_leftover
+        left ^= c.key_set
+    remainder = BinaryMatroid.from_keys(m.dim, left)
+    stray = left - allowed_leftover
     if stray:
         raise OutOfRangeError(f"remainder escaped the completion set: {stray}")
 
@@ -191,13 +194,14 @@ def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
     _require_eulerian(m)
     if len(m) <= exhaustive_limit:
         return max_quotient_exhaustive(m, denom_offset=1, limit=exhaustive_limit)
-    basis = max_independent_subset(m)
+    keys = [v.key for v in m.elements]
+    basis, rows = greedy_basis(keys, m.dim, m.dim)
     r = len(basis)
-    # minimal prefix length whose span holds each element
+    # minimal prefix length whose span holds each element: the highest basis
+    # index in its expansion, plus one
     prefix_counts = [0] * (r + 1)
-    for v in m.elements:
-        need = max(express_in_basis(v, basis)) + 1
-        prefix_counts[need] += 1
+    for mask in expansion_masks(keys, rows, m.dim):
+        prefix_counts[mask.bit_length()] += 1
     best = 0
     running = 0
     for length in range(1, r + 1):

@@ -2,6 +2,8 @@ import pytest
 
 from bmcircuits.circuits import (
     Circuit,
+    WorkingSet,
+    extract_all,
     extract_any_circuit,
     fundamental_circuit,
     guaranteed_circuit_size,
@@ -10,6 +12,7 @@ from bmcircuits.circuits import (
 )
 from bmcircuits.errors import (
     DegenerateMemberError,
+    EmptyMatroidError,
     NotEulerianError,
     OutOfRangeError,
 )
@@ -142,3 +145,42 @@ class TestExtractAnyCircuit:
         for m in small_corpus:
             c = extract_any_circuit(m)
             assert is_eulerian(m.difference(c))
+
+
+class TestWorkingSet:
+    def test_toggle_and_remove_keep_keys_ascending(self):
+        m = BinaryMatroid.from_keys(3, [2, 4, 6])
+        work = WorkingSet(m)
+        completion = Circuit.from_keys(3, [1, 2, 3])
+        work.toggle(completion)
+        assert work.keys == [1, 3, 4, 6]
+        assert work.vectors([4])[0] is m.elements[1]  # the source's own vector
+        assert work.vectors([1])[0] is next(v for v in completion if v.key == 1)
+        assert [v.key for v in work.elements] == work.keys
+        assert work.circuit([1, 3, 4, 6]).key_set == {1, 3, 4, 6}
+        work.remove(Circuit.from_keys(3, [1, 3, 4, 6]))
+        assert work.keys == [] and work.elements == [] and len(m) == 3
+
+    def test_searches_on_a_working_set_match_the_matroid(self, small_corpus):
+        for m in small_corpus:
+            work = WorkingSet(m)
+            assert largest_fundamental_circuit(work) == largest_fundamental_circuit(m)
+            assert work.bound == rank(m)
+            assert extract_any_circuit(work) == extract_any_circuit(m)
+            assert work.keys == [v.key for v in m.elements]
+
+    def test_extract_all_empties_the_set(self, small_corpus):
+        for m in small_corpus:
+            work = WorkingSet(m)
+            circuits = extract_all(work)
+            assert len(work) == 0
+            assert sum(c.size for c in circuits) == len(m)
+            with pytest.raises(EmptyMatroidError):
+                extract_any_circuit(work)
+
+    def test_non_eulerian_working_set_rejected(self):
+        work = WorkingSet(BinaryMatroid(3, [vec("100"), vec("010"), vec("110"), vec("001")]))
+        with pytest.raises(NotEulerianError):
+            largest_fundamental_circuit(work)
+        with pytest.raises(NotEulerianError):
+            extract_any_circuit(work)

@@ -18,6 +18,8 @@ from bmcircuits.gf2core import BinaryMatroid, Gf2Vector, rank
 from bmcircuits.generators import complete_matroid, independent_copies
 from bmcircuits.oracle import enumerate_circuits
 
+from conftest import PIN_INPUTS, circuit_keys, peel_family_pins
+
 
 def vec(bits):
     return Gf2Vector.from_bits(bits)
@@ -205,3 +207,35 @@ class TestDecompositionType:
 
         with pytest.raises(OutOfRangeError):
             Decomposition(m, (Circuit(triangle().elements),))
+
+
+DECOMPOSERS = {
+    "peel": peel_decompose,
+    "log_greedy": log_greedy_decompose,
+    "dense": lambda m: dense_decompose(m, DenseParams.from_epsilon(Fraction(1, 2))),
+    "auto": auto_decompose,
+}
+
+
+class TestTieBreaks:
+    """Exact circuits, branch and phases on four inputs: a change of circuit
+    choice or tie-break anywhere in the peel family shows here."""
+
+    @pytest.mark.parametrize("name", sorted(PIN_INPUTS))
+    @pytest.mark.parametrize("routine", sorted(DECOMPOSERS))
+    def test_pinned(self, name, routine):
+        m = PIN_INPUTS[name]()
+        pin = peel_family_pins()[name][routine]
+        if pin is None:
+            with pytest.raises(NotDenseEnoughError):
+                DECOMPOSERS[routine](m)
+            return
+        d = DECOMPOSERS[routine](m)
+        assert (d.branch, d.phase1, d.phase2) == (pin["branch"], pin["phase1"], pin["phase2"])
+        assert circuit_keys(d.circuits) == pin["circuits"]
+
+    def test_rank_drops_mid_peel(self):
+        # the first circuit empties one block, so later steps run at a lower rank
+        m = independent_copies(4, 3)
+        first = peel_decompose(m).circuits[0]
+        assert rank(m.difference(first)) < rank(m)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,7 +8,9 @@ from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
+    expansion_masks,
     express_in_basis,
+    greedy_basis,
     is_eulerian,
     max_independent_subset,
     rank,
@@ -194,3 +197,61 @@ class TestBinaryMatroid:
         m = complete_matroid(2)
         with pytest.raises(AttributeError):
             m.dim = 5
+
+
+def _low_rank_keys(dim, r, size, seed):
+    """Ascending distinct nonzero keys drawn from the span of r random vectors."""
+    rng = random.Random(seed)
+    gens = [rng.randrange(1, 1 << dim) for _ in range(r)]
+    keys = set()
+    for _ in range(4 * size):
+        acc = 0
+        for g in gens:
+            if rng.random() < 0.5:
+                acc ^= g
+        if acc:
+            keys.add(acc)
+    return sorted(keys)[:size]
+
+
+class TestGreedyBasisAndExpansionMasks:
+    """The byte-table scan against one Gf2Eliminator.reduce per key.
+
+    Dimensions up to 40 put pivots in up to five 8-bit slices, so the tables
+    must be applied from the top slice down.
+    """
+
+    CASES = [(1, 1, 1), (3, 3, 7), (8, 8, 60), (9, 9, 60), (17, 6, 50),
+             (17, 17, 80), (40, 12, 80), (40, 40, 80)]
+
+    @pytest.mark.parametrize("dim,r,size", CASES)
+    def test_masks_match_per_key_reduce(self, dim, r, size):
+        keys = _low_rank_keys(dim, r, size, seed=dim * 100 + r)
+        basis, rows = greedy_basis(keys, dim, dim)
+        elim = Gf2Eliminator()
+        for b in basis:
+            assert elim.insert(b) is None
+        expected = []
+        for key in keys:
+            residual, mask = elim.reduce(key)
+            assert residual == 0
+            expected.append(mask)
+        assert expansion_masks(keys, rows, dim) == expected
+
+    @pytest.mark.parametrize("dim,r,size", CASES)
+    def test_bound_at_rank_gives_the_full_scan_basis(self, dim, r, size):
+        keys = _low_rank_keys(dim, r, size, seed=dim * 100 + r)
+        m = BinaryMatroid.from_keys(dim, keys)
+        full = [v.key for v in max_independent_subset(m)]
+        assert greedy_basis(keys, dim, dim)[0] == full
+        assert greedy_basis(keys, dim, rank(m))[0] == full
+
+    def test_key_outside_the_span(self):
+        keys = _low_rank_keys(20, 5, 30, seed=1)
+        basis, rows = greedy_basis(keys, 20, 20)
+        elim = Gf2Eliminator()
+        for b in basis:
+            elim.insert(b)
+        outside = next(k for k in range(1, 1 << 20) if not elim.contains(k))
+        with pytest.raises(NotInSpanError):
+            expansion_masks(keys + [outside], rows, 20)

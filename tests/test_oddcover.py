@@ -7,10 +7,11 @@ from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Vector,
+    express_in_basis,
     max_independent_subset,
     rank,
 )
-from bmcircuits.generators import complete_matroid, independent_copies
+from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.oddcover import (
     OddCover,
     complete_to_circuit,
@@ -18,6 +19,8 @@ from bmcircuits.oddcover import (
     oddcover_via_arboricity,
     symdiff_reduce,
 )
+
+from conftest import PIN_INPUTS, circuit_keys, eulerian_corpus, peel_family_pins
 
 
 def vec(bits):
@@ -75,6 +78,11 @@ class TestSymdiffReduce:
     def test_corpus_validity(self, small_corpus):
         for m in small_corpus:
             check_cover(m, symdiff_reduce(m))
+
+    @pytest.mark.parametrize("name", sorted(PIN_INPUTS))
+    def test_pinned(self, name):
+        cover = symdiff_reduce(PIN_INPUTS[name]())
+        assert circuit_keys(cover.circuits) == peel_family_pins()[name]["symdiff_reduce"]["circuits"]
 
 
 class TestOddcoverViaArboricity:
@@ -144,6 +152,21 @@ class TestDensityLowerBound:
         heur = density_lower_bound(m, exhaustive_limit=4)
         assert heur <= exact
         assert heur >= math.ceil(len(m) / (rank(m) + 1))
+
+    def test_prefix_bound_matches_per_element_expansion(self):
+        # reference: the bound above the exhaustive limit with one basis
+        # expansion per element
+        corpus = eulerian_corpus(24, seed=31, n_range=(4, 9), size_cap=60)
+        corpus += [complete_matroid(6), independent_copies(3, 3), random_eulerian(12, 300, 1)]
+        for m in corpus:
+            basis = max_independent_subset(m)
+            counts = [0] * (len(basis) + 1)
+            for v in m.elements:
+                counts[max(express_in_basis(v, basis)) + 1] += 1
+            expected = max(
+                -(-sum(counts[: k + 1]) // (k + 1)) for k in range(1, len(basis) + 1)
+            )
+            assert density_lower_bound(m, exhaustive_limit=0) == expected
 
     def test_bounds_both_cover_builders(self, small_corpus):
         for m in small_corpus:

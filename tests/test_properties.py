@@ -4,8 +4,12 @@ Every constructive output must pass its single checker in formats, the
 checkers must reject simple corruptions of a valid artifact, and
 extract_any_circuit must return the first elimination dependency. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
-exhaustive max of ceil(|N| / rank(N)).
+exhaustive max of ceil(|N| / rank(N)), every decomposer and odd-cover builder
+to the exact oracles, and the peel family to reference loops that rebuild a
+BinaryMatroid per step.
 """
+
+import math
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -16,9 +20,16 @@ from bmcircuits.arboricity import (
     can_partition,
     edmonds_max_bruteforce,
 )
-from bmcircuits.circuits import extract_any_circuit
-from bmcircuits.decompose import auto_decompose, log_greedy_decompose, peel_decompose
-from bmcircuits.errors import NotInSpanError
+from bmcircuits.circuits import Circuit, extract_any_circuit, fundamental_circuit
+from bmcircuits.decompose import (
+    DenseParams,
+    _meets_pow2,
+    auto_decompose,
+    dense_decompose,
+    log_greedy_decompose,
+    peel_decompose,
+)
+from bmcircuits.errors import NotDenseEnoughError, NotInSpanError
 from bmcircuits.formats import check_decomposition, check_oddcover, check_partition
 from bmcircuits.gf2core import (
     BinaryMatroid,
@@ -27,8 +38,9 @@ from bmcircuits.gf2core import (
     express_in_basis,
     rank,
 )
-from bmcircuits.generators import random_eulerian
+from bmcircuits.generators import complete_matroid, random_eulerian
 from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
+from bmcircuits.oracle import exact_c, exact_c2
 
 
 @st.composite
@@ -149,3 +161,169 @@ def test_certificate_quotient_is_a_lower_bound_above_k(m):
 def test_arboricity_cover_within_four_thirds(m):
     a = edmonds_max_bruteforce(m)
     assert len(oddcover_via_arboricity(m)[1].circuits) <= -(-4 * a // 3)
+
+
+# -- the peel family against reference loops ---------------------------------
+#
+# Each reference step rebuilds the working set as a BinaryMatroid, takes the
+# first-seen basis over all of it, and expands every element on its own.
+
+#: epsilon = 4 gives delta ~ 0.094, so tiny near-complete matroids are dense
+DENSE_EPSILON = 4
+
+
+@st.composite
+def near_complete_matroids(draw):
+    """A complete matroid of rank 5 or 6 minus a small random Eulerian set:
+    dense enough for dense_decompose at DENSE_EPSILON."""
+    k = draw(st.integers(5, 6))
+    size = draw(st.integers(3, 7 if k == 5 else 19))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cut = random_eulerian(k, size, seed).key_set
+    return BinaryMatroid.from_keys(k, complete_matroid(k).key_set - cut)
+
+
+def reference_basis(m):
+    elim = Gf2Eliminator(track_witnesses=False)
+    return [v for v in m.elements if elim.insert(v.key) is None]
+
+
+def reference_largest_circuit(m):
+    basis = reference_basis(m)
+    best = None
+    for v in m.elements:  # ties go to the first
+        if v not in basis:
+            c = fundamental_circuit(v, basis)
+            if best is None or len(c) > len(best):
+                best = c
+    return best
+
+
+def reference_first_circuit(m):
+    prefix = []
+    for v in m.elements:
+        try:
+            support = express_in_basis(v, prefix)
+        except NotInSpanError:
+            prefix.append(v)
+            continue
+        return Circuit([v] + [prefix[i] for i in support])
+
+
+def reference_decompose(m, keep_peeling, floor_size=0):
+    """(circuits, phase1, phase2) of: peel largest fundamental circuits while
+    keep_peeling(work) and they reach floor_size, then first dependencies."""
+    work, circuits, phase1 = m, [], 0
+    while len(work) and keep_peeling(work):
+        c = reference_largest_circuit(work)
+        if len(c) < floor_size:
+            break
+        circuits.append(c)
+        work = work.difference(c)
+        phase1 += 1
+    while len(work):
+        circuits.append(reference_first_circuit(work))
+        work = work.difference(circuits[-1])
+    return circuits, phase1, len(circuits) - phase1
+
+
+def reference_log_greedy(m):
+    threshold = len(m) / math.log(len(m)) ** 2
+    return reference_decompose(m, lambda work: len(work) >= threshold)
+
+
+def reference_dense(m, params):
+    """None where dense_decompose must refuse m."""
+    r = rank(m)
+    if r < 2 or not _meets_pow2(len(m), (1.0 - params.delta) * r):
+        return None
+    exponent = (1.0 - 2.0 * params.delta) * r
+    return reference_decompose(
+        m, lambda work: _meets_pow2(len(work), exponent), math.ceil(params.alpha * r)
+    )
+
+
+def reference_symdiff(m):
+    threshold = len(m) / math.log(len(m)) ** 2
+    work, cover, peeling = m, [], False
+    while len(work):
+        if not peeling and (rank(work) <= 2 or len(work) < threshold):
+            peeling = True
+        if peeling:
+            c = reference_first_circuit(work)
+            work = work.difference(c)
+        else:
+            basis = reference_basis(work)
+            total = 0
+            for v in basis:
+                total ^= v.key
+            c = Circuit(basis + [Gf2Vector(m.dim, total)])
+            work = work.symmetric_difference(c)
+        cover.append(c)
+    return cover
+
+
+def outcome(circuits, phase1, phase2):
+    return [[v.key for v in c] for c in circuits], phase1, phase2
+
+
+def decomposition_outcome(d):
+    return outcome(d.circuits, d.phase1, d.phase2)
+
+
+@given(tiny_eulerian_matroids())
+def test_peel_family_matches_reference_loops(m):
+    peeled = reference_decompose(m, lambda work: True)
+    assert decomposition_outcome(peel_decompose(m)) == outcome(*peeled)
+    assert decomposition_outcome(log_greedy_decompose(m)) == outcome(*reference_log_greedy(m))
+    expected = [[v.key for v in c] for c in reference_symdiff(m)]
+    assert [[v.key for v in c] for c in symdiff_reduce(m).circuits] == expected
+
+
+@given(near_complete_matroids())
+def test_dense_matches_reference_loop(m):
+    params = DenseParams.from_epsilon(DENSE_EPSILON)
+    expected = reference_dense(m, params)
+    assume(expected is not None)
+    assert decomposition_outcome(dense_decompose(m, params)) == outcome(*expected)
+    assert decomposition_outcome(auto_decompose(m, DENSE_EPSILON)) == outcome(*expected)
+
+
+@given(tiny_eulerian_matroids())
+def test_dense_refuses_where_reference_refuses(m):
+    params = DenseParams.from_epsilon(DENSE_EPSILON)
+    expected = reference_dense(m, params)
+    if expected is None:
+        try:
+            dense_decompose(m, params)
+        except NotDenseEnoughError:
+            return
+        raise AssertionError("dense_decompose accepted a sparse matroid")
+    assert decomposition_outcome(dense_decompose(m, params)) == outcome(*expected)
+
+
+@given(tiny_eulerian_matroids())
+def test_exact_c_bounds_every_decomposition(m):
+    c = exact_c(m)
+    sizes = [len(peel_decompose(m)), len(log_greedy_decompose(m)), len(auto_decompose(m)),
+             len(auto_decompose(m, DENSE_EPSILON))]
+    try:
+        sizes.append(len(dense_decompose(m, DenseParams.from_epsilon(DENSE_EPSILON))))
+    except NotDenseEnoughError:
+        pass
+    assert all(c <= size for size in sizes)
+
+
+@st.composite
+def dim4_eulerian_matroids(draw):
+    """Dimension at most 4, where exact_c2 searches the whole ambient space."""
+    n = draw(st.integers(2, 4))
+    size = draw(st.integers(3, (1 << n) - 1))
+    return random_eulerian(n, size, draw(st.integers(0, 2**32 - 1)))
+
+
+@given(dim4_eulerian_matroids())
+def test_exact_c2_bounds_every_odd_cover(m):
+    c2 = exact_c2(m)
+    assert c2 <= len(symdiff_reduce(m))
+    assert c2 <= len(oddcover_via_arboricity(m)[1])
