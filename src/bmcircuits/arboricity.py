@@ -19,7 +19,7 @@ from typing import Union
 
 from .errors import EmptyMatroidError, OutOfRangeError, TooLargeError
 from .formats import check_partition
-from .gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, rank
+from .gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, _key_of, rank
 
 _BRUTEFORCE_LIMIT = 22
 
@@ -129,7 +129,7 @@ def can_partition(
             if quotient <= k:  # would contradict the exchange argument
                 raise OutOfRangeError("augmentation failed without a certificate")
             return Infeasible(k, cert, quotient)
-    parts = tuple(tuple(sorted(p)) for p in state.members if p)
+    parts = tuple(tuple(sorted(p, key=_key_of)) for p in state.members if p)
     return IndependentPartition(m, parts)
 
 

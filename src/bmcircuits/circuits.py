@@ -26,6 +26,7 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
+    _key_of,
     _mask_indices,
     expansion_masks,
     express_in_basis,
@@ -58,7 +59,7 @@ class Circuit:
     __slots__ = ("dim", "elements", "_key_set")
 
     def __init__(self, elements: Iterable[Gf2Vector]):
-        elems = tuple(sorted(elements))
+        elems = tuple(sorted(elements, key=_key_of))
         if not is_circuit(elems):
             raise OutOfRangeError("not a circuit")
         object.__setattr__(self, "dim", elems[0].n)

@@ -339,12 +339,10 @@ def _cmd_orbit(args) -> int:
     model = od.model
     blocks = [c.elements for c in od.orbits]
     if args.compress:
+        # compression keeps the canonical order: element i maps to element i
+        index_of = model.index_of
         model = compress_even_weight(model)
-        blocks = [
-            tuple(sorted(v for v in compress_even_weight(
-                BinaryMatroid(od.p, block)).elements))
-            for block in blocks
-        ]
+        blocks = [tuple(model.elements[index_of(v)] for v in block) for block in blocks]
     text = format_bmdec("circuits", model.dim, blocks, meta={"p": args.p})
     reloaded = _write_and_reload(args.out, text)
     reason = check_decomposition(model, reloaded.dim, reloaded.blocks)

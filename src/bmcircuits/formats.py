@@ -40,13 +40,13 @@ def _parse_dim(token_line: str, lineno: int) -> int:
 
 
 def _parse_vector(line: str, dim: int, lineno: int) -> Gf2Vector:
-    if len(line) != dim or any(c not in "01" for c in line):
+    if len(line) != dim or line.strip("01"):  # int(line, 2) alone takes "1_01"
         raise FormatError(
             f"expected a {dim}-character line over 0/1, got {line!r}", lineno
         )
     if "1" not in line:
         raise FormatError("all-zeros vector is not allowed", lineno)
-    return Gf2Vector.from_bits(line)
+    return Gf2Vector(dim, int(line, 2))
 
 
 def parse_bm(text: str) -> BinaryMatroid:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotInSpanError, OutOfRangeError
@@ -17,14 +18,14 @@ from .errors import NotInSpanError, OutOfRangeError
 MAX_DIM = 4096
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Gf2Vector:
     """A nonzero vector of F_2^n.
 
     ``key`` holds the bit string read as a big-endian integer, so coordinate i
     sits at bit position n - 1 - i. Instances are immutable and totally
     ordered by (n, key); vectors from one matroid share n, so the order is
-    simply the canonical key order.
+    simply the canonical key order. Slotted: no per-instance ``__dict__``.
     """
 
     n: int
@@ -41,7 +42,7 @@ class Gf2Vector:
     @classmethod
     def from_bits(cls, bits: str) -> Gf2Vector:
         """Build from a string over {0,1}; leftmost character is coordinate 0."""
-        if not bits or any(c not in "01" for c in bits):
+        if not bits or bits.strip("01"):
             raise OutOfRangeError(f"not a bit string: {bits!r}")
         return cls(len(bits), int(bits, 2))
 
@@ -83,6 +84,10 @@ class Gf2Vector:
 
     def __repr__(self) -> str:
         return f"Gf2Vector({self.bits()!r})"
+
+
+# sort key for vectors of one dimension: compares ints, not generated (n, key) tuples
+_key_of = attrgetter("key")
 
 
 def xor_key(vectors: Iterable[Gf2Vector]) -> int:
@@ -182,11 +187,13 @@ class BinaryMatroid:
     def __init__(self, dim: int, elements: Iterable[Gf2Vector] = ()):
         if not 1 <= dim <= MAX_DIM:
             raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
-        elems = sorted(elements)
+        elems = sorted(elements, key=_key_of)
         for v in elems:
             if v.n != dim:
+                # name the dimension an (n, key) sort would meet first
+                bad = min(u.n for u in elems if u.n != dim)
                 raise OutOfRangeError(
-                    f"vector of dimension {v.n} in matroid of dimension {dim}"
+                    f"vector of dimension {bad} in matroid of dimension {dim}"
                 )
         for a, b in zip(elems, elems[1:]):
             if a.key == b.key:

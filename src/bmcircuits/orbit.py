@@ -22,8 +22,10 @@ from .errors import (
 )
 from .gf2core import BinaryMatroid, Gf2Vector
 
-#: the model holds 2^(p-1) - 1 vectors as Python objects; p = 19 needs about
-#: 150 MB, and the next admissible prime, 29, would need 2^28 of them
+#: the model holds 2^(p-1) - 1 vectors as Python objects; orbit_decompose(19)
+#: peaks at about 108 MB resident and `orbit --p 19`, which also writes,
+#: re-reads and re-checks them, at about 152 MB; the next admissible prime,
+#: 29, would need 2^28 of them
 MAX_P = 19
 
 
@@ -60,7 +62,11 @@ def _require_capped_prime(p: int) -> None:
 
 
 def build_even_weight_model(p: int) -> BinaryMatroid:
-    """All nonzero even-weight vectors of F_2^p: 2^(p-1) - 1 elements, rank p - 1."""
+    """All nonzero even-weight vectors of F_2^p: 2^(p-1) - 1 elements, rank p - 1.
+
+    The leading p - 1 bits of a key, k >> 1, run through 1 .. 2^(p-1) - 1 in
+    canonical order, so the element with key k sits at index (k >> 1) - 1.
+    """
     _require_capped_prime(p)
     # leading p-1 bits free, last coordinate fixes even parity
     keys = ((y << 1) | (y.bit_count() & 1) for y in range(1, 1 << (p - 1)))
@@ -123,9 +129,10 @@ def orbit_decompose(p: int) -> OrbitDecomposition:
     if order != p - 1:
         raise OrderConditionError(p, order)
     model = build_even_weight_model(p)
+    elements = model.elements
     visited = bytearray(((1 << p) + 7) // 8)
     orbits: list[Circuit] = []
-    for v in model.elements:
+    for v in elements:
         if visited[v.key >> 3] & (1 << (v.key & 7)):
             continue
         keys = _rotations(v.key, p)
@@ -134,7 +141,8 @@ def orbit_decompose(p: int) -> OrbitDecomposition:
             raise OutOfRangeError(f"orbit of {v.bits()} has {len(distinct)} elements")
         for k in distinct:
             visited[k >> 3] |= 1 << (k & 7)
-        orbits.append(Circuit.from_keys(p, distinct))  # validates the circuit law
+        # the model's own vectors, by its layout; Circuit validates the circuit law
+        orbits.append(Circuit(elements[(k >> 1) - 1] for k in distinct))
     return OrbitDecomposition(p, model, tuple(orbits))
 
 
@@ -142,7 +150,8 @@ def compress_even_weight(m: BinaryMatroid) -> BinaryMatroid:
     """Drop the last coordinate after checking every vector has even weight.
 
     The projection is a linear bijection from the even-weight subspace onto
-    F_2^(p-1), so matroid structure is preserved.
+    F_2^(p-1), so matroid structure is preserved. On even-weight keys it is
+    also strictly increasing, so element i of m maps to element i of the result.
     """
     for v in m.elements:
         if v.weight % 2 != 0:

@@ -5,6 +5,9 @@ import pytest
 
 from bmcircuits import cli
 from bmcircuits.cli import REPORT_FIELDS, run
+from bmcircuits.formats import format_bmdec
+from bmcircuits.gf2core import BinaryMatroid, Gf2Vector
+from bmcircuits.orbit import orbit_decompose
 
 
 def records(capsys):
@@ -153,6 +156,28 @@ class TestOrbit:
         out = tmp_path / "p5c.bmdec"
         assert run(["orbit", "--p", "5", "--compress", "--out", str(out)]) == 0
         assert "dim 4" in out.read_text()
+
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_compress_writes_each_orbit_without_its_parity_bit(self, p, tmp_path):
+        out = tmp_path / "c.bmdec"
+        assert run(["orbit", "--p", str(p), "--compress", "--out", str(out)]) == 0
+        blocks = [
+            tuple(Gf2Vector(p - 1, k >> 1) for k in sorted(orbit.key_set))
+            for orbit in orbit_decompose(p).orbits
+        ]
+        assert out.read_text() == format_bmdec("circuits", p - 1, blocks, meta={"p": p})
+
+    def test_compress_builds_the_model_and_its_compression_only(self, tmp_path, monkeypatch):
+        built = []
+        init = BinaryMatroid.__init__
+
+        def counting_init(self, dim, elements=()):
+            built.append(dim)
+            init(self, dim, elements)
+
+        monkeypatch.setattr(BinaryMatroid, "__init__", counting_init)
+        assert run(["orbit", "--p", "11", "--compress", "--out", str(tmp_path / "c.bmdec")]) == 0
+        assert built == [11, 10]
 
 
 class TestOracleCli:

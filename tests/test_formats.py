@@ -21,6 +21,10 @@ def vec(bits):
     return Gf2Vector.from_bits(bits)
 
 
+#: 4-character lines that int(line, 2) parses but that are not 0/1 strings
+INT_ONLY_LINES = ("1_01", "+101", "0b11", "\uff11\uff10\uff11\uff10")
+
+
 class TestBmFormat:
     def test_round_trip(self):
         for m in (complete_matroid(3), independent_copies(2, 3), BinaryMatroid(4)):
@@ -54,6 +58,13 @@ class TestBmFormat:
         with pytest.raises(FormatError):
             parse_bm("dim 2\n1x\n")
 
+    @pytest.mark.parametrize("line", INT_ONLY_LINES)
+    def test_line_of_the_right_width_that_int_accepts_is_rejected(self, line):
+        assert len(line) == 4 and int(line, 2)
+        with pytest.raises(FormatError, match="line over 0/1") as exc:
+            parse_bm(f"dim 4\n1000\n{line}\n")
+        assert exc.value.line == 3
+
 
 class TestBmdecFormat:
     def test_round_trip_decomposition(self):
@@ -82,6 +93,12 @@ class TestBmdecFormat:
     def test_empty_block_list(self):
         parsed = parse_bmdec("circuits 0\ndim 5\n")
         assert parsed.blocks == ()
+
+    @pytest.mark.parametrize("line", INT_ONLY_LINES)
+    def test_line_of_the_right_width_that_int_accepts_is_rejected(self, line):
+        with pytest.raises(FormatError, match="line over 0/1") as exc:
+            parse_bmdec(f"circuits 1\ndim 4\n\n1100\n{line}\n0110\n")
+        assert exc.value.line == 5
 
     def test_circuit_block_file(self):
         c = Circuit([vec("10"), vec("01"), vec("11")])

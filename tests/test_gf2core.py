@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -49,6 +51,23 @@ class TestGf2Vector:
     def test_unit_and_coords(self):
         assert Gf2Vector.unit(5, 0).bits() == "10000"
         assert Gf2Vector.from_coords(4, (1, 3)).bits() == "0101"
+
+    @pytest.mark.parametrize("bits", ["", "1_01", "+101", "0b11", "\uff11\uff10\uff11\uff10", "10 1"])
+    def test_from_bits_rejects_what_only_int_accepts(self, bits):
+        with pytest.raises(OutOfRangeError):
+            vec(bits)
+
+    def test_slotted_and_frozen(self):
+        v = vec("101")
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(AttributeError):
+            v.key = 3
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        v = vec("0110")
+        for w in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert w == v and hash(w) == hash(v)
+            assert (w.n, w.key) == (4, 6)
 
 
 class TestRank:
@@ -185,6 +204,13 @@ class TestBinaryMatroid:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(OutOfRangeError):
             BinaryMatroid(3, [vec("10")])
+
+    def test_dimension_mismatch_names_the_smallest_n_key_mismatch(self):
+        # by key alone the 5-dimensional vector comes first; by (n, key) the 4-dimensional one
+        vs = [Gf2Vector(4, 9), Gf2Vector(3, 1), Gf2Vector(5, 2)]
+        with pytest.raises(OutOfRangeError) as exc:
+            BinaryMatroid(3, vs)
+        assert str(exc.value) == "vector of dimension 4 in matroid of dimension 3"
 
     def test_difference_and_symmetric_difference(self):
         m = complete_matroid(2)

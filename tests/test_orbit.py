@@ -45,6 +45,10 @@ class TestEvenWeightModel:
         assert rank(m) == 6
         assert all(v.weight % 2 == 0 for v in m)
 
+    def test_layout_puts_key_k_at_index_k_shifted_minus_one(self):
+        model = build_even_weight_model(11)
+        assert all(model.elements[(v.key >> 1) - 1] is v for v in model.elements)
+
     def test_not_prime(self):
         with pytest.raises(NotPrimeError):
             build_even_weight_model(9)
@@ -107,6 +111,14 @@ class TestOrbitDecompose:
         # the count meets the quotient lower bound exactly
         model = od.model
         assert expected == -(-len(model) // (rank(model) + 1))
+
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_orbit_vectors_are_the_models_own(self, p):
+        od = orbit_decompose(p)
+        elements = od.model.elements
+        for orbit in od.orbits:
+            for v in orbit:
+                assert v is elements[od.model.index_of(v)]
 
     def test_orbits_are_shift_closed(self):
         od = orbit_decompose(5)
