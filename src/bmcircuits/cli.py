@@ -116,6 +116,13 @@ def _quotient_bound(m: BinaryMatroid) -> int:
     return -(-len(m) // (rank(m) + 1))
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="bmcircuits", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -132,7 +139,7 @@ def build_parser() -> _Parser:
     d = sub.add_parser("decompose", help="decompose a matroid into disjoint circuits")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--method", default="auto", choices=["auto", "dense", "log", "peel"])
-    d.add_argument("--eps", default="1/2")
+    d.add_argument("--eps", type=_fraction, default="1/2")
     d.add_argument("--exhaustive-limit", type=int, default=20)
     d.add_argument("--out", required=True)
 
@@ -209,12 +216,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_decompose(args) -> int:
     m = _read_matroid(args.infile)
-    eps = Fraction(args.eps)
     start = time.perf_counter()
     if args.method == "auto":
-        dec = auto_decompose(m, eps)
+        dec = auto_decompose(m, args.eps)
     elif args.method == "dense":
-        dec = dense_decompose(m, DenseParams.from_epsilon(eps))
+        dec = dense_decompose(m, DenseParams.from_epsilon(args.eps))
     elif args.method == "log":
         dec = log_greedy_decompose(m)
     else:

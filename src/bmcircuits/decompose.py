@@ -1,13 +1,11 @@
 """Circuit decompositions of Eulerian binary matroids.
 
-Three strategies plus a dispatcher:
-
-* peel_decompose: repeatedly remove the largest fundamental circuit.
-* log_greedy_decompose: same peel while the working set is large, then a
-  cheap extraction loop on the small remainder.
-* dense_decompose: for matroids whose size is close to 2^rank, peel circuits
-  of size at least alpha * rank until an entropy threshold, then extract.
-* auto_decompose: density test picks the dense or sparse routine.
+One peel loop removes the largest fundamental circuit until nothing is left.
+peel_decompose, log_greedy_decompose and dense_decompose all return its
+circuits; they differ in precondition and in the branch and phase labels
+that record which size guarantee applies. auto_decompose returns the
+rotation orbits of orbit.py on an admissible complete matroid, which meet
+the quotient bound, and otherwise lets a density test pick the labels.
 
 Each run is a single-threaded state machine over its own circuits.WorkingSet,
 an ascending list of int keys: a peeled circuit leaves it by bisect deletion,
@@ -24,15 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .circuits import (
-    Circuit,
-    WorkingSet,
-    extract_all,
-    largest_fundamental_circuit,
-)
-from .errors import NotDenseEnoughError, NotEulerianError, OutOfRangeError
+from .circuits import Circuit, WorkingSet, largest_fundamental_circuit
+from .errors import NotDenseEnoughError, OutOfRangeError
 from .formats import check_decomposition
-from .gf2core import BinaryMatroid, is_eulerian, rank
+from .gf2core import BinaryMatroid, rank, require_eulerian
+from .orbit import _rotation_orbits, is_admissible
 
 #: log-comparison slack; ties resolve toward staying in the dense phase
 _LOG2_MARGIN = 2.0 ** -30
@@ -120,104 +114,90 @@ class Decomposition:
 
 
 def _meets_pow2(size: int, exponent: float) -> bool:
-    """size >= 2**exponent, ties within the log margin counting as yes."""
-    if size <= 0:
-        return False
-    lg = math.log2(size)
-    return lg >= exponent - _LOG2_MARGIN
+    """size >= 2**exponent for size >= 1, ties within the log margin counting
+    as yes. Callers pass nonempty sets only."""
+    return math.log2(size) >= exponent - _LOG2_MARGIN
 
 
-def _require_eulerian(m: BinaryMatroid) -> None:
-    if not is_eulerian(m):
-        raise NotEulerianError("matroid is not Eulerian")
-
-
-def peel_decompose(m: BinaryMatroid) -> Decomposition:
+def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda work, c: True) -> Decomposition:
     """Remove the largest fundamental circuit until nothing is left.
 
     Each step is largest_fundamental_circuit on the working set: a greedy
     basis that stops at the previous step's rank, then one byte-table
     expansion scan of every element (see gf2core.expansion_masks).
+    in_phase1(work, c) sees the working set and the circuit about to leave
+    it. Phase 1 ends at the first step it rejects and never resumes; the
+    predicate only labels steps and never changes the circuits.
     """
-    _require_eulerian(m)
     work = WorkingSet(m)
     circuits: list[Circuit] = []
+    phase1 = 0
     while work:
         c = largest_fundamental_circuit(work)
+        if phase1 == len(circuits) and in_phase1(work, c):
+            phase1 += 1
         circuits.append(c)
         work.remove(c)
-    return Decomposition(m, tuple(circuits), branch="peel", phase1=len(circuits))
+    return Decomposition(m, tuple(circuits), branch, phase1, len(circuits) - phase1)
+
+
+def peel_decompose(m: BinaryMatroid) -> Decomposition:
+    """Peel largest fundamental circuits, every step labelled phase 1."""
+    require_eulerian(m)
+    return _peel(m, "peel")
 
 
 def log_greedy_decompose(m: BinaryMatroid) -> Decomposition:
-    """Peel large fundamental circuits, then extract from the small remainder.
-
-    Phase 1 runs while the working set still has at least |M| / ln^2 |M|
-    elements, with the steps of peel_decompose; phase 2 pulls arbitrary
-    circuits out of what remains. The total never exceeds |M| / 3 plus the
-    phase-1 count.
-    """
-    _require_eulerian(m)
-    if len(m) == 0:
-        return Decomposition(m, (), branch="sparse")
-    threshold = len(m) / (math.log(len(m)) ** 2)
-    work = WorkingSet(m)
-    circuits: list[Circuit] = []
-    while work and len(work) >= threshold:
-        c = largest_fundamental_circuit(work)
-        circuits.append(c)
-        work.remove(c)
-    phase1 = len(circuits)
-    circuits += extract_all(work)
-    phase2 = len(circuits) - phase1
-    return Decomposition(m, tuple(circuits), branch="sparse", phase1=phase1, phase2=phase2)
+    """peel_decompose's circuits, labelled phase 1 while the working set
+    still has at least |M| / ln^2 |M| elements. Every circuit of a simple
+    binary matroid has at least 3 elements, so phase 2 has at most a third
+    as many circuits as elements."""
+    require_eulerian(m)
+    return _peel(m, "sparse", lambda work, c: len(work) >= len(m) / math.log(len(m)) ** 2)
 
 
 def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
-    """Greedy for dense matroids: phase-1 circuits have size >= ceil(alpha * r).
+    """peel_decompose's circuits, labelled phase 1 while the working set is
+    larger than 2^((1 - 2*delta) * r) and the circuit has at least
+    ceil(alpha * r) elements; the counting bound guarantees one there, up to
+    the float boundary. Phase 2 has at most a third as many circuits as
+    elements, as in log_greedy_decompose.
 
-    Requires |M| >= 2^((1 - delta) * rank(M)). Phase 1 peels while the working
-    set is larger than 2^((1 - 2*delta) * r); the counting bound guarantees a
-    fundamental circuit of size at least alpha * r exists there. Raises
-    NotDenseEnoughError when the density precondition fails; callers should
-    fall back to log_greedy_decompose.
+    Requires |M| >= 2^((1 - delta) * rank(M)). Raises NotDenseEnoughError
+    when that fails; callers should fall back to log_greedy_decompose. A
+    nonempty Eulerian M holds a circuit, so r >= 2.
     """
-    _require_eulerian(m)
+    require_eulerian(m)
     if len(m) == 0:
-        return Decomposition(m, (), branch="dense")
+        return _peel(m, "dense")
     r = rank(m)
-    if r < 2:
-        raise NotDenseEnoughError("rank below 2")
     if not _meets_pow2(len(m), (1.0 - params.delta) * r):
         raise NotDenseEnoughError(
             f"|M| = {len(m)} below 2^((1-delta)*r) for r = {r}, delta = {params.delta:.6g}"
         )
     floor_size = math.ceil(params.alpha * r)
     phase1_exp = (1.0 - 2.0 * params.delta) * r
-    work = WorkingSet(m)
-    circuits: list[Circuit] = []
-    while work and _meets_pow2(len(work), phase1_exp):
-        c = largest_fundamental_circuit(work)
-        if c.size < floor_size:
-            break  # entropy margin exhausted at the float boundary
-        circuits.append(c)
-        work.remove(c)
-    phase1 = len(circuits)
-    circuits += extract_all(work)
-    phase2 = len(circuits) - phase1
-    return Decomposition(m, tuple(circuits), branch="dense", phase1=phase1, phase2=phase2)
+    return _peel(
+        m, "dense", lambda work, c: _meets_pow2(len(work), phase1_exp) and c.size >= floor_size
+    )
 
 
 def auto_decompose(
     m: BinaryMatroid, epsilon: Union[Fraction, float, str] = Fraction(1, 2)
 ) -> Decomposition:
-    """Dispatch: dense greedy when the density precondition holds, else the
-    log greedy; trivially small inputs are peeled directly."""
-    _require_eulerian(m)
+    """Dispatch. Trivially small inputs are peeled directly. The whole
+    complete matroid of dimension p - 1, for an admissible p (see
+    orbit.is_admissible), gets the compressed rotation orbits, which meet
+    ceil(|M| / (rank(M) + 1)) exactly. Otherwise the density test picks the
+    dense or the log-greedy labels; both return peel_decompose's circuits."""
+    require_eulerian(m)
     if len(m) <= 3:
-        d = peel_decompose(m)
-        return Decomposition(m, d.circuits, branch="trivial", phase1=d.phase1)
+        return _peel(m, "trivial")
     params = DenseParams.from_epsilon(epsilon)
+    if len(m) == (1 << m.dim) - 1 and is_admissible(m.dim + 1):
+        # element i has key i + 1, so model key k compresses to index (k >> 1) - 1
+        orbits = tuple(_rotation_orbits(m.dim + 1, m.elements))
+        return Decomposition(m, orbits, branch="orbit", phase1=len(orbits))
     if _meets_pow2(len(m), (1.0 - params.delta) * rank(m)):
         return dense_decompose(m, params)
     return log_greedy_decompose(m)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotInSpanError, OutOfRangeError
+from .errors import NotEulerianError, NotInSpanError, OutOfRangeError
 
 MAX_DIM = 4096
 
@@ -274,6 +274,12 @@ def rank(m: BinaryMatroid) -> int:
 def is_eulerian(m: BinaryMatroid) -> bool:
     """True iff the XOR of all elements is zero; vacuously true when empty."""
     return xor_key(m.elements) == 0
+
+
+def require_eulerian(m: BinaryMatroid) -> None:
+    """Raise NotEulerianError unless is_eulerian(m)."""
+    if not is_eulerian(m):
+        raise NotEulerianError("matroid is not Eulerian")
 
 
 def greedy_basis(

@@ -17,20 +17,15 @@ from typing import Iterable, Sequence
 from .arboricity import arboricity, max_quotient_exhaustive
 from .circuits import Circuit, WorkingSet, extract_all
 from .decompose import peel_decompose
-from .errors import (
-    EmptyMatroidError,
-    NotEulerianError,
-    OutOfRangeError,
-    TooSmallError,
-)
+from .errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from .formats import check_oddcover
 from .gf2core import (
     BinaryMatroid,
-    Gf2Eliminator,
     Gf2Vector,
     expansion_masks,
     greedy_basis,
-    is_eulerian,
+    require_eulerian,
+    xor_key,
 )
 
 
@@ -55,26 +50,17 @@ class OddCover:
 
 
 def complete_to_circuit(independent: Sequence[Gf2Vector]) -> Circuit:
-    """Close an independent set with its own sum.
+    """Close an independent set I with its own sum x.
 
-    The sum is nonzero and outside the set (both would contradict
-    independence), so the result has |I| + 1 >= 3 elements and is a circuit.
+    x is nonzero and outside I (both would contradict independence), so the
+    result has |I| + 1 >= 3 elements and is a circuit. A dependent I raises
+    OutOfRangeError from Gf2Vector (zero sum) or from Circuit, as then
+    rank(I + {x}) <= |I| - 1 < size - 1.
     """
     vs = list(independent)
     if len(vs) <= 1:
         raise TooSmallError("need at least 2 independent vectors")
-    elim = Gf2Eliminator(track_witnesses=False)
-    total = 0
-    for v in vs:
-        if elim.insert(v.key) is not None:
-            raise OutOfRangeError("input set is not independent")
-        total ^= v.key
-    return Circuit(vs + [Gf2Vector(vs[0].n, total)])
-
-
-def _require_eulerian(m: BinaryMatroid) -> None:
-    if not is_eulerian(m):
-        raise NotEulerianError("matroid is not Eulerian")
+    return Circuit(vs + [Gf2Vector(vs[0].n, xor_key(vs))])
 
 
 def symdiff_reduce(m: BinaryMatroid) -> OddCover:
@@ -90,7 +76,7 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
     rank, and each step's greedy basis stops at the previous step's rank:
     the basis is still the one a full scan finds, computed once per step.
     """
-    _require_eulerian(m)
+    require_eulerian(m)
     if len(m) == 0:
         return OddCover(m, ())
     threshold = len(m) / (math.log(len(m)) ** 2)
@@ -137,7 +123,7 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
     """
     if len(m) == 0:
         raise EmptyMatroidError("nothing to cover")
-    _require_eulerian(m)
+    require_eulerian(m)
     t, partition = arboricity(m)
     parts = [list(p) for p in partition.parts]
 
@@ -191,7 +177,7 @@ def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
     """
     if len(m) == 0:
         raise EmptyMatroidError("no nonempty subsets")
-    _require_eulerian(m)
+    require_eulerian(m)
     if len(m) <= exhaustive_limit:
         return max_quotient_exhaustive(m, denom_offset=1, limit=exhaustive_limit)
     keys = [v.key for v in m.elements]

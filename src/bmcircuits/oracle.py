@@ -14,15 +14,15 @@ from math import ceil
 from .arboricity import arboricity
 from .circuits import Circuit
 from .decompose import peel_decompose
-from .errors import NotEulerianError, TooLargeError
+from .errors import TooLargeError
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     _mask_indices,
     express_in_basis,
-    is_eulerian,
     max_independent_subset,
     rank,
+    require_eulerian,
 )
 from .generators import complete_matroid
 from .oddcover import density_lower_bound
@@ -123,8 +123,7 @@ def exact_c(m: BinaryMatroid) -> int:
     transitively); values add across components because circuits never
     straddle them.
     """
-    if not is_eulerian(m):
-        raise NotEulerianError("matroid is not Eulerian")
+    require_eulerian(m)
     if len(m) == 0:
         return 0
     catalog = enumerate_circuits(m)
@@ -187,8 +186,7 @@ def exact_c2(m: BinaryMatroid, depth_cap: int = C2_DEPTH_CAP) -> int:
     (see c2_search_is_restricted) the result is still an upper bound for the
     restricted problem and at most exact_c(m).
     """
-    if not is_eulerian(m):
-        raise NotEulerianError("matroid is not Eulerian")
+    require_eulerian(m)
     if len(m) == 0:
         return 0
     if c2_search_is_restricted(m):
@@ -250,8 +248,7 @@ def intersection_lower_bound(m: BinaryMatroid) -> int:
     the number of circuits any odd-cover needs. Sharper than the plain
     quotient bound when no internal circuit spans M.
     """
-    if not is_eulerian(m):
-        raise NotEulerianError("matroid is not Eulerian")
+    require_eulerian(m)
     if len(m) == 0:
         return 0
     catalog = enumerate_circuits(m)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .circuits import Circuit, extract_any_circuit, is_circuit
 from .errors import (
+    BmcError,
     NotCoprimeError,
     NotPrimeError,
     OrderConditionError,
@@ -61,6 +63,27 @@ def _require_capped_prime(p: int) -> None:
         raise OutOfRangeError(f"p = {p} exceeds the cap {MAX_P}")
 
 
+def _require_admissible(p: int) -> None:
+    _require_capped_prime(p)
+    order = multiplicative_order(2, p)
+    if order != p - 1:
+        raise OrderConditionError(p, order)
+
+
+def is_admissible(p: int) -> bool:
+    """p is an odd prime no larger than MAX_P and 2 has order p - 1 mod p."""
+    try:
+        _require_admissible(p)
+    except BmcError:
+        return False
+    return True
+
+
+def _model_key(y: int) -> int:
+    """The even-weight key with leading bits y; the last bit fixes the parity."""
+    return (y << 1) | (y.bit_count() & 1)
+
+
 def build_even_weight_model(p: int) -> BinaryMatroid:
     """All nonzero even-weight vectors of F_2^p: 2^(p-1) - 1 elements, rank p - 1.
 
@@ -68,9 +91,7 @@ def build_even_weight_model(p: int) -> BinaryMatroid:
     canonical order, so the element with key k sits at index (k >> 1) - 1.
     """
     _require_capped_prime(p)
-    # leading p-1 bits free, last coordinate fixes even parity
-    keys = ((y << 1) | (y.bit_count() & 1) for y in range(1, 1 << (p - 1)))
-    return BinaryMatroid.from_keys(p, keys)
+    return BinaryMatroid.from_keys(p, map(_model_key, range(1, 1 << (p - 1))))
 
 
 def cyclic_shift(x: Gf2Vector, j: int) -> Gf2Vector:
@@ -114,36 +135,38 @@ class OrbitDecomposition:
             raise OutOfRangeError("orbits do not partition the model")
 
 
+def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
+    """The rotation orbits of the even-weight model for an admissible p, each
+    a Circuit of the elements[(k >> 1) - 1] for its model keys k: the model's
+    own vectors, or their compressions when elements is complete_matroid(p - 1).
+    Representatives are the smallest keys, found by a scan over k >> 1;
+    Circuit validates each orbit's circuit law.
+    """
+    visited = bytearray(1 << (p - 1))
+    orbits: list[Circuit] = []
+    for y in range(1, 1 << (p - 1)):
+        if visited[y]:
+            continue
+        distinct = {k >> 1 for k in _rotations(_model_key(y), p)}
+        if len(distinct) != p:
+            raise OutOfRangeError(f"orbit of {_model_key(y):0{p}b} has {len(distinct)} elements")
+        for x in distinct:
+            visited[x] = 1
+        orbits.append(Circuit(elements[x - 1] for x in distinct))
+    return orbits
+
+
 def orbit_decompose(p: int) -> OrbitDecomposition:
     """Partition the even-weight model into rotation orbits and verify each
     is a circuit.
 
     Preconditions, checked before anything is built: p is an odd prime
     (NotPrimeError) no larger than MAX_P (OutOfRangeError), and the
-    multiplicative order of 2 mod p equals p - 1 (OrderConditionError). Orbit
-    representatives are the canonically smallest members, discovered by a
-    linear scan over a visited bitmap.
+    multiplicative order of 2 mod p equals p - 1 (OrderConditionError).
     """
-    _require_capped_prime(p)
-    order = multiplicative_order(2, p)
-    if order != p - 1:
-        raise OrderConditionError(p, order)
+    _require_admissible(p)
     model = build_even_weight_model(p)
-    elements = model.elements
-    visited = bytearray(((1 << p) + 7) // 8)
-    orbits: list[Circuit] = []
-    for v in elements:
-        if visited[v.key >> 3] & (1 << (v.key & 7)):
-            continue
-        keys = _rotations(v.key, p)
-        distinct = set(keys)
-        if len(distinct) != p:
-            raise OutOfRangeError(f"orbit of {v.bits()} has {len(distinct)} elements")
-        for k in distinct:
-            visited[k >> 3] |= 1 << (k & 7)
-        # the model's own vectors, by its layout; Circuit validates the circuit law
-        orbits.append(Circuit(elements[(k >> 1) - 1] for k in distinct))
-    return OrbitDecomposition(p, model, tuple(orbits))
+    return OrbitDecomposition(p, model, tuple(_rotation_orbits(p, model.elements)))
 
 
 def compress_even_weight(m: BinaryMatroid) -> BinaryMatroid:

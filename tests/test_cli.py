@@ -94,6 +94,22 @@ class TestDecomposeVerify:
         assert run(["decompose", "--in", str(instance), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("eps", ["abc", "inf", "nan", "1/0", "", "0", "-1"])
+    def test_bad_eps_exit1_without_traceback(self, eps, instance, tmp_path, capsys):
+        assert run(["decompose", "--in", str(instance), "--eps", eps,
+                    "--out", str(tmp_path / "x.bmdec")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_auto_on_admissible_complete_meets_the_bound(self, tmp_path, capsys):
+        m = tmp_path / "c10.bm"
+        run(["gen", "--kind", "complete", "--n", "10", "--out", str(m)])
+        assert run(["decompose", "--in", str(m), "--method", "auto",
+                    "--out", str(tmp_path / "c10.bmdec")]) == 0
+        rec = records(capsys)[-1]
+        assert rec["branch"] == "orbit" and rec["verified"] is True
+        assert rec["circuits"] == rec["quotient_bound"] == 93
+
     def test_dense_on_sparse_input_exit1(self, tmp_path, capsys):
         m = tmp_path / "m.bm"
         run(["gen", "--kind", "copies", "--k", "5", "--s", "2", "--out", str(m)])

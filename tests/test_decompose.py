@@ -6,6 +6,7 @@ import pytest
 from bmcircuits.decompose import (
     Decomposition,
     DenseParams,
+    _peel,
     auto_decompose,
     binary_entropy,
     dense_decompose,
@@ -111,6 +112,16 @@ class TestPeel:
             peel_decompose(BinaryMatroid(2, [vec("10")]))
 
 
+class TestPeelLoop:
+    def test_phase1_ends_at_the_first_rejected_step_and_never_resumes(self):
+        m = complete_matroid(6)
+        seen = []
+        d = _peel(m, "x", lambda work, c: seen.append(c) or len(seen) != 2)
+        assert seen == list(d.circuits[:2])  # not asked again after the rejection
+        assert (d.phase1, d.phase2) == (1, len(d) - 1)
+        assert d.circuits == peel_decompose(m).circuits
+
+
 class TestLogGreedy:
     def test_five_blocks_forced_triangles(self):
         m = independent_copies(5, 2)
@@ -164,9 +175,33 @@ class TestDense:
 
 
 class TestAuto:
-    def test_complete_dim10_dense_branch(self):
+    def test_complete_dim10_orbit_branch(self):
         d = auto_decompose(complete_matroid(10))
-        assert d.branch == "dense"
+        assert d.branch == "orbit"
+        assert len(d.circuits) == 93
+
+    @pytest.mark.parametrize("n", [4, 10, 12])
+    def test_admissible_complete_meets_quotient_bound(self, n):
+        m = complete_matroid(n)
+        d = auto_decompose(m)
+        check_valid(m, d)
+        assert d.branch == "orbit"
+        assert len(d.circuits) == math.ceil(len(m) / (n + 1))
+        assert (d.phase1, d.phase2) == (len(d.circuits), 0)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 9, 11])
+    def test_other_complete_dimensions_are_peeled(self, n):
+        m = complete_matroid(n)
+        d = auto_decompose(m)
+        assert d.branch != "orbit"
+        assert circuit_keys(d.circuits) == circuit_keys(peel_decompose(m).circuits)
+
+    def test_complete_minus_a_triangle_is_peeled(self):
+        # one short of complete: the orbit branch needs the whole matroid
+        m = complete_matroid(4).difference(BinaryMatroid.from_keys(4, (1, 2, 3)))
+        d = auto_decompose(m)
+        assert d.branch != "orbit"
+        assert circuit_keys(d.circuits) == circuit_keys(peel_decompose(m).circuits)
 
     def test_sparse_branch_for_block_triangles(self):
         d = auto_decompose(independent_copies(5, 2))

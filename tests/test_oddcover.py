@@ -56,6 +56,12 @@ class TestCompleteToCircuit:
         with pytest.raises(OutOfRangeError):
             complete_to_circuit([vec("10"), vec("01"), vec("11")])
 
+    def test_dependent_with_new_nonzero_sum_rejected(self):
+        # the sum 0011 is nonzero and outside the set, but the set has rank 4
+        dependent = [vec("1000"), vec("0100"), vec("1100"), vec("0010"), vec("0001")]
+        with pytest.raises(OutOfRangeError):
+            complete_to_circuit(dependent)
+
 
 class TestSymdiffReduce:
     def test_triangle_single_step(self):

@@ -13,6 +13,7 @@ from bmcircuits.orbit import (
     compress_even_weight,
     cyclic_shift,
     demonstrate_order_failure,
+    is_admissible,
     multiplicative_order,
     orbit_decompose,
 )
@@ -101,6 +102,10 @@ class TestOrbitDecompose:
     def test_primes_over_cap_rejected_before_building(self, p):
         with pytest.raises(OutOfRangeError):
             orbit_decompose(p)
+
+    def test_admissible_primes_up_to_the_cap(self):
+        # 7, 17 and 23 fail the order test, 9 is not prime, 29 is over the cap
+        assert [p for p in range(-1, 40) if is_admissible(p)] == [3, 5, 11, 13, 19]
 
     @pytest.mark.parametrize("p", [3, 5, 11, 13])
     def test_counts_and_optimality(self, p):

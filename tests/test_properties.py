@@ -6,7 +6,8 @@ extract_any_circuit must return the first elimination dependency. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
 exhaustive max of ceil(|N| / rank(N)), every decomposer and odd-cover builder
 to the exact oracles, and the peel family to reference loops that rebuild a
-BinaryMatroid per step.
+BinaryMatroid per step. Every decomposer returns peel_decompose's circuits;
+they differ only in their branch and phase labels.
 """
 
 import math
@@ -210,20 +211,19 @@ def reference_first_circuit(m):
         return Circuit([v] + [prefix[i] for i in support])
 
 
-def reference_decompose(m, keep_peeling, floor_size=0):
-    """(circuits, phase1, phase2) of: peel largest fundamental circuits while
-    keep_peeling(work) and they reach floor_size, then first dependencies."""
-    work, circuits, phase1 = m, [], 0
-    while len(work) and keep_peeling(work):
+def reference_decompose(m, in_phase1, floor_size=0):
+    """(circuits, phase1, phase2) of: peel largest fundamental circuits until
+    nothing is left; phase 1 ends at the first step where in_phase1(work)
+    fails or the circuit falls short of floor_size."""
+    work, circuits, phase1 = m, [], None
+    while len(work):
         c = reference_largest_circuit(work)
-        if len(c) < floor_size:
-            break
+        if phase1 is None and not (in_phase1(work) and len(c) >= floor_size):
+            phase1 = len(circuits)
         circuits.append(c)
         work = work.difference(c)
-        phase1 += 1
-    while len(work):
-        circuits.append(reference_first_circuit(work))
-        work = work.difference(circuits[-1])
+    if phase1 is None:
+        phase1 = len(circuits)
     return circuits, phase1, len(circuits) - phase1
 
 
@@ -287,6 +287,28 @@ def test_dense_matches_reference_loop(m):
     assume(expected is not None)
     assert decomposition_outcome(dense_decompose(m, params)) == outcome(*expected)
     assert decomposition_outcome(auto_decompose(m, DENSE_EPSILON)) == outcome(*expected)
+
+
+def check_peel_circuits_everywhere(m):
+    peeled = peel_decompose(m)
+    labelled = [log_greedy_decompose(m), auto_decompose(m), auto_decompose(m, DENSE_EPSILON)]
+    try:
+        labelled.append(dense_decompose(m, DenseParams.from_epsilon(DENSE_EPSILON)))
+    except NotDenseEnoughError:
+        pass
+    for d in [peeled] + labelled:
+        assert d.phase1 + d.phase2 == len(d)
+        assert d.circuits == peeled.circuits
+
+
+@given(tiny_eulerian_matroids())
+def test_every_decomposer_returns_the_peel_circuits(m):
+    check_peel_circuits_everywhere(m)
+
+
+@given(near_complete_matroids())
+def test_every_decomposer_returns_the_peel_circuits_near_complete(m):
+    check_peel_circuits_everywhere(m)
 
 
 @given(tiny_eulerian_matroids())
