@@ -28,7 +28,6 @@ from .decompose import (
 )
 from .errors import BmcError, OrderConditionError
 from .formats import (
-    DecFile,
     check_decomposition,
     check_oddcover,
     check_partition,
@@ -101,11 +100,6 @@ def _read_matroid(path: str) -> BinaryMatroid:
     return parse_bm(Path(path).read_text())
 
 
-def _write_and_reload(path: str, text: str) -> DecFile:
-    Path(path).write_text(text)
-    return parse_bmdec(Path(path).read_text())
-
-
 def _matroid_stats(m: BinaryMatroid) -> dict:
     return {"n": m.dim, "size": len(m), "rank": rank(m)}
 
@@ -114,6 +108,33 @@ def _quotient_bound(m: BinaryMatroid) -> int:
     if len(m) == 0:
         return 0
     return -(-len(m) // (rank(m) + 1))
+
+
+def _check_circuits(m: BinaryMatroid, dim: int, blocks) -> str | None:
+    """check_decomposition, then the quotient bound that every decomposition meets."""
+    reason = check_decomposition(m, dim, blocks)
+    if reason is None and len(blocks) < _quotient_bound(m):
+        reason = "circuit count below the quotient lower bound (verifier bug)"
+    return reason
+
+
+_CHECKERS = {
+    "decomposition": _check_circuits,
+    "oddcover": check_oddcover,
+    "partition": check_partition,
+}
+
+
+def _verify_artifact(mode: str, m: BinaryMatroid, path: str, text: str | None = None):
+    """Check the file at path against m with mode's checker, writing text there
+    first if given. Prints a failure to stderr; returns (parsed file, passed)."""
+    if text is not None:
+        Path(path).write_text(text)
+    dec = parse_bmdec(Path(path).read_text())
+    reason = _CHECKERS[mode](m, dec.dim, dec.blocks)
+    if reason is not None:
+        print(f"verification failed: {reason}", file=sys.stderr)
+    return dec, reason is None
 
 
 def _fraction(text: str) -> Fraction:
@@ -170,7 +191,7 @@ def build_parser() -> _Parser:
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--against", required=True)
     v.add_argument("--mode", required=True,
-                   choices=["decomposition", "oddcover", "partition"])
+                   choices=list(_CHECKERS))
 
     b = sub.add_parser("bench", help="run the quick built-in suite")
     b.add_argument("--seed", type=int, default=0)
@@ -230,31 +251,22 @@ def _cmd_decompose(args) -> int:
     text = format_bmdec(
         "circuits", m.dim, [c.elements for c in dec.circuits], meta=meta
     )
-    reloaded = _write_and_reload(args.out, text)
-    reason = check_decomposition(m, reloaded.dim, reloaded.blocks)
-    bound = _quotient_bound(m)
-    if reason is None and len(dec.circuits) < bound:
-        reason = "circuit count below the quotient lower bound (verifier bug)"
-    if reason is not None:
-        print(f"verification failed: {reason}", file=sys.stderr)
-    prop4 = (
-        density_lower_bound(m, args.exhaustive_limit) if len(m) else 0
-    )
+    _, verified = _verify_artifact("decomposition", m, args.out, text)
     _emit(
         instance=Path(args.infile).stem,
         algorithm=f"decompose-{args.method}",
         circuits=len(dec.circuits),
-        prop4=prop4,
-        quotient_bound=bound,
+        prop4=density_lower_bound(m, args.exhaustive_limit) if len(m) else 0,
+        quotient_bound=_quotient_bound(m),
         branch=dec.branch,
         phase1=dec.phase1,
         phase2=dec.phase2,
         out=args.out,
         wall_time_s=round(elapsed, 6),
-        verified=reason is None,
+        verified=verified,
         **_matroid_stats(m),
     )
-    return 0 if reason is None else 2
+    return 0 if verified else 2
 
 
 def _cmd_oddcover(args) -> int:
@@ -267,10 +279,7 @@ def _cmd_oddcover(args) -> int:
         a_value = None
     elapsed = time.perf_counter() - start
     text = format_bmdec("oddcover", m.dim, [c.elements for c in cover.circuits])
-    reloaded = _write_and_reload(args.out, text)
-    reason = check_oddcover(m, reloaded.dim, reloaded.blocks)
-    if reason is not None:
-        print(f"verification failed: {reason}", file=sys.stderr)
+    _, verified = _verify_artifact("oddcover", m, args.out, text)
     _emit(
         instance=Path(args.infile).stem,
         algorithm=f"oddcover-{args.method}",
@@ -280,10 +289,10 @@ def _cmd_oddcover(args) -> int:
         arboricity=a_value,
         out=args.out,
         wall_time_s=round(elapsed, 6),
-        verified=reason is None,
+        verified=verified,
         **_matroid_stats(m),
     )
-    return 0 if reason is None else 2
+    return 0 if verified else 2
 
 
 def _cmd_arboricity(args) -> int:
@@ -294,10 +303,7 @@ def _cmd_arboricity(args) -> int:
     text = format_bmdec(
         "indsets", m.dim, [p for p in partition.parts], block_comment="independent-set"
     )
-    reloaded = _write_and_reload(args.out, text)
-    reason = check_partition(m, reloaded.dim, reloaded.blocks)
-    if reason is not None:
-        print(f"verification failed: {reason}", file=sys.stderr)
+    _, verified = _verify_artifact("partition", m, args.out, text)
     _emit(
         instance=Path(args.infile).stem,
         algorithm="arboricity",
@@ -306,10 +312,10 @@ def _cmd_arboricity(args) -> int:
         quotient_bound=_quotient_bound(m),
         out=args.out,
         wall_time_s=round(elapsed, 6),
-        verified=reason is None,
+        verified=verified,
         **_matroid_stats(m),
     )
-    return 0 if reason is None else 2
+    return 0 if verified else 2
 
 
 def _cmd_orbit(args) -> int:
@@ -350,10 +356,7 @@ def _cmd_orbit(args) -> int:
         model = compress_even_weight(model)
         blocks = [tuple(model.elements[index_of(v)] for v in block) for block in blocks]
     text = format_bmdec("circuits", model.dim, blocks, meta={"p": args.p})
-    reloaded = _write_and_reload(args.out, text)
-    reason = check_decomposition(model, reloaded.dim, reloaded.blocks)
-    if reason is not None:
-        print(f"verification failed: {reason}", file=sys.stderr)
+    _, verified = _verify_artifact("decomposition", model, args.out, text)
     _emit(
         instance=f"orbit-p{args.p}",
         algorithm="orbit",
@@ -363,10 +366,10 @@ def _cmd_orbit(args) -> int:
         quotient_bound=_quotient_bound(model),
         out=args.out,
         wall_time_s=round(elapsed, 6),
-        verified=reason is None,
+        verified=verified,
         **_matroid_stats(model),
     )
-    return 0 if reason is None else 2
+    return 0 if verified else 2
 
 
 def _cmd_oracle(args) -> int:
@@ -418,23 +421,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     m = _read_matroid(args.infile)
-    dec = parse_bmdec(Path(args.against).read_text())
-    checker = {
-        "decomposition": check_decomposition,
-        "oddcover": check_oddcover,
-        "partition": check_partition,
-    }[args.mode]
-    reason = checker(m, dec.dim, dec.blocks)
-    if reason is not None:
-        print(f"verification failed: {reason}", file=sys.stderr)
+    dec, verified = _verify_artifact(args.mode, m, args.against)
     _emit(
         instance=Path(args.infile).stem,
         algorithm=f"verify-{args.mode}",
         circuits=len(dec.blocks),
-        verified=reason is None,
+        verified=verified,
         **_matroid_stats(m),
     )
-    return 0 if reason is None else 2
+    return 0 if verified else 2
 
 
 def _cmd_bench(args) -> int:

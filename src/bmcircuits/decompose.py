@@ -119,22 +119,22 @@ def _meets_pow2(size: int, exponent: float) -> bool:
     return math.log2(size) >= exponent - _LOG2_MARGIN
 
 
-def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda work, c: True) -> Decomposition:
+def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda work: True) -> Decomposition:
     """Remove the largest fundamental circuit until nothing is left.
 
     Each step is largest_fundamental_circuit on the working set: a greedy
     basis that stops at the previous step's rank, then one byte-table
     expansion scan of every element (see gf2core.expansion_masks).
-    in_phase1(work, c) sees the working set and the circuit about to leave
-    it. Phase 1 ends at the first step it rejects and never resumes; the
-    predicate only labels steps and never changes the circuits.
+    in_phase1(work) sees the working set before a step. Phase 1 ends at
+    the first step it rejects and never resumes; the predicate only labels
+    steps and never changes the circuits.
     """
     work = WorkingSet(m)
     circuits: list[Circuit] = []
     phase1 = 0
     while work:
         c = largest_fundamental_circuit(work)
-        if phase1 == len(circuits) and in_phase1(work, c):
+        if phase1 == len(circuits) and in_phase1(work):
             phase1 += 1
         circuits.append(c)
         work.remove(c)
@@ -153,15 +153,23 @@ def log_greedy_decompose(m: BinaryMatroid) -> Decomposition:
     binary matroid has at least 3 elements, so phase 2 has at most a third
     as many circuits as elements."""
     require_eulerian(m)
-    return _peel(m, "sparse", lambda work, c: len(work) >= len(m) / math.log(len(m)) ** 2)
+    return _peel(m, "sparse", lambda work: len(work) >= len(m) / math.log(len(m)) ** 2)
 
 
 def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
     """peel_decompose's circuits, labelled phase 1 while the working set is
-    larger than 2^((1 - 2*delta) * r) and the circuit has at least
-    ceil(alpha * r) elements; the counting bound guarantees one there, up to
-    the float boundary. Phase 2 has at most a third as many circuits as
-    elements, as in log_greedy_decompose.
+    larger than 2^((1 - 2*delta) * r). Phase 2 has at most a third as many
+    circuits as elements, as in log_greedy_decompose.
+
+    Every phase-1 circuit has more than ceil(alpha * r) elements, so the
+    label needs no size test. 1 - 2*delta = H(alpha), so phase 1 has
+    |work| >= 2^(H(alpha) * r - 2^-30). largest_fundamental_circuit returns
+    at least guaranteed_circuit_size(|work|, rank(work)) elements, which is
+    at least guaranteed_circuit_size(|work|, r), as rank(work) <= r. With
+    k = floor(alpha * r), sum_{i<=k} C(r, i) <= 2^(H(alpha) * r)
+    (entropy_bound_holds), and for |work| below about 1.5e9 the slack of
+    2^-30 is less than one element, so |work| exceeds sum_{1<=i<=k} C(r, i)
+    and the circuit has at least k + 2 > ceil(alpha * r) elements.
 
     Requires |M| >= 2^((1 - delta) * rank(M)). Raises NotDenseEnoughError
     when that fails; callers should fall back to log_greedy_decompose. A
@@ -175,11 +183,8 @@ def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
         raise NotDenseEnoughError(
             f"|M| = {len(m)} below 2^((1-delta)*r) for r = {r}, delta = {params.delta:.6g}"
         )
-    floor_size = math.ceil(params.alpha * r)
     phase1_exp = (1.0 - 2.0 * params.delta) * r
-    return _peel(
-        m, "dense", lambda work, c: _meets_pow2(len(work), phase1_exp) and c.size >= floor_size
-    )
+    return _peel(m, "dense", lambda work: _meets_pow2(len(work), phase1_exp))
 
 
 def auto_decompose(

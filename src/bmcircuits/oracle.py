@@ -19,7 +19,9 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     _mask_indices,
+    expansion_masks,
     express_in_basis,
+    greedy_basis,
     max_independent_subset,
     rank,
     require_eulerian,
@@ -80,12 +82,40 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     return CircuitCatalog(m, tuple(sorted(masks)))
 
 
-def _min_disjoint_cover(sub: BinaryMatroid, masks: list[int]) -> int:
+def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
+    """The connected components of a nonempty simple Eulerian m.
+
+    Elements share a component when a circuit holds both, and the
+    fundamental circuits of one basis already relate them: the components
+    are the classes of the transitive closure (Oxley, Matroid Theory,
+    ch. 4). One greedy_basis and one expansion_masks scan give each
+    element's mask of basis positions: a basis element's own bit, and for
+    any other element its fundamental circuit minus itself, which has at
+    least 2 bits because m is simple. Masks that meet are merged, and each
+    element joins the class its mask lies in. The components span a direct
+    sum, so the zero sum of m splits into one per component: each is
+    Eulerian, nonempty and has no coloop.
+    """
+    keys = [v.key for v in m.elements]
+    masks = expansion_masks(keys, greedy_basis(keys, m.dim, m.dim)[1], m.dim)
+    classes: list[int] = []  # disjoint masks of basis positions
+    for mk in masks:
+        for c in [c for c in classes if c & mk]:
+            classes.remove(c)
+            mk |= c
+        classes.append(mk)
+    return [
+        BinaryMatroid.from_keys(m.dim, (k for k, mk in zip(keys, masks) if mk & c))
+        for c in classes
+    ]
+
+
+def _min_disjoint_cover(sub: BinaryMatroid) -> int:
     """Branch and bound exact cover: fewest disjoint circuits covering sub."""
     n = len(sub)
     keys = [v.key for v in sub.elements]
     by_element: list[list[int]] = [[] for _ in range(n)]
-    for mk in masks:
+    for mk in enumerate_circuits(sub).masks:
         for b in _mask_indices(mk):
             by_element[b].append(mk)
     for lst in by_element:
@@ -119,48 +149,16 @@ def _min_disjoint_cover(sub: BinaryMatroid, masks: list[int]) -> int:
 def exact_c(m: BinaryMatroid) -> int:
     """Minimum number of pairwise-disjoint circuits partitioning m.
 
-    Splits into connected components first (elements sharing a circuit,
-    transitively); values add across components because circuits never
-    straddle them.
+    Circuits never straddle connected components, so the value is the sum
+    over the components of _components, each enumerated and covered on its
+    own. The ENUMERATION_LIMIT cap applies to the whole input.
     """
     require_eulerian(m)
     if len(m) == 0:
         return 0
-    catalog = enumerate_circuits(m)
-    parent = list(range(len(m)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for mk in catalog.masks:
-        bits = list(_mask_indices(mk))
-        r0 = find(bits[0])
-        for b in bits[1:]:
-            parent[find(b)] = r0
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(m)):
-        groups.setdefault(find(i), []).append(i)
-
-    total = 0
-    for indices in groups.values():
-        local = {g: l for l, g in enumerate(indices)}
-        group_mask = 0
-        for g in indices:
-            group_mask |= 1 << g
-        sub = BinaryMatroid.from_keys(m.dim, (m.elements[g].key for g in indices))
-        local_masks = []
-        for mk in catalog.masks:
-            if mk & ~group_mask == 0:
-                lm = 0
-                for b in _mask_indices(mk):
-                    lm |= 1 << local[b]
-                local_masks.append(lm)
-        total += _min_disjoint_cover(sub, local_masks)
-    return total
+    if len(m) > ENUMERATION_LIMIT:
+        raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
+    return sum(_min_disjoint_cover(sub) for sub in _components(m))
 
 
 def c2_search_is_restricted(m: BinaryMatroid) -> bool:

@@ -120,9 +120,9 @@ def test_criterion_3_orbit_count_is_optimal():
 
 
 def test_criterion_4_disjoint_triangle_blocks():
-    for k in range(1, 7):
+    for k in range(1, 9):
         assert exact_c(independent_copies(k, 2)) == k
-    report(4, True, "exact_c(k triangle blocks) = k for k in 1..6")
+    report(4, True, "exact_c(k triangle blocks) = k for k in 1..8")
 
 
 def test_criterion_5_two_copies_cover_lower_bound():

@@ -12,6 +12,7 @@ from bmcircuits.gf2core import (
 )
 from bmcircuits.generators import complete_matroid, independent_copies
 from bmcircuits.oracle import (
+    _components,
     c2_search_is_restricted,
     enumerate_circuits,
     exact_c,
@@ -93,10 +94,30 @@ class TestEnumerateCircuits:
             enumerate_circuits(complete_matroid(5))
 
 
+class TestComponents:
+    def test_independent_copies_split_into_their_blocks(self):
+        for k, s in ((1, 2), (3, 2), (8, 2), (2, 3), (3, 3)):
+            blocks = {
+                BinaryMatroid.from_keys(k * s, (key << shift for key in range(1, 1 << s)))
+                for shift in range(0, k * s, s)
+            }
+            components = _components(independent_copies(k, s))
+            assert len(components) == k and set(components) == blocks
+
+    def test_complete_matroid_is_connected(self):
+        for n in (2, 3, 4, 6):
+            assert _components(complete_matroid(n)) == [complete_matroid(n)]
+
+
 class TestExactC:
     def test_disjoint_triangles(self):
         for k in (1, 3, 6, 8):
             assert exact_c(independent_copies(k, 2)) == k
+
+    def test_cap_is_on_the_whole_input(self):
+        # 9 triangles: every component is tiny, but 27 elements exceed the cap
+        with pytest.raises(TooLargeError, match=r"\|M\| = 27 exceeds 24"):
+            exact_c(independent_copies(9, 2))
 
     def test_complete_dim2(self):
         assert exact_c(complete_matroid(2)) == 1

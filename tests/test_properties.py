@@ -5,12 +5,15 @@ checkers must reject simple corruptions of a valid artifact, and
 extract_any_circuit must return the first elimination dependency. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
 exhaustive max of ceil(|N| / rank(N)), every decomposer and odd-cover builder
-to the exact oracles, and the peel family to reference loops that rebuild a
-BinaryMatroid per step. Every decomposer returns peel_decompose's circuits;
-they differ only in their branch and phase labels.
+to the exact oracles, the peel family to reference loops that rebuild a
+BinaryMatroid per step, and exact_c and its component split to a
+union-find over the whole circuit catalogue. Every decomposer returns
+peel_decompose's circuits; they differ only in their branch and phase
+labels.
 """
 
 import math
+from functools import cache
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -41,7 +44,7 @@ from bmcircuits.gf2core import (
 )
 from bmcircuits.generators import complete_matroid, random_eulerian
 from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
-from bmcircuits.oracle import exact_c, exact_c2
+from bmcircuits.oracle import _components, enumerate_circuits, exact_c, exact_c2
 
 
 @st.composite
@@ -334,6 +337,62 @@ def test_exact_c_bounds_every_decomposition(m):
     except NotDenseEnoughError:
         pass
     assert all(c <= size for size in sizes)
+
+
+def reference_components(m):
+    """Classes of elements that share a circuit, by union-find over the
+    whole catalogue, as element-index masks."""
+    masks = enumerate_circuits(m).masks
+    parent = list(range(len(m)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for mk in masks:
+        low = (mk & -mk).bit_length() - 1
+        for i in range(len(m)):
+            if mk >> i & 1:
+                parent[find(i)] = find(low)
+    groups = {}
+    for i in range(len(m)):
+        groups[find(i)] = groups.get(find(i), 0) | 1 << i
+    return masks, list(groups.values())
+
+
+def reference_exact_c(masks, groups):
+    """Fewest disjoint catalogue circuits covering each class, memoised on
+    the uncovered mask, summed over the classes."""
+
+    @cache
+    def cover(uncovered):
+        if uncovered == 0:
+            return 0
+        low = uncovered & -uncovered
+        return 1 + min(
+            cover(uncovered ^ mk) for mk in masks if mk & low and mk & ~uncovered == 0
+        )
+
+    return sum(cover(g) for g in groups)
+
+
+def with_triangle(m):
+    """The direct sum of m and a triangle on two new trailing coordinates."""
+    return BinaryMatroid.from_keys(m.dim + 2, [k << 2 for k in m.key_set] + [1, 2, 3])
+
+
+@given(tiny_eulerian_matroids())
+def test_exact_c_matches_catalogue_reference(m):
+    for sample in (m, with_triangle(m)):
+        masks, groups = reference_components(sample)
+        expected = {
+            BinaryMatroid(sample.dim, (v for i, v in enumerate(sample.elements) if g >> i & 1))
+            for g in groups
+        }
+        components = _components(sample)
+        assert len(components) == len(groups) and set(components) == expected
+        assert exact_c(sample) == reference_exact_c(masks, groups)
 
 
 @st.composite
