@@ -51,7 +51,6 @@ from .oracle import (
     probe_conjectures,
 )
 from .orbit import (
-    OrbitDecomposition,
     build_even_weight_model,
     cyclic_shift,
     demonstrate_order_failure,

@@ -149,19 +149,18 @@ def arboricity(m: BinaryMatroid) -> tuple[int, IndependentPartition]:
         k = result.quotient
 
 
-def max_quotient_exhaustive(
-    m: BinaryMatroid, denom_offset: int = 0, limit: int = _BRUTEFORCE_LIMIT
-) -> int:
+def max_quotient_exhaustive(m: BinaryMatroid, denom_offset: int = 0) -> int:
     """Exact max over nonempty N of ceil(|N| / (rank(N) + denom_offset)).
 
     Depth-first scan over all subsets with an incremental eliminator;
     branches die once even a rank-preserving completion cannot beat the
-    incumbent. Exponential by design, hence the size limit.
+    incumbent. Exponential by design, hence the cap of _BRUTEFORCE_LIMIT
+    elements (TooLargeError above it) for every caller.
     """
     if len(m) == 0:
         raise EmptyMatroidError("no nonempty subsets")
-    if len(m) > limit:
-        raise TooLargeError(f"|M| = {len(m)} exceeds the scan limit {limit}")
+    if len(m) > _BRUTEFORCE_LIMIT:
+        raise TooLargeError(f"|M| = {len(m)} exceeds the scan limit {_BRUTEFORCE_LIMIT}")
     keys = [v.key for v in m.elements]
     n = len(keys)
     elim = Gf2Eliminator(track_witnesses=False)

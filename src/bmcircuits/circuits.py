@@ -36,7 +36,14 @@ from .gf2core import (
 
 
 def is_circuit(vectors: Iterable[Gf2Vector]) -> bool:
-    """True iff the vectors form a circuit (zero sum and rank = size - 1)."""
+    """True iff the vectors form a circuit (zero sum and rank = size - 1).
+
+    A Circuit is one without a further check: its constructor ran this test
+    and the object is immutable. Any other iterable, such as a block parsed
+    from a file, is checked in full.
+    """
+    if isinstance(vectors, Circuit):
+        return True
     vs = list(vectors)
     if not vs:
         return False

@@ -161,13 +161,11 @@ def build_parser() -> _Parser:
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--method", default="auto", choices=["auto", "dense", "log", "peel"])
     d.add_argument("--eps", type=_fraction, default="1/2")
-    d.add_argument("--exhaustive-limit", type=int, default=20)
     d.add_argument("--out", required=True)
 
     o = sub.add_parser("oddcover", help="build a circuit odd-cover")
     o.add_argument("--in", dest="infile", required=True)
     o.add_argument("--method", default="arboricity", choices=["arboricity", "reduce"])
-    o.add_argument("--exhaustive-limit", type=int, default=20)
     o.add_argument("--out", required=True)
 
     a = sub.add_parser("arboricity", help="partition into independent sets")
@@ -185,7 +183,6 @@ def build_parser() -> _Parser:
     c = sub.add_parser("oracle", help="exact values on tiny instances")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--what", required=True, choices=["c", "c2", "circuits", "conjectures"])
-    c.add_argument("--exhaustive-limit", type=int, default=20)
 
     v = sub.add_parser("verify", help="re-verify an emitted artifact")
     v.add_argument("--in", dest="infile", required=True)
@@ -256,7 +253,7 @@ def _cmd_decompose(args) -> int:
         instance=Path(args.infile).stem,
         algorithm=f"decompose-{args.method}",
         circuits=len(dec.circuits),
-        prop4=density_lower_bound(m, args.exhaustive_limit) if len(m) else 0,
+        prop4=density_lower_bound(m) if len(m) else 0,
         quotient_bound=_quotient_bound(m),
         branch=dec.branch,
         phase1=dec.phase1,
@@ -284,7 +281,7 @@ def _cmd_oddcover(args) -> int:
         instance=Path(args.infile).stem,
         algorithm=f"oddcover-{args.method}",
         circuits=len(cover.circuits),
-        prop4=density_lower_bound(m, args.exhaustive_limit) if len(m) else 0,
+        prop4=density_lower_bound(m) if len(m) else 0,
         quotient_bound=_quotient_bound(m),
         arboricity=a_value,
         out=args.out,
@@ -346,15 +343,15 @@ def _cmd_orbit(args) -> int:
     if args.out is None:
         raise UsageError("orbit --p needs --out")
     start = time.perf_counter()
-    od = orbit_decompose(args.p)  # OrderConditionError surfaces as input error
+    dec = orbit_decompose(args.p)  # OrderConditionError surfaces as input error
     elapsed = time.perf_counter() - start
-    model = od.model
-    blocks = [c.elements for c in od.orbits]
+    model = dec.source
+    blocks = [c.elements for c in dec.circuits]
     if args.compress:
-        # compression keeps the canonical order: element i maps to element i
-        index_of = model.index_of
+        # the model holds key k at index (k >> 1) - 1 (build_even_weight_model),
+        # and compression keeps the order: element i maps to element i
         model = compress_even_weight(model)
-        blocks = [tuple(model.elements[index_of(v)] for v in block) for block in blocks]
+        blocks = [tuple(model.elements[(v.key >> 1) - 1] for v in block) for block in blocks]
     text = format_bmdec("circuits", model.dim, blocks, meta={"p": args.p})
     _, verified = _verify_artifact("decomposition", model, args.out, text)
     _emit(
@@ -362,7 +359,7 @@ def _cmd_orbit(args) -> int:
         algorithm="orbit",
         p=args.p,
         order=args.p - 1,
-        circuits=len(od.orbits),
+        circuits=len(dec.circuits),
         quotient_bound=_quotient_bound(model),
         out=args.out,
         wall_time_s=round(elapsed, 6),
@@ -380,7 +377,7 @@ def _cmd_oracle(args) -> int:
         value = exact_c(m)
         _emit(
             instance=Path(args.infile).stem, algorithm="oracle-c", c=value,
-            prop4=density_lower_bound(m, args.exhaustive_limit) if len(m) else 0,
+            prop4=density_lower_bound(m) if len(m) else 0,
             wall_time_s=round(time.perf_counter() - start, 6),
             verified=True, **stats,
         )

@@ -24,7 +24,7 @@ from typing import Union
 
 from .circuits import Circuit, WorkingSet, largest_fundamental_circuit
 from .errors import NotDenseEnoughError, OutOfRangeError
-from .formats import check_decomposition
+from .formats import Decomposition
 from .gf2core import BinaryMatroid, rank, require_eulerian
 from .orbit import _rotation_orbits, is_admissible
 
@@ -88,29 +88,6 @@ class DenseParams:
         if not (0 < alpha < Fraction(1, 2)) or delta <= 0:
             raise OutOfRangeError(f"degenerate parameters for epsilon={eps}")
         return cls(eps, alpha, delta)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Pairwise-disjoint circuits whose union is the source matroid.
-
-    The circuit count witnesses an upper bound on the minimum decomposition
-    size. branch/phase1/phase2 record which strategy produced it.
-    """
-
-    source: BinaryMatroid
-    circuits: tuple[Circuit, ...]
-    branch: str = "peel"
-    phase1: int = 0
-    phase2: int = 0
-
-    def __post_init__(self):
-        reason = check_decomposition(self.source, self.source.dim, self.circuits)
-        if reason is not None:
-            raise OutOfRangeError(reason)
-
-    def __len__(self) -> int:
-        return len(self.circuits)
 
 
 def _meets_pow2(size: int, exponent: float) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Sequence
 
 from .circuits import Circuit, is_circuit
-from .errors import FormatError
+from .errors import FormatError, OutOfRangeError
 from .gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector
 
 DEC_KINDS = ("circuits", "oddcover", "indsets")
@@ -186,6 +186,31 @@ def check_decomposition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | No
     if seen != m.key_set:
         return "union of blocks differs from the matroid"
     return None
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Pairwise-disjoint circuits whose union is the source matroid.
+
+    The circuit count witnesses an upper bound on the minimum decomposition
+    size. branch/phase1/phase2 record which strategy produced it. Building
+    one runs check_decomposition, in which a Circuit passes is_circuit at
+    once: its constructor already checked the circuit law.
+    """
+
+    source: BinaryMatroid
+    circuits: tuple[Circuit, ...]
+    branch: str = "peel"
+    phase1: int = 0
+    phase2: int = 0
+
+    def __post_init__(self):
+        reason = check_decomposition(self.source, self.source.dim, self.circuits)
+        if reason is not None:
+            raise OutOfRangeError(reason)
+
+    def __len__(self) -> int:
+        return len(self.circuits)
 
 
 def check_oddcover(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:

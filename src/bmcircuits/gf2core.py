@@ -182,7 +182,7 @@ class BinaryMatroid:
     stored sorted in canonical (ascending key) order.
     """
 
-    __slots__ = ("dim", "elements", "_key_set", "_rank_cache", "_index_cache")
+    __slots__ = ("dim", "elements", "_key_set", "_rank_cache")
 
     def __init__(self, dim: int, elements: Iterable[Gf2Vector] = ()):
         if not 1 <= dim <= MAX_DIM:
@@ -202,7 +202,6 @@ class BinaryMatroid:
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "_key_set", frozenset(v.key for v in elems))
         object.__setattr__(self, "_rank_cache", None)
-        object.__setattr__(self, "_index_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryMatroid is immutable")
@@ -236,16 +235,6 @@ class BinaryMatroid:
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(dim={self.dim}, size={len(self)})"
-
-    def index_of(self, v: Gf2Vector) -> int:
-        """Canonical position of v among the sorted elements."""
-        if self._index_cache is None:
-            object.__setattr__(
-                self,
-                "_index_cache",
-                {e.key: i for i, e in enumerate(self.elements)},
-            )
-        return self._index_cache[v.key]
 
     def difference(self, removed: Iterable[Gf2Vector]) -> BinaryMatroid:
         gone = {v.key for v in removed}

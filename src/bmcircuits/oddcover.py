@@ -173,13 +173,15 @@ def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
 
     Exact (all nonempty subsets) up to exhaustive_limit elements; above that,
     the max is taken over M itself and the restrictions of M to the spans of
-    canonical basis prefixes, which is a valid bound but possibly loose.
+    canonical basis prefixes, which is a valid bound but possibly loose. The
+    exact scan keeps its own cap (arboricity.max_quotient_exhaustive), so an
+    exhaustive_limit above it raises TooLargeError on larger inputs.
     """
     if len(m) == 0:
         raise EmptyMatroidError("no nonempty subsets")
     require_eulerian(m)
     if len(m) <= exhaustive_limit:
-        return max_quotient_exhaustive(m, denom_offset=1, limit=exhaustive_limit)
+        return max_quotient_exhaustive(m, denom_offset=1)
     keys = [v.key for v in m.elements]
     basis, rows = greedy_basis(keys, m.dim, m.dim)
     r = len(basis)

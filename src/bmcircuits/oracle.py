@@ -20,9 +20,7 @@ from .gf2core import (
     Gf2Eliminator,
     _mask_indices,
     expansion_masks,
-    express_in_basis,
     greedy_basis,
-    max_independent_subset,
     rank,
     require_eulerian,
 )
@@ -175,31 +173,28 @@ def c2_search_is_restricted(m: BinaryMatroid) -> bool:
     )
 
 
-def exact_c2(m: BinaryMatroid, depth_cap: int = C2_DEPTH_CAP) -> int:
-    """Minimum odd-cover size by iterative deepening over XOR states.
+def exact_c2(m: BinaryMatroid) -> int:
+    """Minimum odd-cover size by iterative deepening over XOR states, up to
+    C2_DEPTH_CAP circuits.
 
     States are bitmasks over the ambient complete matroid; moves XOR in one
     ambient circuit. Memoization stores the deepest remaining budget that
     already failed from a state. When the search is restricted to span(M)
     (see c2_search_is_restricted) the result is still an upper bound for the
-    restricted problem and at most exact_c(m).
+    restricted problem and at most exact_c(m). The restricted search takes
+    each element's expansion mask in one greedy basis as its coordinates in
+    F_2^rank: any order of the basis permutes those coordinates, which maps
+    the ambient circuits onto themselves and leaves the value unchanged.
     """
     require_eulerian(m)
     if len(m) == 0:
         return 0
+    keys = [v.key for v in m.elements]
+    ambient_dim = m.dim
     if c2_search_is_restricted(m):
-        basis = max_independent_subset(m)
-        r = len(basis)
-        target_keys = []
-        for v in m.elements:
-            key = 0
-            for i in express_in_basis(v, basis):
-                key |= 1 << (r - 1 - i)
-            target_keys.append(key)
-        ambient_dim = r
-    else:
-        target_keys = [v.key for v in m.elements]
-        ambient_dim = m.dim
+        basis, rows = greedy_basis(keys, m.dim, m.dim)
+        keys = expansion_masks(keys, rows, m.dim)
+        ambient_dim = len(basis)
     ambient = complete_matroid(ambient_dim)
     catalog = enumerate_circuits(ambient)
     masks = catalog.masks
@@ -207,7 +202,7 @@ def exact_c2(m: BinaryMatroid, depth_cap: int = C2_DEPTH_CAP) -> int:
     max_size = catalog.max_size()
     # ambient elements are the keys 1..2^d-1 in order, so index = key - 1
     target = 0
-    for k in target_keys:
+    for k in keys:
         target |= 1 << (k - 1)
 
     memo: dict[int, int] = {}
@@ -230,11 +225,11 @@ def exact_c2(m: BinaryMatroid, depth_cap: int = C2_DEPTH_CAP) -> int:
         memo[state] = remaining
         return False
 
-    for t in range(depth_cap + 1):
+    for t in range(C2_DEPTH_CAP + 1):
         memo.clear()
         if dfs(0, t):
             return t
-    raise TooLargeError(f"no odd-cover found within depth {depth_cap}")
+    raise TooLargeError(f"no odd-cover found within depth {C2_DEPTH_CAP}")
 
 
 def intersection_lower_bound(m: BinaryMatroid) -> int:
@@ -245,13 +240,18 @@ def intersection_lower_bound(m: BinaryMatroid) -> int:
     largest internal circuit. Dividing |M| by the larger of the two bounds
     the number of circuits any odd-cover needs. Sharper than the plain
     quotient bound when no internal circuit spans M.
+
+    Every circuit lies in one connected component, so the largest circuit
+    of M is the largest over _components(m), each enumerated on its own.
+    The ENUMERATION_LIMIT cap applies to the whole input, as in exact_c.
     """
     require_eulerian(m)
     if len(m) == 0:
         return 0
-    catalog = enumerate_circuits(m)
-    coverage = max(rank(m), catalog.max_size())
-    return ceil(len(m) / coverage)
+    if len(m) > ENUMERATION_LIMIT:
+        raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
+    largest = max(enumerate_circuits(sub).max_size() for sub in _components(m))
+    return ceil(len(m) / max(rank(m), largest))
 
 
 @dataclass(frozen=True)

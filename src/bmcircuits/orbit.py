@@ -6,6 +6,11 @@ When 2 has multiplicative order p - 1 modulo p, the orbits of the coordinate
 rotation partition the model into (2^(p-1) - 1) / p circuits of size p, which
 meets the quotient lower bound exactly. The order condition matters: p = 7
 fails, and demonstrate_order_failure exhibits the breaking orbit.
+
+orbit_decompose returns a formats.Decomposition with branch "orbit", as
+decompose.auto_decompose does for the compressed orbits. Each check runs
+once: Circuit checks each orbit's circuit law, _rotation_orbits its size p,
+and the Decomposition that the orbits partition the model.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import (
     OrderConditionError,
     OutOfRangeError,
 )
+from .formats import Decomposition
 from .gf2core import BinaryMatroid, Gf2Vector
 
 #: the model holds 2^(p-1) - 1 vectors as Python objects; orbit_decompose(19)
@@ -110,31 +116,6 @@ def _rotations(key: int, p: int) -> list[int]:
     return [((key >> j) | (key << (p - j))) & mask if j else key for j in range(p)]
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """The model, its rotation orbits (each a verified circuit of size p), and p."""
-
-    p: int
-    model: BinaryMatroid
-    orbits: tuple[Circuit, ...]
-
-    def __post_init__(self):
-        expected = ((1 << (self.p - 1)) - 1) // self.p
-        if len(self.orbits) != expected:
-            raise OutOfRangeError(
-                f"expected {expected} orbits, got {len(self.orbits)}"
-            )
-        covered: set[int] = set()
-        for orb in self.orbits:
-            if len(orb) != self.p:
-                raise OutOfRangeError("orbit size differs from p")
-            if covered & orb.key_set:
-                raise OutOfRangeError("orbits overlap")
-            covered |= orb.key_set
-        if covered != set(self.model.key_set):
-            raise OutOfRangeError("orbits do not partition the model")
-
-
 def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
     """The rotation orbits of the even-weight model for an admissible p, each
     a Circuit of the elements[(k >> 1) - 1] for its model keys k: the model's
@@ -156,17 +137,19 @@ def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
     return orbits
 
 
-def orbit_decompose(p: int) -> OrbitDecomposition:
-    """Partition the even-weight model into rotation orbits and verify each
-    is a circuit.
+def orbit_decompose(p: int) -> Decomposition:
+    """Partition the even-weight model into rotation orbits, each a circuit.
 
-    Preconditions, checked before anything is built: p is an odd prime
-    (NotPrimeError) no larger than MAX_P (OutOfRangeError), and the
-    multiplicative order of 2 mod p equals p - 1 (OrderConditionError).
+    The source is build_even_weight_model(p); every orbit is labelled
+    phase 1 of branch "orbit". Preconditions, checked before anything is
+    built: p is an odd prime (NotPrimeError) no larger than MAX_P
+    (OutOfRangeError), and the multiplicative order of 2 mod p equals
+    p - 1 (OrderConditionError).
     """
     _require_admissible(p)
     model = build_even_weight_model(p)
-    return OrbitDecomposition(p, model, tuple(_rotation_orbits(p, model.elements)))
+    orbits = tuple(_rotation_orbits(p, model.elements))
+    return Decomposition(model, orbits, branch="orbit", phase1=len(orbits))
 
 
 def compress_even_weight(m: BinaryMatroid) -> BinaryMatroid:

@@ -83,8 +83,8 @@ def test_criterion_1_orbit_counts():
         start = time.perf_counter()
         od = orbit_decompose(p)
         timings[p] = time.perf_counter() - start
-        assert len(od.orbits) == count == ((1 << (p - 1)) - 1) // p
-        assert all(len(o) == p and is_circuit(o.elements) for o in od.orbits)
+        assert len(od.circuits) == count == ((1 << (p - 1)) - 1) // p
+        assert all(len(o) == p and is_circuit(o.elements) for o in od.circuits)
         assert timings[p] < 10.0
     report(1, True, f"orbit counts {expected}, slowest {max(timings.values()):.2f}s")
 
@@ -112,7 +112,7 @@ def test_criterion_3_orbit_count_is_optimal():
     values = {}
     for p in (3, 5):
         model = build_even_weight_model(p)
-        values[p] = (exact_c(model), len(orbit_decompose(p).orbits))
+        values[p] = (exact_c(model), len(orbit_decompose(p).circuits))
         assert values[p][0] == values[p][1]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -250,7 +250,7 @@ def test_criterion_11_round_trip(tmp_path):
          {"branch": "dense"}),
         ("oddcover", [c.elements for c in oddcover_via_arboricity(m)[1].circuits], None),
         ("indsets", [p for p in arboricity(m)[1].parts], None),
-        ("circuits", [c.elements for c in orbit_decompose(5).orbits], {"p": "5"}),
+        ("circuits", [c.elements for c in orbit_decompose(5).circuits], {"p": "5"}),
     ]
     for kind, blocks, meta in artifacts:
         dim = blocks[0][0].n

@@ -101,6 +101,15 @@ class TestDecomposeVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["decompose", "oddcover", "oracle"])
+    def test_exhaustive_limit_is_not_an_option(self, command, tmp_path, capsys):
+        m = tmp_path / "c3.bm"  # small enough for every command to succeed
+        run(["gen", "--kind", "complete", "--n", "3", "--out", str(m)])
+        tail = ["--what", "c"] if command == "oracle" else ["--out", str(tmp_path / "x.bmdec")]
+        assert run([command, "--in", str(m), "--exhaustive-limit", "30", *tail]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_auto_on_admissible_complete_meets_the_bound(self, tmp_path, capsys):
         m = tmp_path / "c10.bm"
         run(["gen", "--kind", "complete", "--n", "10", "--out", str(m)])
@@ -179,7 +188,7 @@ class TestOrbit:
         assert run(["orbit", "--p", str(p), "--compress", "--out", str(out)]) == 0
         blocks = [
             tuple(Gf2Vector(p - 1, k >> 1) for k in sorted(orbit.key_set))
-            for orbit in orbit_decompose(p).orbits
+            for orbit in orbit_decompose(p).circuits
         ]
         assert out.read_text() == format_bmdec("circuits", p - 1, blocks, meta={"p": p})
 

@@ -4,6 +4,7 @@ from bmcircuits.circuits import Circuit
 from bmcircuits.decompose import peel_decompose
 from bmcircuits.errors import FormatError
 from bmcircuits.formats import (
+    Decomposition,
     check_decomposition,
     check_oddcover,
     check_partition,
@@ -13,8 +14,9 @@ from bmcircuits.formats import (
     parse_bm,
     parse_bmdec,
 )
-from bmcircuits.gf2core import BinaryMatroid, Gf2Vector
+from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector
 from bmcircuits.generators import complete_matroid, independent_copies
+from bmcircuits.oddcover import OddCover, symdiff_reduce
 
 
 def vec(bits):
@@ -135,3 +137,21 @@ class TestSemanticChecks:
             "indsets", 2, [(vec("01"), vec("10"), vec("11"))]
         ))
         assert check_partition(m, bad.dim, bad.blocks) is not None
+
+
+class TestArtifactTypes:
+    def test_circuits_are_not_checked_again(self, monkeypatch):
+        m = complete_matroid(5)
+        parts = peel_decompose(m).circuits
+        cover = symdiff_reduce(m).circuits
+        built = []
+        init = Gf2Eliminator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Gf2Eliminator, "__init__", counting_init)
+        Decomposition(m, parts)
+        OddCover(m, cover)
+        assert built == []

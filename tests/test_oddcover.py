@@ -3,7 +3,7 @@ import math
 import pytest
 
 from bmcircuits.arboricity import arboricity
-from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooSmallError
+from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooLargeError, TooSmallError
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Vector,
@@ -173,6 +173,11 @@ class TestDensityLowerBound:
                 -(-sum(counts[: k + 1]) // (k + 1)) for k in range(1, len(basis) + 1)
             )
             assert density_lower_bound(m, exhaustive_limit=0) == expected
+
+    def test_exhaustive_limit_cannot_lift_the_scan_cap(self):
+        # 27 elements, above the 22-element cap of the exact subset scan
+        with pytest.raises(TooLargeError):
+            density_lower_bound(independent_copies(9, 2), exhaustive_limit=30)
 
     def test_bounds_both_cover_builders(self, small_corpus):
         for m in small_corpus:

@@ -191,6 +191,14 @@ class TestIntersectionLowerBound:
     def test_triangle(self):
         assert intersection_lower_bound(triangle()) == 1
 
+    def test_disjoint_triangles(self):
+        # rank 16 exceeds the largest circuit, a triangle: ceil(24 / 16)
+        assert intersection_lower_bound(independent_copies(8, 2)) == 2
+
+    def test_cap_is_on_the_whole_input(self):
+        with pytest.raises(TooLargeError, match="27 exceeds 24"):
+            intersection_lower_bound(independent_copies(9, 2))
+
 
 class TestProbeConjectures:
     def test_triangle(self):

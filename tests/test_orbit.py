@@ -1,12 +1,15 @@
 import pytest
 
 from bmcircuits.circuits import is_circuit
+from bmcircuits.decompose import auto_decompose
 from bmcircuits.errors import (
     NotCoprimeError,
     NotPrimeError,
     OrderConditionError,
     OutOfRangeError,
 )
+from bmcircuits.formats import Decomposition
+from bmcircuits.generators import complete_matroid
 from bmcircuits.gf2core import Gf2Vector, rank
 from bmcircuits.orbit import (
     build_even_weight_model,
@@ -80,13 +83,13 @@ class TestCyclicShift:
 class TestOrbitDecompose:
     def test_p3_single_orbit(self):
         od = orbit_decompose(3)
-        assert len(od.orbits) == 1
-        assert od.orbits[0].key_set == {0b110, 0b011, 0b101}
+        assert len(od.circuits) == 1
+        assert od.circuits[0].key_set == {0b110, 0b011, 0b101}
 
     def test_p5_three_orbits(self):
         od = orbit_decompose(5)
-        assert len(od.orbits) == 3
-        assert all(len(o) == 5 for o in od.orbits)
+        assert len(od.circuits) == 3
+        assert all(len(o) == 5 for o in od.circuits)
 
     def test_p7_order_condition_fails(self):
         with pytest.raises(OrderConditionError) as exc:
@@ -111,23 +114,34 @@ class TestOrbitDecompose:
     def test_counts_and_optimality(self, p):
         od = orbit_decompose(p)
         expected = ((1 << (p - 1)) - 1) // p
-        assert len(od.orbits) == expected
-        assert len(od.orbits) * p == (1 << (p - 1)) - 1
+        assert len(od.circuits) == expected
+        assert len(od.circuits) * p == (1 << (p - 1)) - 1
         # the count meets the quotient lower bound exactly
-        model = od.model
+        model = od.source
         assert expected == -(-len(model) // (rank(model) + 1))
 
     @pytest.mark.parametrize("p", [5, 11])
     def test_orbit_vectors_are_the_models_own(self, p):
         od = orbit_decompose(p)
-        elements = od.model.elements
-        for orbit in od.orbits:
+        elements = od.source.elements
+        for orbit in od.circuits:
             for v in orbit:
-                assert v is elements[od.model.index_of(v)]
+                assert v is elements[(v.key >> 1) - 1]
+
+    @pytest.mark.parametrize("p", [5, 11, 13])
+    def test_compresses_to_auto_on_the_complete_matroid(self, p):
+        od = orbit_decompose(p)
+        auto = auto_decompose(complete_matroid(p - 1))
+        assert isinstance(od, Decomposition)
+        assert od.source == build_even_weight_model(p)
+        assert od.branch == auto.branch == "orbit"
+        assert (od.phase1, od.phase2) == (auto.phase1, auto.phase2) == (len(od), 0)
+        compressed = [frozenset(k >> 1 for k in c.key_set) for c in od.circuits]
+        assert compressed == [c.key_set for c in auto.circuits]
 
     def test_orbits_are_shift_closed(self):
         od = orbit_decompose(5)
-        for orbit in od.orbits:
+        for orbit in od.circuits:
             keys = orbit.key_set
             for v in orbit:
                 assert cyclic_shift(v, 1).key in keys

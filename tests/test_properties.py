@@ -6,8 +6,10 @@ extract_any_circuit must return the first elimination dependency. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
 exhaustive max of ceil(|N| / rank(N)), every decomposer and odd-cover builder
 to the exact oracles, the peel family to reference loops that rebuild a
-BinaryMatroid per step, and exact_c and its component split to a
-union-find over the whole circuit catalogue. Every decomposer returns
+BinaryMatroid per step, exact_c and its component split to a
+union-find over the whole circuit catalogue, intersection_lower_bound to
+that catalogue's largest circuit, and the restricted exact_c2 to the
+ambient search on an injective copy. Every decomposer returns
 peel_decompose's circuits; they differ only in their branch and phase
 labels.
 """
@@ -44,7 +46,14 @@ from bmcircuits.gf2core import (
 )
 from bmcircuits.generators import complete_matroid, random_eulerian
 from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
-from bmcircuits.oracle import _components, enumerate_circuits, exact_c, exact_c2
+from bmcircuits.oracle import (
+    _components,
+    c2_search_is_restricted,
+    enumerate_circuits,
+    exact_c,
+    exact_c2,
+    intersection_lower_bound,
+)
 
 
 @st.composite
@@ -395,6 +404,14 @@ def test_exact_c_matches_catalogue_reference(m):
         assert exact_c(sample) == reference_exact_c(masks, groups)
 
 
+@given(tiny_eulerian_matroids())
+def test_intersection_lower_bound_matches_the_whole_catalogue(m):
+    for sample in (m, with_triangle(m)):
+        largest = enumerate_circuits(sample).max_size()
+        expected = math.ceil(len(sample) / max(rank(sample), largest))
+        assert intersection_lower_bound(sample) == expected
+
+
 @st.composite
 def dim4_eulerian_matroids(draw):
     """Dimension at most 4, where exact_c2 searches the whole ambient space."""
@@ -408,3 +425,23 @@ def test_exact_c2_bounds_every_odd_cover(m):
     c2 = exact_c2(m)
     assert c2 <= len(symdiff_reduce(m))
     assert c2 <= len(oddcover_via_arboricity(m)[1])
+
+
+@given(dim4_eulerian_matroids(), st.lists(st.integers(1, 63), min_size=4, max_size=4))
+def test_restricted_exact_c2_matches_the_ambient_search(m, images):
+    """A full-rank m mapped injectively into F_2^6 has the same c2: the
+    restricted search over its span sees a copy of the ambient space of m."""
+    assume(rank(m) == m.dim)
+    images = images[:m.dim]
+    assume(rank(BinaryMatroid.from_keys(6, set(images))) == m.dim)
+
+    def image(key):
+        out = 0
+        for j, b in enumerate(images):
+            if key >> j & 1:
+                out ^= b
+        return out
+
+    embedded = BinaryMatroid.from_keys(6, (image(k) for k in m.key_set))
+    assert c2_search_is_restricted(embedded)
+    assert exact_c2(embedded) == exact_c2(m)
