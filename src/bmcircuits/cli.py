@@ -2,8 +2,11 @@
 
 Every subcommand prints exactly one JSON-lines record per instance on stdout
 with a fixed key set (missing values are null, never absent) and human
-diagnostics on stderr. Artifacts written to disk are re-read and re-verified
-before the command reports success.
+diagnostics on stderr. decompose, oddcover, arboricity and orbit end in one
+helper: it writes the artifact in the format of its kind (formats.
+ARTIFACT_KINDS), re-reads and re-checks the file with that kind's checker,
+and only then reports success. verify runs the same re-read and check on a
+given file.
 
 Exit codes: 0 success (verification PASS), 1 usage or input error (an
 unreadable or unwritable path included), 2 verification failure.
@@ -28,9 +31,7 @@ from .decompose import (
 )
 from .errors import BmcError, OrderConditionError
 from .formats import (
-    check_decomposition,
-    check_oddcover,
-    check_partition,
+    ARTIFACT_KINDS,
     format_bm,
     format_bmdec,
     parse_bm,
@@ -110,31 +111,36 @@ def _quotient_bound(m: BinaryMatroid) -> int:
     return -(-len(m) // (rank(m) + 1))
 
 
-def _check_circuits(m: BinaryMatroid, dim: int, blocks) -> str | None:
-    """check_decomposition, then the quotient bound that every decomposition meets."""
-    reason = check_decomposition(m, dim, blocks)
-    if reason is None and len(blocks) < _quotient_bound(m):
-        reason = "circuit count below the quotient lower bound (verifier bug)"
-    return reason
-
-
-_CHECKERS = {
-    "decomposition": _check_circuits,
-    "oddcover": check_oddcover,
-    "partition": check_partition,
-}
-
-
-def _verify_artifact(mode: str, m: BinaryMatroid, path: str, text: str | None = None):
-    """Check the file at path against m with mode's checker, writing text there
-    first if given. Prints a failure to stderr; returns (parsed file, passed)."""
-    if text is not None:
-        Path(path).write_text(text)
+def _check_file(kind: str, m: BinaryMatroid, path: str):
+    """Check the file at path against m with the checker of artifact kind.
+    Prints a failure to stderr; returns (parsed file, passed)."""
     dec = parse_bmdec(Path(path).read_text())
-    reason = _CHECKERS[mode](m, dec.dim, dec.blocks)
+    reason = ARTIFACT_KINDS[kind].check(m, dec.dim, dec.blocks)
     if reason is not None:
         print(f"verification failed: {reason}", file=sys.stderr)
     return dec, reason is None
+
+
+def _write_checked(kind: str, m: BinaryMatroid, out: str, blocks, elapsed: float,
+                   meta: dict | None = None, **fields) -> int:
+    """Write blocks to out as an artifact of kind, re-read and check it against
+    m, and emit the record with the fields every artifact command shares.
+    Returns the exit code: 0 if the file passed, 2 if not."""
+    spec = ARTIFACT_KINDS[kind]
+    Path(out).write_text(format_bmdec(spec.dec_kind, m.dim, blocks, meta, spec.block_comment))
+    _, verified = _check_file(kind, m, out)
+    _emit(circuits=len(blocks), quotient_bound=_quotient_bound(m), out=out,
+          wall_time_s=round(elapsed, 6), verified=verified, **_matroid_stats(m), **fields)
+    return 0 if verified else 2
+
+
+# lambdas look each name up when called, so bmbench's re-bound (traced) ones run
+_DECOMPOSERS = {
+    "auto": lambda m, eps: auto_decompose(m, eps),
+    "dense": lambda m, eps: dense_decompose(m, DenseParams.from_epsilon(eps)),
+    "log": lambda m, eps: log_greedy_decompose(m),
+    "peel": lambda m, eps: peel_decompose(m),
+}
 
 
 def _fraction(text: str) -> Fraction:
@@ -159,7 +165,7 @@ def build_parser() -> _Parser:
 
     d = sub.add_parser("decompose", help="decompose a matroid into disjoint circuits")
     d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--method", default="auto", choices=["auto", "dense", "log", "peel"])
+    d.add_argument("--method", default="auto", choices=list(_DECOMPOSERS))
     d.add_argument("--eps", type=_fraction, default="1/2")
     d.add_argument("--out", required=True)
 
@@ -187,8 +193,7 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="re-verify an emitted artifact")
     v.add_argument("--in", dest="infile", required=True)
     v.add_argument("--against", required=True)
-    v.add_argument("--mode", required=True,
-                   choices=list(_CHECKERS))
+    v.add_argument("--mode", required=True, choices=list(ARTIFACT_KINDS))
 
     b = sub.add_parser("bench", help="run the quick built-in suite")
     b.add_argument("--seed", type=int, default=0)
@@ -235,35 +240,14 @@ def _cmd_gen(args) -> int:
 def _cmd_decompose(args) -> int:
     m = _read_matroid(args.infile)
     start = time.perf_counter()
-    if args.method == "auto":
-        dec = auto_decompose(m, args.eps)
-    elif args.method == "dense":
-        dec = dense_decompose(m, DenseParams.from_epsilon(args.eps))
-    elif args.method == "log":
-        dec = log_greedy_decompose(m)
-    else:
-        dec = peel_decompose(m)
+    dec = _DECOMPOSERS[args.method](m, args.eps)
     elapsed = time.perf_counter() - start
     meta = {"branch": dec.branch, "phase1": dec.phase1, "phase2": dec.phase2}
-    text = format_bmdec(
-        "circuits", m.dim, [c.elements for c in dec.circuits], meta=meta
-    )
-    _, verified = _verify_artifact("decomposition", m, args.out, text)
-    _emit(
-        instance=Path(args.infile).stem,
-        algorithm=f"decompose-{args.method}",
-        circuits=len(dec.circuits),
+    return _write_checked(
+        "decomposition", m, args.out, dec.circuits, elapsed, meta, **meta,
+        instance=Path(args.infile).stem, algorithm=f"decompose-{args.method}",
         prop4=density_lower_bound(m) if len(m) else 0,
-        quotient_bound=_quotient_bound(m),
-        branch=dec.branch,
-        phase1=dec.phase1,
-        phase2=dec.phase2,
-        out=args.out,
-        wall_time_s=round(elapsed, 6),
-        verified=verified,
-        **_matroid_stats(m),
     )
-    return 0 if verified else 2
 
 
 def _cmd_oddcover(args) -> int:
@@ -275,21 +259,11 @@ def _cmd_oddcover(args) -> int:
         cover = symdiff_reduce(m)
         a_value = None
     elapsed = time.perf_counter() - start
-    text = format_bmdec("oddcover", m.dim, [c.elements for c in cover.circuits])
-    _, verified = _verify_artifact("oddcover", m, args.out, text)
-    _emit(
-        instance=Path(args.infile).stem,
-        algorithm=f"oddcover-{args.method}",
-        circuits=len(cover.circuits),
-        prop4=density_lower_bound(m) if len(m) else 0,
-        quotient_bound=_quotient_bound(m),
-        arboricity=a_value,
-        out=args.out,
-        wall_time_s=round(elapsed, 6),
-        verified=verified,
-        **_matroid_stats(m),
+    return _write_checked(
+        "oddcover", m, args.out, cover.circuits, elapsed,
+        instance=Path(args.infile).stem, algorithm=f"oddcover-{args.method}",
+        prop4=density_lower_bound(m) if len(m) else 0, arboricity=a_value,
     )
-    return 0 if verified else 2
 
 
 def _cmd_arboricity(args) -> int:
@@ -297,22 +271,10 @@ def _cmd_arboricity(args) -> int:
     start = time.perf_counter()
     a_value, partition = arboricity(m)
     elapsed = time.perf_counter() - start
-    text = format_bmdec(
-        "indsets", m.dim, [p for p in partition.parts], block_comment="independent-set"
+    return _write_checked(
+        "partition", m, args.out, partition.parts, elapsed,
+        instance=Path(args.infile).stem, algorithm="arboricity", arboricity=a_value,
     )
-    _, verified = _verify_artifact("partition", m, args.out, text)
-    _emit(
-        instance=Path(args.infile).stem,
-        algorithm="arboricity",
-        arboricity=a_value,
-        circuits=len(partition.parts),
-        quotient_bound=_quotient_bound(m),
-        out=args.out,
-        wall_time_s=round(elapsed, 6),
-        verified=verified,
-        **_matroid_stats(m),
-    )
-    return 0 if verified else 2
 
 
 def _cmd_orbit(args) -> int:
@@ -346,79 +308,48 @@ def _cmd_orbit(args) -> int:
     dec = orbit_decompose(args.p)  # OrderConditionError surfaces as input error
     elapsed = time.perf_counter() - start
     model = dec.source
-    blocks = [c.elements for c in dec.circuits]
+    blocks = dec.circuits
     if args.compress:
         # the model holds key k at index (k >> 1) - 1 (build_even_weight_model),
         # and compression keeps the order: element i maps to element i
         model = compress_even_weight(model)
         blocks = [tuple(model.elements[(v.key >> 1) - 1] for v in block) for block in blocks]
-    text = format_bmdec("circuits", model.dim, blocks, meta={"p": args.p})
-    _, verified = _verify_artifact("decomposition", model, args.out, text)
-    _emit(
-        instance=f"orbit-p{args.p}",
-        algorithm="orbit",
-        p=args.p,
-        order=args.p - 1,
-        circuits=len(dec.circuits),
-        quotient_bound=_quotient_bound(model),
-        out=args.out,
-        wall_time_s=round(elapsed, 6),
-        verified=verified,
-        **_matroid_stats(model),
+    return _write_checked(
+        "decomposition", model, args.out, blocks, elapsed, {"p": args.p},
+        instance=f"orbit-p{args.p}", algorithm="orbit", p=args.p, order=args.p - 1,
     )
-    return 0 if verified else 2
+
+
+# the record fields of each oracle --what, computed inside the timed section;
+# _emit drops the report fields that are not record fields
+_ORACLES = {
+    "c": lambda m: {"c": exact_c(m)},
+    "c2": lambda m: {"c2_restricted": c2_search_is_restricted(m), "c2": exact_c2(m)},
+    "circuits": lambda m: {"circuits": len(enumerate_circuits(m).masks)},
+    "conjectures": lambda m: probe_conjectures(m).to_dict(),
+}
 
 
 def _cmd_oracle(args) -> int:
     m = _read_matroid(args.infile)
     stats = _matroid_stats(m)
     start = time.perf_counter()
-    if args.what == "c":
-        value = exact_c(m)
-        _emit(
-            instance=Path(args.infile).stem, algorithm="oracle-c", c=value,
-            prop4=density_lower_bound(m) if len(m) else 0,
-            wall_time_s=round(time.perf_counter() - start, 6),
-            verified=True, **stats,
-        )
-    elif args.what == "c2":
-        restricted = c2_search_is_restricted(m)
-        value = exact_c2(m)
-        _emit(
-            instance=Path(args.infile).stem, algorithm="oracle-c2",
-            c2=value, c2_restricted=restricted,
-            wall_time_s=round(time.perf_counter() - start, 6),
-            verified=True, **stats,
-        )
-    elif args.what == "circuits":
-        catalog = enumerate_circuits(m)
-        _emit(
-            instance=Path(args.infile).stem, algorithm="oracle-circuits",
-            circuits=len(catalog.masks),
-            wall_time_s=round(time.perf_counter() - start, 6),
-            verified=True, **stats,
-        )
-    else:
-        report = probe_conjectures(m)
-        record = report.to_dict()
-        _emit(
-            instance=Path(args.infile).stem, algorithm="oracle-conjectures",
-            c=record["c"], c2=record["c2"], c2_restricted=record["c2_restricted"],
-            a=record["a"], prop4=record["prop4"],
-            conj1=record["conj1"], conj2=record["conj2"],
-            wall_time_s=round(time.perf_counter() - start, 6),
-            verified="VIOLATION" not in (record["conj1"], record["conj2"]),
-            **stats,
-        )
-        if "VIOLATION" in (record["conj1"], record["conj2"]):
-            print("conjecture VIOLATION: inspect this instance", file=sys.stderr)
-            return 2
+    fields = _ORACLES[args.what](m)
+    elapsed = time.perf_counter() - start
+    if args.what == "c":  # a bound reported next to c, not part of its search
+        fields["prop4"] = density_lower_bound(m) if len(m) else 0
+    verified = "VIOLATION" not in (fields.get("conj1"), fields.get("conj2"))
+    _emit(**(stats | fields), instance=Path(args.infile).stem,
+          algorithm=f"oracle-{args.what}", wall_time_s=round(elapsed, 6), verified=verified)
+    if not verified:
+        print("conjecture VIOLATION: inspect this instance", file=sys.stderr)
+        return 2
     return 0
 
 
 def _cmd_verify(args) -> int:
     m = _read_matroid(args.infile)
-    dec, verified = _verify_artifact(args.mode, m, args.against)
+    dec, verified = _check_file(args.mode, m, args.against)
     _emit(
         instance=Path(args.infile).stem,
         algorithm=f"verify-{args.mode}",

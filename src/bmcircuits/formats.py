@@ -8,7 +8,8 @@ Comment lines start with '#'; blank lines are ignored. Duplicate vector
 lines and the all-zeros line are format errors.
 
 .bmdec --- a list of vector blocks against one dimension:
-    <kind> <count>          kind is circuits | oddcover | indsets
+    <kind> <count>          kind is circuits | oddcover | indsets, one per
+                            artifact kind of ARTIFACT_KINDS
     dim <n>
     <blocks of vector lines separated by blank lines, each optionally
      preceded by '# ...' comments>
@@ -20,13 +21,13 @@ Parsers report 1-based line numbers on every error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .circuits import Circuit, is_circuit
 from .errors import FormatError, OutOfRangeError
 from .gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector
 
-DEC_KINDS = ("circuits", "oddcover", "indsets")
+_Blocks = Sequence[Collection[Gf2Vector]]
 
 
 def _parse_dim(token_line: str, lineno: int) -> int:
@@ -140,7 +141,7 @@ def parse_bmdec(text: str) -> DecFile:
 def format_bmdec(
     kind: str,
     dim: int,
-    blocks: list[tuple[Gf2Vector, ...]],
+    blocks: _Blocks,
     meta: dict | None = None,
     block_comment: str | None = None,
 ) -> str:
@@ -158,9 +159,6 @@ def format_bmdec(
     return "\n".join(lines) + "\n"
 
 
-_Blocks = Sequence[Collection[Gf2Vector]]
-
-
 def _dimension_reason(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
     if dim != m.dim:
         return f"dimension mismatch: {dim} vs {m.dim}"
@@ -171,7 +169,11 @@ def _dimension_reason(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None
 
 
 def check_decomposition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
-    """None if the blocks are disjoint circuits whose union is m, else a reason."""
+    """None if the blocks are disjoint circuits whose union is m, else a reason.
+
+    Blocks that pass always meet the quotient bound ceil(|m| / (rank(m) + 1)):
+    each circuit C inside m has |C| = rank(C) + 1 <= rank(m) + 1 elements.
+    """
     reason = _dimension_reason(m, dim, blocks)
     if reason is not None:
         return reason
@@ -250,3 +252,22 @@ def check_partition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
     if seen != m.key_set:
         return "union of blocks differs from the matroid"
     return None
+
+
+class ArtifactKind(NamedTuple):
+    """How one artifact kind is written (.bmdec kind line, per-block comment)
+    and checked against its source matroid."""
+
+    dec_kind: str
+    block_comment: str | None
+    check: Callable[[BinaryMatroid, int, _Blocks], str | None]
+
+
+# each checker is looked up when called, so a wrapper installed on the module
+# attribute (bmbench's tracer) also sees the checks made through this table
+ARTIFACT_KINDS = {
+    "decomposition": ArtifactKind("circuits", None, lambda *a: check_decomposition(*a)),
+    "oddcover": ArtifactKind("oddcover", None, lambda *a: check_oddcover(*a)),
+    "partition": ArtifactKind("indsets", "independent-set", lambda *a: check_partition(*a)),
+}
+DEC_KINDS = tuple(kind.dec_kind for kind in ARTIFACT_KINDS.values())

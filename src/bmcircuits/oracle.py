@@ -178,8 +178,14 @@ def exact_c2(m: BinaryMatroid) -> int:
     C2_DEPTH_CAP circuits.
 
     States are bitmasks over the ambient complete matroid; moves XOR in one
-    ambient circuit. Memoization stores the deepest remaining budget that
-    already failed from a state. When the search is restricted to span(M)
+    ambient circuit. No state needs a memo of failed budgets: the ambient
+    dimension is at most 4, where breadth-first search over the cycle space
+    gives every Eulerian set an odd-cover of at most 3 circuits of at most 5
+    elements, and every set that needs 3 has at least 11 > 2 * 5 elements. So
+    a node with two or more circuits left either fails the size bound or
+    succeeds, and no node exhausts its children.
+
+    When the search is restricted to span(M)
     (see c2_search_is_restricted) the result is still an upper bound for the
     restricted problem and at most exact_c(m). The restricted search takes
     each element's expansion mask in one greedy basis as its coordinates in
@@ -205,8 +211,6 @@ def exact_c2(m: BinaryMatroid) -> int:
     for k in keys:
         target |= 1 << (k - 1)
 
-    memo: dict[int, int] = {}
-
     def dfs(state: int, remaining: int) -> bool:
         diff = state ^ target
         if diff == 0:
@@ -217,16 +221,9 @@ def exact_c2(m: BinaryMatroid) -> int:
             return False
         if remaining == 1:
             return diff in mask_set
-        if memo.get(state, -1) >= remaining:
-            return False
-        for mk in masks:
-            if dfs(state ^ mk, remaining - 1):
-                return True
-        memo[state] = remaining
-        return False
+        return any(dfs(state ^ mk, remaining - 1) for mk in masks)
 
     for t in range(C2_DEPTH_CAP + 1):
-        memo.clear()
         if dfs(0, t):
             return t
     raise TooLargeError(f"no odd-cover found within depth {C2_DEPTH_CAP}")

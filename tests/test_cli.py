@@ -1,5 +1,10 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +218,21 @@ class TestOracleCli:
         rec = records(capsys)[-1]
         assert rec["c"] == 3 and rec["conj1"] == "CONSISTENT"
 
+    def test_c_wall_time_excludes_the_density_bound(self, tmp_path, capsys, monkeypatch):
+        m = tmp_path / "m.bm"
+        run(["gen", "--kind", "copies", "--k", "6", "--s", "2", "--out", str(m)])
+        real = cli.density_lower_bound
+
+        def slow(matroid):
+            time.sleep(0.2)
+            return real(matroid)
+
+        monkeypatch.setattr(cli, "density_lower_bound", slow)
+        assert run(["oracle", "--in", str(m), "--what", "c"]) == 0
+        rec = records(capsys)[-1]
+        assert rec["c"] == 6 and rec["prop4"] == 2  # ceil(18 / (12 + 1))
+        assert rec["wall_time_s"] < 0.1
+
     def test_circuit_count(self, tmp_path, capsys):
         m = tmp_path / "m.bm"
         run(["gen", "--kind", "complete", "--n", "3", "--out", str(m)])
@@ -242,3 +262,47 @@ class TestBench:
         assert all(r["verified"] for r in recs)
         # c2 is the exact oracle's key; bench computes only the heuristic cover
         assert all(r["c2"] is None for r in recs)
+
+
+#: Golden CLI runs: per scenario, the argv of each step (with {tmp} for the
+#: scratch directory) and its exit code, stdout (JSON records parsed, with
+#: wall_time_s nulled), stderr and the sha256 of the file named by --out.
+CLI_PINS = Path(__file__).parent / "data" / "cli_pins.json"
+
+
+def observe(argv, tmp):
+    """Run one command in-process and return what the pins record of it."""
+    argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    stdout = []
+    for line in out.getvalue().replace(str(tmp), "{tmp}").splitlines():
+        if line.startswith("{"):
+            line = json.loads(line)
+            line["wall_time_s"] = None
+        stdout.append(line)
+    artifact = None
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        if path.is_file():
+            artifact = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {
+        "exit": code,
+        "stdout": stdout,
+        "stderr": err.getvalue().replace(str(tmp), "{tmp}"),
+        "artifact": artifact,
+    }
+
+
+@pytest.mark.parametrize(
+    "scenario", json.loads(CLI_PINS.read_text()), ids=lambda s: s["name"]
+)
+def test_golden_cli_pins(scenario, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal
+    for step in scenario["steps"]:
+        expected = {key: step[key] for key in ("exit", "stdout", "stderr", "artifact")}
+        assert observe(step["argv"], tmp_path) == expected, step["argv"]

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from bmcircuits import oddcover
 from bmcircuits.arboricity import arboricity
+from bmcircuits.circuits import Circuit
 from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooLargeError, TooSmallError
 from bmcircuits.gf2core import (
     BinaryMatroid,
@@ -12,6 +14,7 @@ from bmcircuits.gf2core import (
     rank,
 )
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
+from bmcircuits.formats import check_oddcover
 from bmcircuits.oddcover import (
     OddCover,
     complete_to_circuit,
@@ -125,6 +128,31 @@ class TestOddcoverViaArboricity:
             assert a_cover == a
             check_cover(m, cover)
             assert len(cover.circuits) <= math.ceil(4 * a / 3)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_overspent_reduction_falls_back_to_peeling(self, n, monkeypatch):
+        # three circuits whose XOR is empty: {e1, e2, e1+e2}, {e1+e2, e3,
+        # e1+e2+e3} and {e1, e2, e3, e1+e2+e3} push the reduction greedy
+        # past ceil(4a/3) without changing what it covers
+        padding = [Circuit.from_keys(n, keys) for keys in ((1, 2, 3), (3, 4, 7), (1, 2, 4, 7))]
+        reduced, peeled = [], []
+        real_reduce, real_peel = oddcover.symdiff_reduce, oddcover.peel_decompose
+
+        def padded_reduce(remainder):
+            reduced.append(remainder.key_set)
+            return OddCover(remainder, real_reduce(remainder).circuits + tuple(padding))
+
+        def recorded_peel(remainder):
+            peeled.append(remainder.key_set)
+            return real_peel(remainder)
+
+        monkeypatch.setattr(oddcover, "symdiff_reduce", padded_reduce)
+        monkeypatch.setattr(oddcover, "peel_decompose", recorded_peel)
+        m = complete_matroid(n)
+        a, cover = oddcover_via_arboricity(m)
+        assert peeled == reduced and len(peeled) == 1  # the remainder was peeled
+        assert check_oddcover(m, m.dim, cover.circuits) is None
+        assert len(cover.circuits) <= math.ceil(4 * a / 3)
 
     def test_parity_counting_matches_definition(self):
         # count occurrences per vector: odd inside M, even outside

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -145,7 +146,43 @@ class TestExactC:
             assert c >= math.ceil(len(m) / (rank(m) + 1))
 
 
+def cycle_space_distances(d):
+    """Fewest circuits of the complete matroid of F_2^d whose XOR is each
+    Eulerian subset (bit i = key i + 1), by breadth-first search from the
+    empty set; and the largest circuit size."""
+    catalog = enumerate_circuits(complete_matroid(d))
+    dist = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for mk in catalog.masks:
+                if state ^ mk not in dist:
+                    dist[state ^ mk] = dist[state] + 1
+                    nxt.append(state ^ mk)
+        frontier = nxt
+    return dist, catalog.max_size()
+
+
 class TestExactC2:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_no_failed_budget_is_worth_remembering(self, d):
+        # the facts exact_c2's docstring rests on: c2 <= 3, circuits have at
+        # most 5 elements, and every set with c2 = 3 is over twice that size
+        dist, max_size = cycle_space_distances(d)
+        assert len(dist) == 2 ** ((1 << d) - 1 - d)  # every Eulerian subset
+        assert max(dist.values()) <= 3 and max_size <= 5
+        assert all(s.bit_count() > 2 * max_size for s, c2 in dist.items() if c2 == 3)
+
+    def test_matches_breadth_first_search(self):
+        dist, _ = cycle_space_distances(4)
+        hardest = [s for s, c2 in dist.items() if c2 == 3]
+        others = sorted(s for s, c2 in dist.items() if 0 < c2 < 3)
+        assert len(hardest) == 141
+        for s in hardest + random.Random(0).sample(others, 50):
+            keys = [i + 1 for i in range(15) if s >> i & 1]
+            assert exact_c2(BinaryMatroid.from_keys(4, keys)) == dist[s]
+
     def test_triangle(self):
         assert exact_c2(triangle()) == 1
 
