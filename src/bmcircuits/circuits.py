@@ -3,8 +3,9 @@
 A circuit is a minimal nonempty zero-sum subset: XOR of its elements is zero
 and its rank is size - 1. In a simple binary matroid every circuit has at
 least 3 elements. All functions here are pure and safe to call concurrently,
-except that largest_fundamental_circuit lowers the rank bound of a
-WorkingSet it is given, which the set's single owner then reuses.
+except that largest_fundamental_circuit builds the peel state of a
+WorkingSet it is given, and lowers its rank bound, which the set's single
+owner then reuses.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from math import comb
 from operator import xor
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateMemberError,
     EmptyMatroidError,
     NotEulerianError,
     OutOfRangeError,
-    TooSmallError,
 )
 from .gf2core import (
     BinaryMatroid,
@@ -154,9 +156,13 @@ class WorkingSet:
     circuit whose elements lie in the span of the keys. ``total``, the XOR
     of the keys, never changes: circuits sum to zero, and keys change only
     through remove and toggle.
+
+    The first largest_fundamental_circuit call also builds the peel state
+    (see rref), which remove then keeps current and toggle drops; a set
+    that is never searched, such as symdiff_reduce's, never builds it.
     """
 
-    __slots__ = ("dim", "keys", "elements", "bound", "total")
+    __slots__ = ("dim", "keys", "elements", "bound", "total", "_at", "_rows")
 
     def __init__(self, m: BinaryMatroid):
         self.dim = m.dim
@@ -164,6 +170,7 @@ class WorkingSet:
         self.elements = list(m.elements)
         self.bound = m.dim
         self.total = reduce(xor, self.keys, 0)
+        self._rows: dict[int, int] | None = None  # the peel state, with _at; see rref
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -175,13 +182,83 @@ class WorkingSet:
     def circuit(self, keys: Iterable[int]) -> Circuit:
         return Circuit(self.vectors(keys))
 
+    def rref(self) -> tuple[list[int], dict[int, int]]:
+        """The peel state: positions and the reduced row-echelon form over them.
+
+        Position j is index j of the keys at the first call, and the first
+        list returned maps positions back to keys. The dict maps each pivot
+        position to its row, an int whose bit j is element j's coefficient
+        on the basis element at the pivot. The pivot is the row's lowest set
+        bit and is set in no other row. The rows are those of the transposed
+        matrix of elements, restricted to the positions still present, so
+        the pivots are its column rank profile (Dumas, Pernet, Sultan, ISSAC
+        2015): the first-seen basis of the keys, as greedy_basis finds it.
+        A position still present is set in some row, since its key is
+        nonzero, and a removed one in none.
+
+        Built once from greedy_basis and expansion_masks: row i gathers bit
+        i of every expansion mask, a bit-matrix transpose done on numpy bit
+        arrays, little-endian on both sides.
+        """
+        if self._rows is None:
+            keys = self.keys
+            basis, rows = greedy_basis(keys, self.dim, self.bound)
+            self.bound = r = len(basis)
+            width = (r + 7) // 8
+            masks = b"".join(mask.to_bytes(width, "little")
+                             for mask in expansion_masks(keys, rows, self.dim))
+            bits = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(len(keys), width),
+                                 axis=1, count=r, bitorder="little")
+            packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+            flat, stride = packed.tobytes(), packed.shape[1]
+            self._at = list(keys)
+            self._rows = {}
+            for i in range(0, len(flat), stride):
+                row = int.from_bytes(flat[i:i + stride], "little")
+                self._rows[(row & -row).bit_length() - 1] = row
+        return self._at, self._rows
+
     def remove(self, c: Circuit) -> None:
+        """Delete c's elements, and project the peel state off their positions.
+
+        No row holds another row's pivot, and masking only clears bits. So
+        a row that holds no removed position stays as it is, and the rows
+        that do, once masked, hold no pivot of a kept row: they are reduced
+        among themselves, and each new pivot is then cleared from the kept
+        rows. For a fundamental circuit of position j, the rows hit are those
+        that hold j, and a step costs O(|c| * rank) big-int operations.
+        """
         for key in c.key_set:
             i = bisect_left(self.keys, key)
             del self.keys[i], self.elements[i]
+        rows = self._rows
+        if rows is None:
+            return
+        gone = sum(1 << bisect_left(self._at, key) for key in c.key_set)
+        keep = ~gone
+        fresh: dict[int, int] = {}  # new pivot -> row, reduced among themselves
+        pivots = 0  # the new pivots' bits
+        for p in [p for p, row in rows.items() if row & gone]:
+            row = rows.pop(p) & keep
+            for q in _mask_indices(row & pivots):
+                row ^= fresh[q]
+            if row:
+                low = row & -row
+                for q, other in fresh.items():
+                    if other & low:
+                        fresh[q] = other ^ row
+                fresh[low.bit_length() - 1] = row
+                pivots |= low
+        for p, row in rows.items():
+            if row & pivots:
+                for q in _mask_indices(row & pivots):
+                    row ^= fresh[q]
+                rows[p] = row
+        rows.update(fresh)
 
     def toggle(self, c: Circuit) -> None:
-        """Symmetric difference with c, in place."""
+        """Symmetric difference with c, in place. Positions move, so the
+        peel state is dropped; the next search rebuilds it."""
         keys = self.keys
         for v in c:
             i = bisect_left(keys, v.key)
@@ -190,6 +267,7 @@ class WorkingSet:
             else:
                 keys.insert(i, v.key)
                 self.elements.insert(i, v)
+        self._rows = None
 
 
 def _working_set(n: BinaryMatroid | WorkingSet) -> WorkingSet:
@@ -208,27 +286,38 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     max_independent_subset); the maximum runs over all fundamental circuits
     of elements outside it, ties going to the smallest element in canonical
     order. The result has at least guaranteed_circuit_size(|n|, rank(n))
-    elements.
+    elements. A nonempty Eulerian set of distinct nonzero keys has at least
+    three elements and a dependent one, whose expansion has at least two
+    terms; a basis element's has one.
 
-    Peeling loops pass their WorkingSet. Its bound stops the greedy basis
-    early, which gives the same basis as a full scan, and is lowered to the
-    rank found here. Every element is expanded at once through one byte
-    table per 8 bits of the basis rows (gf2core.expansion_masks).
-    Basis elements need no skipping: their expansions have one term, a
-    non-basis element's at least two.
+    The search reads the working set's reduced row-echelon form (see
+    WorkingSet.rref): element j's fundamental circuit is j plus the pivots
+    of the rows that hold bit j. Vertical bit-sliced counters over the rows
+    (Knuth, TAOCP 4A, 7.1.3) hold every column's count at once: counts[k]
+    has bit j set when bit k of column j's count is. Narrowing from the top
+    counter down leaves the columns of the largest count, and the lowest of
+    them is the first of the largest. A peeling loop passes its WorkingSet,
+    so the elimination runs once per decomposition and each step costs
+    O(rank * log rank) big-int operations here, plus the upkeep in remove.
     """
     work = _working_set(n)
-    if len(work) < 3:
-        raise TooSmallError("need at least 3 elements")
-    keys = work.keys
-    basis, rows = greedy_basis(keys, work.dim, work.bound)
-    work.bound = len(basis)
-    masks = expansion_masks(keys, rows, work.dim)
-    best = max(masks, key=int.bit_count)  # the first of the largest
-    if best.bit_count() < 2:
-        raise NotEulerianError("no dependent element found")
-    support = [b for j, b in enumerate(basis) if best >> j & 1]
-    return work.circuit(support + [keys[masks.index(best)]])
+    at, rows = work.rref()
+    counts: list[int] = []
+    for carry in rows.values():
+        for k, count in enumerate(counts):
+            counts[k] = count ^ carry
+            carry &= count
+            if not carry:
+                break
+        else:
+            counts.append(carry)
+    best = counts.pop()
+    for count in reversed(counts):
+        if best & count:
+            best &= count
+    low = best & -best
+    support = [at[p] for p, row in rows.items() if row & low]
+    return work.circuit(support + [at[low.bit_length() - 1]])
 
 
 def extract_any_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:

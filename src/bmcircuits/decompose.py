@@ -9,10 +9,12 @@ the quotient bound, and otherwise lets a density test pick the labels.
 
 Each run is a single-threaded state machine over its own circuits.WorkingSet,
 an ascending list of int keys: a peeled circuit leaves it by bisect deletion,
-and a Circuit is built once per emitted circuit. Peeling never raises the
-rank, so each step's greedy basis stops at the previous step's rank; the
-basis, and with it every tie-break, is the one a full scan would find.
-Separate runs may proceed in parallel.
+and a Circuit is built once per emitted circuit. The set eliminates once per
+run: its first search builds the reduced row-echelon form of the transposed
+elements, from which every step reads all fundamental circuits at once, and
+each removal updates only the rows that hold a removed position. The pivots
+stay the first-seen basis of the elements left, so every tie-break is the
+one a fresh scan of them would find. Separate runs may proceed in parallel.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def _meets_pow2(size: int, exponent: float) -> bool:
 def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda work: True) -> Decomposition:
     """Remove the largest fundamental circuit until nothing is left.
 
-    Each step is largest_fundamental_circuit on the working set: a greedy
-    basis that stops at the previous step's rank, then one byte-table
-    expansion scan of every element (see gf2core.expansion_masks).
+    Each step is largest_fundamental_circuit on the working set, which
+    reads its column counts off the set's reduced row-echelon form, and
+    WorkingSet.remove, which updates the rows that held the circuit; the
+    form is built once, at the first step (see WorkingSet.rref).
     in_phase1(work) sees the working set before a step. Phase 1 ends at
     the first step it rejects and never resumes; the predicate only labels
     steps and never changes the circuits.

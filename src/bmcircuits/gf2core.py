@@ -341,9 +341,12 @@ def expansion_masks(keys: Sequence[int], rows: dict[int, int], dim: int) -> list
     """For each key, the mask of its unique expansion in the basis behind rows.
 
     ``rows`` is the row-echelon form that greedy_basis returns, and every key
-    must lie in its span (NotInSpanError otherwise). This is the
-    fundamental-circuit scan, after the Method of Four Russians (Arlazarov,
-    Dinic, Kronrod, Faradzev 1970; Albrecht, Bard, Hart, ACM TOMS 2010).
+    must lie in its span (NotInSpanError otherwise). The masks are every
+    fundamental circuit of that basis at once: a peel builds its state from
+    one call (circuits.WorkingSet.rref), and the oracles and the density
+    bound make one call per input. The scan follows the Method of Four
+    Russians (Arlazarov, Dinic, Kronrod, Faradzev 1970; Albrecht, Bard,
+    Hart, ACM TOMS 2010).
     Each 8-bit slice of the key that holds a pivot gets one table, mapping
     the slice to the XOR of rows that clears its pivot bits top down. That
     map is linear, so the table is built by doubling: each row is first

@@ -16,8 +16,16 @@ from bmcircuits.errors import (
     NotEulerianError,
     OutOfRangeError,
 )
-from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, is_eulerian, rank
+from bmcircuits.gf2core import (
+    BinaryMatroid,
+    Gf2Eliminator,
+    Gf2Vector,
+    is_eulerian,
+    max_independent_subset,
+    rank,
+)
 from bmcircuits.generators import complete_matroid, independent_copies
+from bmcircuits.oddcover import complete_to_circuit
 
 
 def vec(bits):
@@ -168,6 +176,16 @@ class TestWorkingSet:
             assert work.bound == rank(m)
             assert extract_any_circuit(work) == extract_any_circuit(m)
             assert work.keys == [v.key for v in m.elements]
+
+    def test_search_after_toggle_matches_a_fresh_matroid(self, small_corpus):
+        """toggle moves positions, so it must drop the state the first search built."""
+        for m in small_corpus:
+            work = WorkingSet(m)
+            largest_fundamental_circuit(work)
+            work.toggle(complete_to_circuit(max_independent_subset(m)))
+            if work:
+                fresh = BinaryMatroid.from_keys(m.dim, work.keys)
+                assert largest_fundamental_circuit(work) == largest_fundamental_circuit(fresh)
 
     def test_extract_all_empties_the_set(self, small_corpus):
         for m in small_corpus:

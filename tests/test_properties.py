@@ -6,7 +6,9 @@ extract_any_circuit must return the first elimination dependency. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
 exhaustive max of ceil(|N| / rank(N)), every decomposer and odd-cover builder
 to the exact oracles, the peel family to reference loops that rebuild a
-BinaryMatroid per step, exact_c and its component split to a
+BinaryMatroid per step and to the per-step basis-and-expansion scan that
+the peel state replaced (sparse high-rank inputs included), the peel
+state after each removal to a fresh build, exact_c and its component split to a
 union-find over the whole circuit catalogue, intersection_lower_bound to
 that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
@@ -26,7 +28,13 @@ from bmcircuits.arboricity import (
     can_partition,
     edmonds_max_bruteforce,
 )
-from bmcircuits.circuits import Circuit, extract_any_circuit, fundamental_circuit
+from bmcircuits.circuits import (
+    Circuit,
+    WorkingSet,
+    extract_any_circuit,
+    fundamental_circuit,
+    largest_fundamental_circuit,
+)
 from bmcircuits.decompose import (
     DenseParams,
     _meets_pow2,
@@ -41,7 +49,10 @@ from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
+    _mask_indices,
+    expansion_masks,
     express_in_basis,
+    greedy_basis,
     rank,
 )
 from bmcircuits.generators import complete_matroid, random_eulerian
@@ -301,6 +312,61 @@ def test_dense_matches_reference_loop(m):
     assert decomposition_outcome(auto_decompose(m, DENSE_EPSILON)) == outcome(*expected)
 
 
+@st.composite
+def sparse_high_rank_matroids(draw):
+    """Fewer elements than coordinates, so the rank is close to the size and
+    the peel state has about as many rows as columns."""
+    size = draw(st.integers(3, 24))
+    n = draw(st.integers(size + 1, 40))
+    return random_eulerian(n, size, draw(st.integers(0, 2**32 - 1)))
+
+
+def scan_decompose(m):
+    """Peel with the per-step scan the peel state replaced: each step takes
+    the greedy basis of the keys left and expands every key in it."""
+    keys, circuits = [v.key for v in m.elements], []
+    while keys:
+        basis, rows = greedy_basis(keys, m.dim, m.dim)
+        masks = expansion_masks(keys, rows, m.dim)
+        best = max(masks, key=int.bit_count)  # the first of the largest
+        circuit = sorted([b for i, b in enumerate(basis) if best >> i & 1]
+                         + [keys[masks.index(best)]])
+        circuits.append(circuit)
+        keys = [k for k in keys if k not in circuit]
+    return circuits
+
+
+@given(sparse_high_rank_matroids())
+def test_peel_matches_the_scan_and_the_reference_at_high_rank(m):
+    circuits = [[v.key for v in c] for c in peel_decompose(m).circuits]
+    assert circuits == scan_decompose(m)
+    assert circuits == outcome(*reference_decompose(m, lambda work: True))[0]
+
+
+def state_row_sets(work):
+    """The peel state's rows, each as the set of keys it holds."""
+    at, rows = work.rref()
+    return {frozenset(at[j] for j in _mask_indices(row)) for row in rows.values()}
+
+
+@given(st.one_of(tiny_eulerian_matroids(), near_complete_matroids(),
+                 sparse_high_rank_matroids()), st.booleans())
+def test_removal_keeps_the_peel_state_a_fresh_one(m, first_dependency):
+    """After each remove, the pivots are the greedy basis of the keys left and
+    the rows are those a fresh build finds, whether the removed circuit is
+    the largest fundamental one or the first dependency."""
+    work = WorkingSet(m)
+    largest_fundamental_circuit(work)  # builds the state
+    while work:
+        c = extract_any_circuit(work) if first_dependency else largest_fundamental_circuit(work)
+        work.remove(c)
+        at, rows = work.rref()
+        assert sorted(at[p] for p in rows) == greedy_basis(work.keys, m.dim, m.dim)[0]
+        if work:
+            fresh = WorkingSet(BinaryMatroid.from_keys(m.dim, work.keys))
+            assert state_row_sets(work) == state_row_sets(fresh)
+
+
 def check_peel_circuits_everywhere(m):
     peeled = peel_decompose(m)
     labelled = [log_greedy_decompose(m), auto_decompose(m), auto_decompose(m, DENSE_EPSILON)]
@@ -311,6 +377,7 @@ def check_peel_circuits_everywhere(m):
     for d in [peeled] + labelled:
         assert d.phase1 + d.phase2 == len(d)
         assert d.circuits == peeled.circuits
+    assert [[v.key for v in c] for c in peeled.circuits] == scan_decompose(m)
 
 
 @given(tiny_eulerian_matroids())
