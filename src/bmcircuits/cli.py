@@ -15,6 +15,7 @@ unreadable or unwritable path included), 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -155,7 +156,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: parse_args fills a fresh namespace
+    each call and no default is mutable, so commands share it safely."""
     p = _Parser(prog="bmcircuits", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -69,13 +69,15 @@ def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
 
     Draws `size` distinct nonzero vectors, then repairs the XOR defect s by
     toggling membership of s, so the result has size - 1, size, or size + 1
-    elements. Deterministic per seed. Raises InfeasibleError if the repair
-    keeps failing (only possible at the extreme size bounds).
+    elements. Deterministic per nonnegative seed. Raises InfeasibleError if
+    the repair keeps failing (only possible at the extreme size bounds).
     """
     if n < 2 or n > MAX_DIM:
         raise OutOfRangeError(f"need 2 <= n <= {MAX_DIM}")
     if not 3 <= size <= (1 << n) - 1:
         raise OutOfRangeError(f"size {size} not in 3..2^{n}-1")
+    if seed < 0:  # PCG64 takes only nonnegative seeds
+        raise OutOfRangeError(f"seed {seed} is negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(_REDRAW_LIMIT):
         chosen: set[int] = set()

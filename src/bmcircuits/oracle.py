@@ -4,11 +4,18 @@ Everything here is exponential by design and guarded by size limits: full
 circuit enumeration, exact minimum circuit decompositions, exact minimum
 odd-covers over a small ambient space, and conjecture probes that compare
 the exact values against the closed-form bounds.
+
+Circuit enumeration walks the cycle space of one greedy basis: subsets of
+the |M| - rank elements outside the basis, up to rank + 1 of them, each
+tested by a short reduction over rank-bit expansion masks. exact_c and
+intersection_lower_bound enumerate each connected component on its own;
+exact_c2 enumerates each ambient complete matroid once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 from .arboricity import arboricity
@@ -51,32 +58,73 @@ class CircuitCatalog:
 
 
 def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
-    """All minimal zero-sum subsets of m.
+    """All minimal zero-sum subsets of m, from the cycle space of one basis.
 
-    Each circuit C is discovered exactly once as S + {x} where S is the
-    independent set C minus its canonically largest element x and x equals
-    the XOR of S. The search walks independent subsets depth-first, so
-    dependent branches are cut immediately.
+    Let r be the rank of m, B the positions of its greedy basis, N the
+    other positions, and u_e (e in N) the expansion mask of e over B: its
+    fundamental circuit minus e. B is independent, so a zero-sum subset S
+    is fixed by A = S & N: S is A plus the basis positions in P, the XOR of
+    u_e over A. The search walks the subsets A of N depth-first in position
+    order, carrying P, and tests each one.
+
+    S is a circuit iff the vectors {u_e & ~P : e in A} have rank |A| - 1.
+    Proof: a subset S' of S is zero-sum iff A' = S' & N has its own P'
+    inside P, that is iff the u_e of A' XOR to zero outside P. Those A' are
+    the kernel of the map that sends A' to the XOR of u_e & ~P over A', so
+    the cycle space of S has dimension |A| minus that rank. A itself is in
+    the kernel, since P & ~P = 0; S is minimal iff the kernel holds nothing
+    else but the empty set. So the rank is at most |A| - 1, and it is
+    |A| - 1 iff no nonempty proper subset of A is in the kernel, iff the
+    vectors of A minus its last element are independent. The test reduces
+    those |A| - 1 vectors, r-bit ints, against each other.
+
+    A circuit has at most r + 1 elements, so a subset is tested only when
+    |A| + |P| <= r + 1, and the walk stops at |A| = r + 1. Each circuit C
+    is found once, at A = C & N, which is nonempty because B is independent.
     """
     if len(m) > ENUMERATION_LIMIT:
         raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
     keys = [v.key for v in m.elements]
+    basis, rows = greedy_basis(keys, m.dim, m.dim)
+    expansion = expansion_masks(keys, rows, m.dim)
     index_of = {k: i for i, k in enumerate(keys)}
+    basis_bits = [1 << index_of[k] for k in basis]  # element bit per basis position
+    in_basis = set(basis)
+    others = [(1 << i, expansion[i]) for i, k in enumerate(keys) if k not in in_basis]
+    limit = len(basis) + 1
     masks: list[int] = []
-    elim = Gf2Eliminator(track_witnesses=False)
 
-    def dfs(start: int, acc: int, chosen: int, size: int, last: int) -> None:
-        if size >= 2:
-            xi = index_of.get(acc)
-            if xi is not None and xi > last:
-                masks.append(chosen | (1 << xi))
-        for j in range(start, len(keys)):
-            inserted = elim.insert(keys[j])
-            if inserted is None:  # dependent additions cannot stay minimal
-                dfs(j + 1, acc ^ keys[j], chosen | (1 << j), size + 1, j)
-            elim.undo(inserted)
+    def independent(vecs: list[int], keep: int) -> bool:
+        pivots: dict[int, int] = {}
+        for v in vecs:
+            v &= keep
+            while v:
+                top = v.bit_length()
+                row = pivots.get(top)
+                if row is None:
+                    pivots[top] = v
+                    break
+                v ^= row
+            else:
+                return False
+        return True
 
-    dfs(0, 0, 0, 0, -1)
+    def dfs(start: int, chosen: int, vecs: list[int], p: int, size: int) -> None:
+        # vecs holds u_e of the chosen A; size is |A| once one more is added
+        for j in range(start, len(others)):
+            bit, u = others[j]
+            q = p ^ u
+            if size + q.bit_count() <= limit and independent(vecs, ~q):
+                mk = chosen | bit
+                for b in _mask_indices(q):
+                    mk |= basis_bits[b]
+                masks.append(mk)
+            if size < limit:
+                vecs.append(u)
+                dfs(j + 1, chosen | bit, vecs, q, size + 1)
+                vecs.pop()
+
+    dfs(0, 0, [], 0, 1)
     return CircuitCatalog(m, tuple(sorted(masks)))
 
 
@@ -173,6 +221,13 @@ def c2_search_is_restricted(m: BinaryMatroid) -> bool:
     )
 
 
+@lru_cache(maxsize=C2_DIMENSION_LIMIT)
+def _ambient_catalog(d: int) -> CircuitCatalog:
+    """The circuits of complete_matroid(d), for d <= C2_DIMENSION_LIMIT. The
+    catalog is immutable, so every exact_c2 call shares one per d."""
+    return enumerate_circuits(complete_matroid(d))
+
+
 def exact_c2(m: BinaryMatroid) -> int:
     """Minimum odd-cover size by iterative deepening over XOR states, up to
     C2_DEPTH_CAP circuits.
@@ -201,8 +256,7 @@ def exact_c2(m: BinaryMatroid) -> int:
         basis, rows = greedy_basis(keys, m.dim, m.dim)
         keys = expansion_masks(keys, rows, m.dim)
         ambient_dim = len(basis)
-    ambient = complete_matroid(ambient_dim)
-    catalog = enumerate_circuits(ambient)
+    catalog = _ambient_catalog(ambient_dim)
     masks = catalog.masks
     mask_set = set(masks)
     max_size = catalog.max_size()

@@ -39,6 +39,32 @@ class TestGen:
     def test_missing_args_usage_error(self, tmp_path, capsys):
         assert run(["gen", "--kind", "complete", "--out", str(tmp_path / "x.bm")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "random", "--n", "4", "--size", "5", "--seed", "-1",
+         "--out", "{tmp}/r.bm"],
+        ["bench", "--seed", "-1"],
+    ], ids=["gen", "bench"])
+    def test_negative_seed_is_an_input_error(self, argv, tmp_path, capsys):
+        assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed -1 is negative\n"
+        assert "Traceback" not in captured.err
+
+
+class TestParser:
+    def test_commands_in_one_process_share_no_state(self, tmp_path, capsys):
+        path = tmp_path / "c3.bm"
+        assert run(["gen", "--kind", "complete", "--n", "3", "--out", str(path)]) == 0
+        assert run(["oracle", "--in", str(path), "--what", "c"]) == 0
+        gen, oracle = records(capsys)
+        assert gen["size"] == 7 and oracle["c"] == 2
+        assert run(["oracle", "--in", str(path)]) == 1  # --what is required
+        assert "the following arguments are required: --what" in capsys.readouterr().err
+        assert cli.build_parser() is cli.build_parser()
+        args = cli.build_parser().parse_args(["oracle", "--in", "x", "--what", "c"])
+        assert not hasattr(args, "kind") and not hasattr(args, "seed")
+
 
 class TestDecomposeVerify:
     @pytest.fixture()

@@ -89,6 +89,8 @@ class TestRandomEulerian:
             random_eulerian(3, 2, seed=0)
         with pytest.raises(OutOfRangeError):
             random_eulerian(3, 8, seed=0)
+        with pytest.raises(OutOfRangeError, match="seed -1 is negative"):
+            random_eulerian(4, 5, seed=-1)
 
 
 class TestInstanceSpec:

@@ -54,7 +54,7 @@ def circuits_by_scan(m):
 
 class TestEnumerateCircuits:
     def test_triangle(self):
-        assert len(enumerate_circuits(triangle()).masks) == 1
+        assert enumerate_circuits(triangle()).masks == (0b111,)
 
     def test_complete_dim3_matches_direct_scan(self):
         m = complete_matroid(3)
@@ -67,7 +67,17 @@ class TestEnumerateCircuits:
         assert sizes.count(3) == 7 and sizes.count(4) == 7
 
     def test_five_disjoint_triangles(self):
-        assert len(enumerate_circuits(independent_copies(5, 2)).masks) == 5
+        masks = enumerate_circuits(independent_copies(5, 2)).masks
+        assert masks == tuple(0b111 << 3 * i for i in range(5))
+
+    def test_empty(self):
+        assert enumerate_circuits(BinaryMatroid(3)).masks == ()
+
+    def test_one_spanning_circuit_of_rank_23(self):
+        # unit vectors of F_2^23 and their sum: one circuit of 24 elements,
+        # out of reach of a walk over the 2^23 independent subsets
+        m = BinaryMatroid.from_keys(23, [1 << i for i in range(23)] + [(1 << 23) - 1])
+        assert enumerate_circuits(m).masks == ((1 << 24) - 1,)
 
     def test_every_entry_is_a_circuit(self, small_corpus):
         for m in small_corpus:
