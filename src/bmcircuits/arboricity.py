@@ -7,6 +7,13 @@ every part spans the reachable set R, so the flat N = cl(R) ∩ M certifies
 infeasibility: its quotient ceil(|N| / rank(N)) exceeds k, matching the
 max-side of the min-max formula; arboricity() jumps k straight to it.
 
+The search tests for a free slot only the parts that can have one (a part
+as large as part 0 spans every element placed so far), skips parts whose
+members are all queued, and keeps each part's expansions of spanned keys
+until a chain moves its members; k above |M| is clamped to |M|. None of
+this changes a partition, a certificate or a tie-break (proofs on
+_PartState, _augment and can_partition).
+
 edmonds_max_bruteforce evaluates that max exhaustively on tiny instances and
 is the module's independent correctness oracle.
 """
@@ -51,11 +58,33 @@ class Infeasible:
 
 
 class _PartState:
-    """Working partition with per-part elimination caches (None: rebuild)."""
+    """Working partition with per-part elimination caches (None: rebuild).
+
+    Part 0 spans every element placed so far, so it holds rank(placed)
+    members. _augment tries part 0 first, so an element outside its span is
+    appended to it. A chain step replaces a member of part j by an element
+    that part j spans and whose expansion there holds that member, which
+    keeps the part independent with the same span; spans only grow by
+    appends. A part with as many members as part 0 therefore spans the placed
+    elements too. Once x is in part 0's span, every element a search queues
+    (x, or a member of a part) lies in the span of each such part, so only the
+    parts in open can be free: ascending, the parts j >= 1 with fewer members
+    than part 0. A part leaves open when an append fills it, and open is
+    rebuilt when part 0 grows; a chain never changes sizes (each step removes
+    one member and appends one).
+
+    spanned[j] maps a key that part j spans to its expansion mask over the
+    part's positions; residuals are never cached. An append keeps it: the old
+    members stay independent at their positions, so each cached expansion is
+    still the unique one. A chain clears it for every part it touches, since
+    remove moves positions.
+    """
 
     def __init__(self, k: int):
         self.members: list[list[Gf2Vector]] = [[] for _ in range(k)]
         self.elims: list[Gf2Eliminator | None] = [None] * k
+        self.spanned: list[dict[int, int]] = [{} for _ in range(k)]
+        self.open: list[int] = []
 
     def elim(self, j: int) -> Gf2Eliminator:
         if self.elims[j] is None:
@@ -69,8 +98,25 @@ class _PartState:
 def _augment(state: _PartState, x: Gf2Vector) -> list[Gf2Vector] | None:
     """Place x via a shortest exchange chain. Returns None on success, else
     the reachable elements. seen[j] masks the queued members of part j;
-    positions only move when a chain is applied, which ends the search."""
-    k = len(state.members)
+    positions only move when a chain is applied, which ends the search.
+
+    x goes to part 0 if part 0 does not span it. Otherwise each dequeued y
+    goes to the first open part that does not span it, which is the first
+    free part in index order (see _PartState). Failing that, y is expanded
+    against every part in index order, skipping a part whose members are all
+    queued already: it could queue nothing new, so the queue and the parent
+    map are those of expanding it.
+    """
+    members, spanned, open_ = state.members, state.spanned, state.open
+    first = members[0]
+    residual, mask = state.elim(0).reduce(x.key)
+    if residual:
+        first.append(x)
+        state.elims[0].insert(x.key)
+        state.open = [j for j in range(1, len(members)) if len(members[j]) < len(first)]
+        return None
+    spanned[0][x.key] = mask
+    k = len(members)
     parent: dict[int, tuple[Gf2Vector, int]] = {}
     seen = [0] * k
     queue = [x]
@@ -78,24 +124,38 @@ def _augment(state: _PartState, x: Gf2Vector) -> list[Gf2Vector] | None:
     while head < len(queue):
         y = queue[head]
         head += 1
-        for j in range(k):
-            residual, mask = state.elim(j).reduce(y.key)
+        key = y.key
+        for j in open_:
+            if key in spanned[j]:
+                continue
+            residual, mask = state.elim(j).reduce(key)
             if residual:
                 # free slot found: append keeps insertion index = list position,
                 # then apply the chain back to x, dropping the parts it touches
-                state.members[j].append(y)
-                state.elims[j].insert(y.key)
+                members[j].append(y)
+                state.elims[j].insert(key)
+                if len(members[j]) == len(first):
+                    open_.remove(j)
                 cur = y
                 while cur.key in parent:
                     pred, jj = parent[cur.key]
-                    state.members[jj].remove(cur)
-                    state.members[jj].append(pred)
+                    members[jj].remove(cur)
+                    members[jj].append(pred)
                     state.elims[jj] = None
+                    spanned[jj] = {}
                     cur = pred
                 return None
-            mask &= ~seen[j]
+            spanned[j][key] = mask
+        for j in range(k):
+            part = members[j]
+            unseen = ~seen[j] & ((1 << len(part)) - 1)
+            if not unseen:
+                continue
+            mask = spanned[j].get(key)
+            if mask is None:  # a part outside open spans y
+                mask = spanned[j][key] = state.elim(j).reduce(key)[1]
+            mask &= unseen
             seen[j] |= mask
-            part = state.members[j]
             # inline, not gf2core._mask_indices: the generator cost arboricity 5-8 % (2-core host)
             while mask:
                 low = mask & -mask
@@ -114,10 +174,17 @@ def can_partition(
     Elements are inserted in canonical order; each insertion runs one
     breadth-first augmenting search over the exchange structure. On failure
     the certificate is cl(R) ∩ M for the reachable set R.
+
+    k is clamped to max(|M|, 1), which changes no result: the nonempty parts
+    are always a prefix (an element goes to the first free part, and an empty
+    part is free; chains keep sizes), so with i elements placed part i is
+    empty and the search for the next element ends at BFS level 0 in a part of
+    index <= i < |M|. No part of index >= |M| is ever used, and no search
+    with k >= |M| fails.
     """
     if k < 1:
         raise OutOfRangeError("k must be positive")
-    state = _PartState(k)
+    state = _PartState(min(k, max(len(m), 1)))
     for x in m.elements:
         reachable = _augment(state, x)
         if reachable is not None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
+from bmcircuits.gf2core import BinaryMatroid
 
 # property tests replay the same examples on every run and never time out
 settings.register_profile(
@@ -26,6 +27,13 @@ def eulerian_corpus(count, seed, n_range=(3, 14), size_cap=40):
         size = picker.randint(3, hi)
         out.append(random_eulerian(n, size, seed * 100_003 + i))
     return out
+
+
+def dense_core():
+    """Complete core on the leading 6 of 10 coordinates, symmetric difference
+    with random_eulerian(10, 12, seed=1): 74 elements, a = 11."""
+    core = {k << 4 for k in range(1, 64)}
+    return BinaryMatroid.from_keys(10, core ^ random_eulerian(10, 12, seed=1).key_set)
 
 
 @pytest.fixture(scope="session")

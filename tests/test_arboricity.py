@@ -15,7 +15,7 @@ from bmcircuits.errors import EmptyMatroidError, TooLargeError
 from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 
-from conftest import eulerian_corpus
+from conftest import dense_core, eulerian_corpus
 
 
 def vec(bits):
@@ -37,13 +37,6 @@ def quotient_scan(m):
             elim.insert(v.key)
         best = max(best, math.ceil(len(subset) / elim.rank))
     return best
-
-
-def dense_core():
-    """Complete core on the leading 6 of 10 coordinates, symmetric difference
-    with random_eulerian(10, 12, seed=1): 74 elements, a = 11."""
-    core = {k << 4 for k in range(1, 64)}
-    return BinaryMatroid.from_keys(10, core ^ random_eulerian(10, 12, seed=1).key_set)
 
 
 # exact parts as key tuples: speed-ups of the augmenting search and of the
@@ -93,6 +86,22 @@ class TestCanPartition:
         assert isinstance(result, Infeasible)
         cert = result.certificate
         assert math.ceil(len(cert) / rank(cert)) > 2
+
+    def test_k_above_the_size_is_clamped(self, monkeypatch):
+        # the package re-exports arboricity(), which shadows the module name
+        module = importlib.import_module("bmcircuits.arboricity")
+        sizes = []
+        state = module._PartState
+
+        def recording(k):
+            sizes.append(k)
+            return state(k)
+
+        monkeypatch.setattr(module, "_PartState", recording)
+        for m in (triangle(), dense_core()):
+            assert part_keys(can_partition(m, 10**6)) == part_keys(can_partition(m, len(m)))
+        assert can_partition(BinaryMatroid(3), 10**6).parts == ()
+        assert sizes == [3, 3, 74, 74, 1]
 
 
 class TestArboricity:

@@ -4,7 +4,9 @@ Every constructive output must pass its single checker in formats, the
 checkers must reject simple corruptions of a valid artifact, and
 extract_any_circuit must return the first elimination dependency. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
-exhaustive max of ceil(|N| / rank(N)), every decomposer and odd-cover builder
+exhaustive max of ceil(|N| / rank(N)); can_partition, on up to 40 elements
+and on mid-size inputs, to the augmenting search without its shortcuts;
+every decomposer and odd-cover builder
 to the exact oracles, the peel family to reference loops that rebuild a
 BinaryMatroid per step and to the per-step basis-and-expansion scan that
 the peel state replaced (sparse high-rank inputs included), the peel
@@ -65,6 +67,8 @@ from bmcircuits.oracle import (
     exact_c2,
     intersection_lower_bound,
 )
+
+from conftest import dense_core
 
 
 @st.composite
@@ -185,6 +189,108 @@ def test_certificate_quotient_is_a_lower_bound_above_k(m):
 def test_arboricity_cover_within_four_thirds(m):
     a = edmonds_max_bruteforce(m)
     assert len(oddcover_via_arboricity(m)[1].circuits) <= -(-4 * a // 3)
+
+
+# -- can_partition against the search before its shortcuts -------------------
+
+
+def reference_can_partition(m, k):
+    """can_partition without the open parts, the exhausted-part skip and the
+    spanned cache: each dequeued element is reduced against every part in
+    index order, goes to the first part that does not span it, and is
+    otherwise expanded against each part. Returns the parts as key tuples,
+    or the certificate's key set and its quotient."""
+    members = [[] for _ in range(k)]
+    elims = [None] * k
+
+    def elim(j):
+        if elims[j] is None:
+            elims[j] = Gf2Eliminator()
+            for key in members[j]:
+                elims[j].insert(key)
+        return elims[j]
+
+    def place(x):
+        parent, seen, queue, head = {}, [0] * k, [x], 0
+        while head < len(queue):
+            y = queue[head]
+            head += 1
+            for j in range(k):
+                residual, mask = elim(j).reduce(y)
+                if residual:
+                    members[j].append(y)
+                    elims[j].insert(y)
+                    while y in parent:
+                        pred, jj = parent[y]
+                        members[jj].remove(y)
+                        members[jj].append(pred)
+                        elims[jj] = None
+                        y = pred
+                    return None
+                mask &= ~seen[j]
+                seen[j] |= mask
+                for i in _mask_indices(mask):
+                    parent[members[j][i]] = (y, j)
+                    queue.append(members[j][i])
+        return queue
+
+    for x in m.elements:
+        reachable = place(x.key)
+        if reachable is not None:
+            span = Gf2Eliminator(track_witnesses=False)
+            for key in reachable:
+                span.insert(key)
+            cert = frozenset(v.key for v in m.elements if span.contains(v.key))
+            return cert, -(-len(cert) // span.rank)
+    return tuple(tuple(sorted(p)) for p in members if p)
+
+
+def partition_outcome(result):
+    if isinstance(result, Infeasible):
+        return result.certificate.key_set, result.quotient
+    return tuple(tuple(v.key for v in p) for p in result.parts)
+
+
+@st.composite
+def partition_inputs(draw):
+    """Eulerian matroids of up to 40 elements, a third of them with a complete
+    core on the leading 3 or 4 coordinates (so that some k are infeasible),
+    and a third non-Eulerian sets of distinct vectors."""
+    kind = draw(st.sampled_from(("eulerian", "core", "any")))
+    n = draw(st.integers(5 if kind == "core" else 3, 8))
+    if kind == "any":
+        keys = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))
+        return BinaryMatroid.from_keys(n, keys)
+    size = draw(st.integers(3, min(40, (1 << n) - 1)))
+    m = random_eulerian(n, size, draw(st.integers(0, 2**32 - 1)))
+    if kind == "core":
+        c = draw(st.integers(3, 4))
+        core = {key << (n - c) for key in range(1, 1 << c)}
+        m = BinaryMatroid.from_keys(n, core ^ m.key_set)
+    assume(len(m) > 0)
+    return m
+
+
+def check_partition_matches_reference(m, ks):
+    for k in ks:
+        expected = reference_can_partition(m, k)
+        assert partition_outcome(can_partition(m, k)) == expected
+
+
+@given(partition_inputs())
+def test_can_partition_matches_the_reference_search(m):
+    a = arboricity(m)[0]
+    check_partition_matches_reference(m, [*range(1, a + 1), len(m) + 3])
+
+
+def test_can_partition_matches_the_reference_search_mid_size():
+    """Deep searches: their chains run through parts with cached expansions."""
+    dense = dense_core()
+    check_partition_matches_reference(dense, range(1, arboricity(dense)[0] + 1))
+    for seed in (1, 2):
+        m = random_eulerian(12, 500, seed)
+        a = arboricity(m)[0]
+        check_partition_matches_reference(m, (math.ceil(len(m) / rank(m)), a - 1, a))
 
 
 # -- the peel family against reference loops ---------------------------------
