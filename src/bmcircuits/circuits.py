@@ -33,33 +33,33 @@ from .gf2core import (
     expansion_masks,
     express_in_basis,
     greedy_basis,
-    xor_key,
 )
 
 
-def is_circuit(vectors: Iterable[Gf2Vector]) -> bool:
-    """True iff the vectors form a circuit (zero sum and rank = size - 1).
+def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
+    """True iff the block is a circuit: distinct nonzero members, zero sum and
+    rank = size - 1.
 
-    A Circuit is one without a further check: its constructor ran this test
-    and the object is immutable. Any other iterable, such as a block parsed
-    from a file, is checked in full.
+    The block is a Circuit, an iterable of Gf2Vectors of one dimension, or
+    one of int keys, such as a block parsed from a .bmdec file. A Circuit is
+    one without a further check: its constructor ran this test and the
+    object is immutable. The others are checked in full, on their keys; a
+    key below 1 is no vector, so a key block that holds one is no circuit.
     """
-    if isinstance(vectors, Circuit):
+    if isinstance(block, Circuit):
         return True
-    vs = list(vectors)
-    if not vs:
-        return False
-    n = vs[0].n
-    if any(v.n != n for v in vs):
-        raise OutOfRangeError("mixed dimensions")
-    if len({v.key for v in vs}) != len(vs):
-        return False
-    if xor_key(vs) != 0:
+    keys = list(block)
+    if keys and isinstance(keys[0], Gf2Vector):
+        n = keys[0].n
+        if any(v.n != n for v in keys):
+            raise OutOfRangeError("mixed dimensions")
+        keys = [v.key for v in keys]
+    if not keys or min(keys) < 1 or len(set(keys)) != len(keys) or reduce(xor, keys):
         return False
     elim = Gf2Eliminator(track_witnesses=False)
-    for v in vs:
-        elim.insert(v.key)
-    return elim.rank == len(vs) - 1
+    for key in keys:
+        elim.insert(key)
+    return elim.rank == len(keys) - 1
 
 
 class Circuit:

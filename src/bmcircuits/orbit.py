@@ -32,8 +32,9 @@ from .gf2core import BinaryMatroid, Gf2Vector
 
 #: the model holds 2^(p-1) - 1 vectors as Python objects; orbit_decompose(19)
 #: peaks at about 108 MB resident and `orbit --p 19`, which also writes,
-#: re-reads and re-checks them, at about 152 MB; the next admissible prime,
-#: 29, would need 2^28 of them
+#: re-reads (as int keys) and re-checks them, at about 136 MB (Python 3.11,
+#: ru_maxrss of one process); the next admissible prime, 29, would need 2^28
+#: of them
 MAX_P = 19
 
 

@@ -29,6 +29,27 @@ def eulerian_corpus(count, seed, n_range=(3, 14), size_cap=40):
     return out
 
 
+#: verify mode -> key blocks that pass its checker on complete_matroid(3), keys 1..7
+GOOD_KEY_BLOCKS = {
+    "decomposition": ((1, 2, 3), (4, 5, 6, 7)),
+    "oddcover": ((1, 2, 3), (4, 5, 6, 7)),
+    "partition": ((1, 2, 4), (3, 5, 7), (6,)),
+}
+
+#: corruptions of those blocks that every checker must reject with a reason
+KEY_BLOCK_FAULTS = {
+    "zero key": lambda b: ((0,) + b[0][1:],) + b[1:],
+    "key of 2**dim": lambda b: ((8,) + b[0][1:],) + b[1:],
+    "negative key": lambda b: ((-1,) + b[0][1:],) + b[1:],
+    "duplicate key in a block": lambda b: (b[0] + b[0][:1],) + b[1:],
+    "overlapping blocks": lambda b: b + (b[0],),
+    "non-circuit block": lambda b: (b[0] + b[1],) + b[2:],
+    "dependent part": lambda b: (tuple(range(1, 8)),),
+    # a circuit of keys 1, 8, 9 twice: it cancels in an odd-cover's parity
+    "out-of-range circuit twice": lambda b: b + ((1, 8, 9), (1, 8, 9)),
+}
+
+
 def dense_core():
     """Complete core on the leading 6 of 10 coordinates, symmetric difference
     with random_eulerian(10, 12, seed=1): 74 elements, a = 11."""

@@ -27,7 +27,7 @@ from bmcircuits.decompose import (
 )
 from bmcircuits.errors import NotDenseEnoughError, OrderConditionError, TooLargeError
 from bmcircuits.formats import format_bm, format_bmdec, parse_bm, parse_bmdec
-from bmcircuits.gf2core import BinaryMatroid, rank
+from bmcircuits.gf2core import BinaryMatroid, Gf2Vector, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
 from bmcircuits.oracle import (
@@ -258,7 +258,8 @@ def test_criterion_11_round_trip(tmp_path):
         path = tmp_path / "x.bmdec"
         path.write_text(text)
         parsed = parse_bmdec(path.read_text())
-        assert [list(b) for b in parsed.blocks] == [list(b) for b in blocks]
-        assert format_bmdec(parsed.kind, parsed.dim, list(parsed.blocks),
+        assert [list(b) for b in parsed.blocks] == [[v.key for v in b] for b in blocks]
+        vectors = [[Gf2Vector(parsed.dim, k) for k in b] for b in parsed.blocks]
+        assert format_bmdec(parsed.kind, parsed.dim, vectors,
                             meta=parsed.meta or None) == text
     report(11, True, "all emitted .bm/.bmdec artifacts re-parse bit-identically")

@@ -48,6 +48,14 @@ class TestIsCircuit:
         assert not is_circuit([])
         assert not is_circuit([vec("1")])
 
+    def test_key_blocks(self):
+        assert is_circuit((1, 2, 3)) and is_circuit([8, 4, 2, 1, 15])
+        assert not is_circuit((1, 2, 3, 3))
+        assert not is_circuit((1, 2, 4))
+        # zero sum and rank size - 1 under the elimination, but no vectors
+        assert not is_circuit((0,))
+        assert not is_circuit((-1, -2, 1))
+
 
 class TestCircuitType:
     def test_validates(self):

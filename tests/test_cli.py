@@ -10,9 +10,10 @@ import pytest
 
 from bmcircuits import cli
 from bmcircuits.cli import REPORT_FIELDS, run
-from bmcircuits.formats import format_bmdec
+from bmcircuits.formats import ARTIFACT_KINDS, DecFile, format_bmdec
 from bmcircuits.gf2core import BinaryMatroid, Gf2Vector
 from bmcircuits.orbit import orbit_decompose
+from conftest import GOOD_KEY_BLOCKS, KEY_BLOCK_FAULTS
 
 
 def records(capsys):
@@ -155,6 +156,50 @@ class TestDecomposeVerify:
         run(["gen", "--kind", "copies", "--k", "5", "--s", "2", "--out", str(m)])
         assert run(["decompose", "--in", str(m), "--method", "dense",
                     "--out", str(tmp_path / "x.bmdec")]) == 1
+
+
+class TestVerifyRejects:
+    @pytest.fixture()
+    def c3(self, tmp_path, capsys):
+        path = tmp_path / "c3.bm"
+        run(["gen", "--kind", "complete", "--n", "3", "--out", str(path)])
+        capsys.readouterr()
+        return path
+
+    def verify(self, c3, artifact, mode, capsys):
+        code = run(["verify", "--in", str(c3), "--against", str(artifact), "--mode", mode])
+        return code, capsys.readouterr()
+
+    def test_vector_line_beyond_the_dimension_cap_exit1(self, c3, tmp_path, capsys):
+        artifact = tmp_path / "wide.bmdec"
+        artifact.write_text("circuits 1\ndim 5000\n\n" + "0" * 4999 + "1\n")
+        code, captured = self.verify(c3, artifact, "decomposition", capsys)
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: dimension 5000 not in 1..4096\n"
+
+    def test_header_only_file_beyond_the_dimension_cap_exit2(self, c3, tmp_path, capsys):
+        artifact = tmp_path / "wide.bmdec"
+        artifact.write_text("circuits 0\ndim 5000\n")
+        code, captured = self.verify(c3, artifact, "decomposition", capsys)
+        assert code == 2
+        assert captured.err == "verification failed: dimension mismatch: 5000 vs 3\n"
+
+    @pytest.mark.parametrize("fault", list(KEY_BLOCK_FAULTS))
+    @pytest.mark.parametrize("mode", list(GOOD_KEY_BLOCKS))
+    def test_key_block_faults_exit2(self, mode, fault, c3, tmp_path, capsys, monkeypatch):
+        """Faults a file can hold are written to one; a key no vector line can
+        spell (0, 2**dim, negative) reaches the checker through the parser's name."""
+        blocks = KEY_BLOCK_FAULTS[fault](GOOD_KEY_BLOCKS[mode])
+        kind = ARTIFACT_KINDS[mode].dec_kind
+        artifact = tmp_path / "bad.bmdec"
+        artifact.write_text(f"{kind} {len(blocks)}\ndim 3\n" + "".join(
+            "\n" + "".join(f"{k:03b}\n" for k in block) for block in blocks))
+        if not all(0 < k < 8 for block in blocks for k in block):
+            monkeypatch.setattr(cli, "parse_bmdec", lambda text: DecFile(kind, 3, blocks))
+        code, captured = self.verify(c3, artifact, mode, capsys)
+        assert code == 2 and json.loads(captured.out)["verified"] is False
+        assert captured.err.startswith("verification failed: ")
+        assert "Traceback" not in captured.err
 
 
 class TestOddcoverArboricity:
