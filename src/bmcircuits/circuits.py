@@ -41,19 +41,17 @@ def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
     rank = size - 1.
 
     The block is a Circuit, an iterable of Gf2Vectors of one dimension, or
-    one of int keys, such as a block parsed from a .bmdec file. A Circuit is
-    one without a further check: its constructor ran this test and the
-    object is immutable. The others are checked in full, on their keys; a
-    key below 1 is no vector, so a key block that holds one is no circuit.
+    one of int keys, such as a block parsed from a .bmdec file or a
+    Circuit's keys. A Circuit is one without a further check: its
+    constructor ran this test and the object is immutable. The others are
+    checked in full, on their keys; a key below 1 is no vector, so a key
+    block that holds one is no circuit.
     """
     if isinstance(block, Circuit):
         return True
     keys = list(block)
     if keys and isinstance(keys[0], Gf2Vector):
-        n = keys[0].n
-        if any(v.n != n for v in keys):
-            raise OutOfRangeError("mixed dimensions")
-        keys = [v.key for v in keys]
+        keys = _vector_keys(keys)
     if not keys or min(keys) < 1 or len(set(keys)) != len(keys) or reduce(xor, keys):
         return False
     elim = Gf2Eliminator(track_witnesses=False)
@@ -62,18 +60,32 @@ def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
     return elim.rank == len(keys) - 1
 
 
-class Circuit:
-    """An immutable, validated circuit. Construction checks the invariants."""
+def _vector_keys(vectors: Sequence[Gf2Vector]) -> tuple[int, ...]:
+    """The keys of nonempty vectors of one dimension, in their order."""
+    n = vectors[0].n
+    if any(v.n != n for v in vectors):
+        raise OutOfRangeError("mixed dimensions")
+    return tuple(v.key for v in vectors)
 
-    __slots__ = ("dim", "elements", "_key_set")
+
+class Circuit:
+    """An immutable, validated circuit. Construction checks the invariants.
+
+    ``elements`` holds the vectors and ``keys`` their keys, both in ascending
+    key order; a circuit's keys are distinct, so two circuits are equal
+    exactly when their dims and key tuples are.
+    """
+
+    __slots__ = ("dim", "elements", "keys")
 
     def __init__(self, elements: Iterable[Gf2Vector]):
         elems = tuple(sorted(elements, key=_key_of))
-        if not is_circuit(elems):
+        keys = _vector_keys(elems) if elems else ()
+        if not is_circuit(keys):
             raise OutOfRangeError("not a circuit")
         object.__setattr__(self, "dim", elems[0].n)
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_key_set", frozenset(v.key for v in elems))
+        object.__setattr__(self, "keys", keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")
@@ -84,7 +96,8 @@ class Circuit:
 
     @property
     def key_set(self) -> frozenset[int]:
-        return self._key_set
+        """The keys as a set, built on each call."""
+        return frozenset(self.keys)
 
     @property
     def size(self) -> int:
@@ -97,17 +110,19 @@ class Circuit:
         return iter(self.elements)
 
     def __contains__(self, v: Gf2Vector) -> bool:
-        return v.key in self._key_set
+        keys = self.keys
+        i = bisect_left(keys, v.key)
+        return i < len(keys) and keys[i] == v.key
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Circuit)
             and self.dim == other.dim
-            and self._key_set == other._key_set
+            and self.keys == other.keys
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._key_set))
+        return hash((self.dim, self.keys))
 
     def __repr__(self) -> str:
         return f"Circuit({[v.bits() for v in self.elements]})"
@@ -228,13 +243,13 @@ class WorkingSet:
         rows. For a fundamental circuit of position j, the rows hit are those
         that hold j, and a step costs O(|c| * rank) big-int operations.
         """
-        for key in c.key_set:
+        for key in c.keys:
             i = bisect_left(self.keys, key)
             del self.keys[i], self.elements[i]
         rows = self._rows
         if rows is None:
             return
-        gone = sum(1 << bisect_left(self._at, key) for key in c.key_set)
+        gone = sum(1 << bisect_left(self._at, key) for key in c.keys)
         keep = ~gone
         fresh: dict[int, int] = {}  # new pivot -> row, reduced among themselves
         pivots = 0  # the new pivots' bits

@@ -174,13 +174,13 @@ def format_bmdec(
 def _block_keys(block, dim: int) -> Collection[int] | None:
     """The keys of one block, or None when one is not a nonzero dim-bit value.
 
-    Runs the dimension test once per block: a Circuit by its dim (its key set
-    is returned as it is), a key block by its least and greatest key, and a
+    Runs the dimension test once per block: a Circuit by its dim (its keys
+    are returned as they are), a key block by its least and greatest key, and a
     block of Gf2Vectors by the dimension of each, whose keys the vector type
     keeps in range.
     """
     if isinstance(block, Circuit):
-        return block.key_set if block.dim == dim else None
+        return block.keys if block.dim == dim else None
     if not block:
         return block
     if isinstance(next(iter(block)), Gf2Vector):
@@ -271,6 +271,11 @@ def check_partition(m: BinaryMatroid, dim: int, blocks: _CheckedBlocks) -> str |
             return _outside(i, dim)
         if not keys:
             return f"block {i} is empty"
+        own: set[int] = set()
+        for key in keys:
+            if key in own:
+                return f"block {i} repeats vector {key:0{dim}b}"
+            own.add(key)
         elim = Gf2Eliminator(track_witnesses=False)
         for key in keys:
             if key in seen:

@@ -145,13 +145,26 @@ class Gf2Eliminator:
         return self.reduce(key)[0] == 0
 
     def insert(self, key: int) -> int | None:
-        """Insert a vector; returns None if independent, else the witness mask."""
-        cur, mask = self.reduce(key)
+        """Insert a vector; returns None if independent, else the witness mask.
+
+        The reduction is reduce's loop, inlined: this is the hot call.
+        """
+        rows = self._rows
+        track = self._track
+        cur = key
+        mask = 0
+        while cur:
+            row = rows.get(cur.bit_length() - 1)
+            if row is None:
+                break
+            cur ^= row[0]
+            if track:
+                mask ^= row[1]
         idx = self.n_inserted
-        self.n_inserted += 1
+        self.n_inserted = idx + 1
         if cur:
             pivot = cur.bit_length() - 1
-            self._rows[pivot] = (cur, (mask | (1 << idx)) if self._track else 0)
+            rows[pivot] = (cur, (mask | (1 << idx)) if track else 0)
             self._stack.append(pivot)
             return None
         return mask

@@ -97,14 +97,14 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
 def _cancel_pairs(circuits: Iterable[Circuit]) -> tuple[Circuit, ...]:
     """Drop circuits occurring an even number of times; XOR is unchanged."""
     items = list(circuits)
-    parity: dict[frozenset[int], int] = {}
+    parity: dict[tuple[int, ...], int] = {}
     for c in items:
-        parity[c.key_set] = parity.get(c.key_set, 0) ^ 1
+        parity[c.keys] = parity.get(c.keys, 0) ^ 1
     out = []
     for c in items:
-        if parity.get(c.key_set, 0):
+        if parity.get(c.keys, 0):
             out.append(c)
-            parity[c.key_set] = 0
+            parity[c.keys] = 0
     return tuple(out)
 
 
@@ -140,8 +140,8 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
     for part in parts:
         if len(part) >= 2:
             c = complete_to_circuit(part)
-            completion = c.key_set - {v.key for v in part}
-            allowed_leftover |= completion
+            part_keys = {v.key for v in part}
+            allowed_leftover.update(k for k in c.keys if k not in part_keys)
         else:
             y = part[0]
             z = _smallest_other_key(y.key)
@@ -151,7 +151,7 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
 
     left = set(m.key_set)
     for c in base:
-        left ^= c.key_set
+        left.symmetric_difference_update(c.keys)
     remainder = BinaryMatroid.from_keys(m.dim, left)
     stray = left - allowed_leftover
     if stray:

@@ -31,8 +31,8 @@ from .formats import Decomposition
 from .gf2core import BinaryMatroid, Gf2Vector
 
 #: the model holds 2^(p-1) - 1 vectors as Python objects; orbit_decompose(19)
-#: peaks at about 108 MB resident and `orbit --p 19`, which also writes,
-#: re-reads (as int keys) and re-checks them, at about 136 MB (Python 3.11,
+#: peaks at about 80 MB resident and `orbit --p 19`, which also writes,
+#: re-reads (as int keys) and re-checks them, at about 109 MB (Python 3.11,
 #: ru_maxrss of one process); the next admissible prime, 29, would need 2^28
 #: of them
 MAX_P = 19
@@ -121,8 +121,9 @@ def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
     """The rotation orbits of the even-weight model for an admissible p, each
     a Circuit of the elements[(k >> 1) - 1] for its model keys k: the model's
     own vectors, or their compressions when elements is complete_matroid(p - 1).
-    Representatives are the smallest keys, found by a scan over k >> 1;
-    Circuit validates each orbit's circuit law.
+    Representatives are the smallest keys, found by a scan over k >> 1.
+    Ascending k >> 1 is ascending key order in both cases, so Circuit gets
+    each orbit already sorted, and validates its circuit law.
     """
     visited = bytearray(1 << (p - 1))
     orbits: list[Circuit] = []
@@ -134,7 +135,7 @@ def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
             raise OutOfRangeError(f"orbit of {_model_key(y):0{p}b} has {len(distinct)} elements")
         for x in distinct:
             visited[x] = 1
-        orbits.append(Circuit(elements[x - 1] for x in distinct))
+        orbits.append(Circuit([elements[x - 1] for x in sorted(distinct)]))
     return orbits
 
 

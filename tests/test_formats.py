@@ -211,6 +211,8 @@ class TestKeyBlockChecks:
         assert isinstance(reason, str)
         if fault in ("zero key", "key of 2**dim", "negative key", "out-of-range circuit twice"):
             assert reason.endswith("is not a nonzero vector of dimension 3")
+        if (mode, fault) == ("partition", "duplicate key in a block"):
+            assert reason == "block 0 repeats vector 001"
 
     def test_key_blocks_go_through_is_circuit_and_circuits_do_not(self, monkeypatch):
         m = complete_matroid(3)
