@@ -4,8 +4,7 @@ A circuit is a minimal nonempty zero-sum subset: XOR of its elements is zero
 and its rank is size - 1. In a simple binary matroid every circuit has at
 least 3 elements. All functions here are pure and safe to call concurrently,
 except that largest_fundamental_circuit builds the peel state of a
-WorkingSet it is given, and lowers its rank bound, which the set's single
-owner then reuses.
+WorkingSet it is given, which the set's single owner then reuses.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from functools import reduce
 from math import comb
 from operator import xor
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateMemberError,
@@ -30,9 +27,8 @@ from .gf2core import (
     Gf2Vector,
     _key_of,
     _mask_indices,
-    expansion_masks,
+    column_rref,
     express_in_basis,
-    greedy_basis,
 )
 
 
@@ -165,25 +161,20 @@ class WorkingSet:
     Single-owner and mutable. ``keys`` and ``elements`` run in parallel: a
     circuit leaves both by bisect deletion (remove) or is XORed in (toggle),
     and a Circuit is built once per emitted circuit, from the source's own
-    vectors. ``bound`` is an upper bound on the rank of the keys, which
-    stops greedy_basis early; the loops lower it to each rank they find.
-    Removing elements never raises the rank, and neither does toggling a
-    circuit whose elements lie in the span of the keys. ``total``, the XOR
-    of the keys, never changes: circuits sum to zero, and keys change only
-    through remove and toggle.
+    vectors. ``total``, the XOR of the keys, never changes: circuits sum to
+    zero, and keys change only through remove and toggle.
 
     The first largest_fundamental_circuit call also builds the peel state
     (see rref), which remove then keeps current and toggle drops; a set
     that is never searched, such as symdiff_reduce's, never builds it.
     """
 
-    __slots__ = ("dim", "keys", "elements", "bound", "total", "_at", "_rows")
+    __slots__ = ("dim", "keys", "elements", "total", "_at", "_rows")
 
     def __init__(self, m: BinaryMatroid):
         self.dim = m.dim
         self.keys = [v.key for v in m.elements]
         self.elements = list(m.elements)
-        self.bound = m.dim
         self.total = reduce(xor, self.keys, 0)
         self._rows: dict[int, int] | None = None  # the peel state, with _at; see rref
 
@@ -201,36 +192,18 @@ class WorkingSet:
         """The peel state: positions and the reduced row-echelon form over them.
 
         Position j is index j of the keys at the first call, and the first
-        list returned maps positions back to keys. The dict maps each pivot
-        position to its row, an int whose bit j is element j's coefficient
-        on the basis element at the pivot. The pivot is the row's lowest set
-        bit and is set in no other row. The rows are those of the transposed
-        matrix of elements, restricted to the positions still present, so
-        the pivots are its column rank profile (Dumas, Pernet, Sultan, ISSAC
-        2015): the first-seen basis of the keys, as greedy_basis finds it.
-        A position still present is set in some row, since its key is
-        nonzero, and a removed one in none.
-
-        Built once from greedy_basis and expansion_masks: row i gathers bit
-        i of every expansion mask, a bit-matrix transpose done on numpy bit
-        arrays, little-endian on both sides.
+        list returned maps positions back to keys. The dict is
+        gf2core.column_rref of those keys, restricted to the positions still
+        present: each pivot position maps to its row, an int whose bit j is
+        element j's coefficient on the basis element at the pivot. The
+        pivot is the row's lowest set bit and is set in no other row, so
+        the pivots are the first-seen basis of the keys. A position still
+        present is set in some row, since its key is nonzero, and a removed
+        one in none.
         """
         if self._rows is None:
-            keys = self.keys
-            basis, rows = greedy_basis(keys, self.dim, self.bound)
-            self.bound = r = len(basis)
-            width = (r + 7) // 8
-            masks = b"".join(mask.to_bytes(width, "little")
-                             for mask in expansion_masks(keys, rows, self.dim))
-            bits = np.unpackbits(np.frombuffer(masks, np.uint8).reshape(len(keys), width),
-                                 axis=1, count=r, bitorder="little")
-            packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-            flat, stride = packed.tobytes(), packed.shape[1]
-            self._at = list(keys)
-            self._rows = {}
-            for i in range(0, len(flat), stride):
-                row = int.from_bytes(flat[i:i + stride], "little")
-                self._rows[(row & -row).bit_length() - 1] = row
+            self._at = list(self.keys)
+            self._rows = column_rref(self._at, self.dim)
         return self._at, self._rows
 
     def remove(self, c: Circuit) -> None:
@@ -297,7 +270,7 @@ def _working_set(n: BinaryMatroid | WorkingSet) -> WorkingSet:
 def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     """Largest fundamental circuit over the canonical basis of n.
 
-    The basis is the first-seen one in canonical order (greedy_basis, as in
+    The basis is the first-seen one in canonical order (as in
     max_independent_subset); the maximum runs over all fundamental circuits
     of elements outside it, ties going to the smallest element in canonical
     order. The result has at least guaranteed_circuit_size(|n|, rank(n))

@@ -10,11 +10,12 @@ the quotient bound, and otherwise lets a density test pick the labels.
 Each run is a single-threaded state machine over its own circuits.WorkingSet,
 an ascending list of int keys: a peeled circuit leaves it by bisect deletion,
 and a Circuit is built once per emitted circuit. The set eliminates once per
-run: its first search builds the reduced row-echelon form of the transposed
-elements, from which every step reads all fundamental circuits at once, and
-each removal updates only the rows that hold a removed position. The pivots
-stay the first-seen basis of the elements left, so every tie-break is the
-one a fresh scan of them would find. Separate runs may proceed in parallel.
+run: its first search takes gf2core.column_rref of its keys, the one
+elimination kernel, from which every step reads all fundamental circuits
+at once, and each removal updates only the rows that hold a removed
+position. The pivots stay the first-seen basis of the elements left, so
+every tie-break is the one a fresh scan of them would find. Separate runs
+may proceed in parallel.
 """
 
 from __future__ import annotations

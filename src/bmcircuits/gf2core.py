@@ -1,4 +1,8 @@
-"""Bit-packed GF(2) vectors, binary matroids, and incremental Gaussian elimination.
+"""Bit-packed GF(2) vectors, binary matroids, and Gaussian elimination.
+
+Gf2Eliminator eliminates incrementally, with undo and witnesses;
+column_rref reduces a whole key list at once, and every fundamental circuit
+of its first-seen basis is read from that one form.
 
 Vectors live in F_2^n and are stored as Python ints: coordinate 0 is the most
 significant of the n bits, so sorting by the int value equals sorting by the
@@ -12,6 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import NotEulerianError, NotInSpanError, OutOfRangeError
 
@@ -284,9 +290,7 @@ def require_eulerian(m: BinaryMatroid) -> None:
         raise NotEulerianError("matroid is not Eulerian")
 
 
-def greedy_basis(
-    keys: Sequence[int], dim: int, bound: int
-) -> tuple[list[int], dict[int, int]]:
+def greedy_basis(keys: Sequence[int], bound: int) -> list[int]:
     """The first-seen basis of ascending keys: each key independent of all before it.
 
     ``keys`` must be ascending. The scan stops once ``bound`` keys are taken,
@@ -296,39 +300,78 @@ def greedy_basis(
     When the basis has as many vectors as its largest key has bits, it spans
     every key below 2**bits, so the scan bisects past those keys.
 
-    Also returns the basis in row-echelon form, as expansion_masks takes it:
-    pivot -> ``row key | mask << dim``, where the pivot is the highest bit of
-    the row key and mask marks the basis positions whose XOR is the row.
-    This is Gf2Eliminator's elimination on packed rows, without a method
-    call per key.
+    This is Gf2Eliminator's elimination without witnesses and without a
+    method call per key.
     """
-    rows: dict[int, int] = {}
-    low = (1 << dim) - 1
+    rows: dict[int, int] = {}  # pivot -> reduced key
     basis: list[int] = []
     i, n = 0, len(keys)
     while i < n and len(basis) < bound:
         key = keys[i]
         i += 1
-        acc = cur = key
+        cur = key
         while cur:
             row = rows.get(cur.bit_length() - 1)
             if row is None:
                 break
-            acc ^= row
-            cur = acc & low
+            cur ^= row
         if not cur:
             continue
-        rows[cur.bit_length() - 1] = acc ^ 1 << (dim + len(basis))
+        rows[cur.bit_length() - 1] = cur
         basis.append(key)
         top = key.bit_length()
         if len(basis) == top:
             i = bisect_left(keys, 1 << top, i)
-    return basis, rows
+    return basis
+
+
+def column_rref(keys: Sequence[int], dim: int) -> dict[int, int]:
+    """The reduced row-echelon form of the keys' coordinate slices.
+
+    Position j is index j of ``keys``. Slice b is the int whose bit j is
+    bit b of key j; the slices span the row space of the dim x |keys|
+    matrix whose columns are the keys. The result maps each pivot position
+    to its row: the pivot is the row's lowest set bit and is set in no
+    other row. So the pivots are the matrix's column rank profile (Dumas,
+    Pernet, Sultan, ISSAC 2015), the first-seen basis of the keys (for
+    ascending keys, the one greedy_basis finds), and bit j of the row at
+    pivot p is the coefficient of basis element p in the unique expansion
+    of key j. Read by columns, the rows hold every fundamental circuit of
+    that basis: key j's is j plus the pivots of the rows that hold bit j.
+    Each position of a nonzero key is set in some row.
+
+    The slices come from one bit-matrix transpose on numpy bit arrays,
+    little-endian on both sides. Each slice is then cleared of the pivots
+    so far, row by row; what is left, if anything, pivots on its lowest
+    bit, which is cleared from every other row (Gauss-Jordan).
+    """
+    if not keys:
+        return {}
+    width = (dim + 7) // 8
+    raw = b"".join([key.to_bytes(width, "little") for key in keys])
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(keys), width),
+                         axis=1, count=dim, bitorder="little")
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    flat, stride = packed.tobytes(), packed.shape[1]
+    rows: dict[int, int] = {}
+    pivots = 0  # the pivots' bits
+    for i in range(0, len(flat), stride):
+        row = int.from_bytes(flat[i:i + stride], "little")
+        for q in _mask_indices(row & pivots):
+            row ^= rows[q]
+        if row:
+            low = row & -row
+            for q, other in rows.items():
+                if other & low:
+                    rows[q] = other ^ row
+            rows[low.bit_length() - 1] = row
+            pivots |= low
+    return rows
 
 
 def max_independent_subset(m: BinaryMatroid) -> tuple[Gf2Vector, ...]:
     """A basis of M, chosen by first-seen pivots in canonical element order."""
-    basis = set(greedy_basis([v.key for v in m.elements], m.dim, m.dim)[0])
+    basis = set(greedy_basis([v.key for v in m.elements], m.dim))
     return tuple(v for v in m.elements if v.key in basis)
 
 
@@ -348,49 +391,3 @@ def express_in_basis(
     if residual != 0:
         raise NotInSpanError(f"{x.bits()} is not in the span of the basis")
     return frozenset(_mask_indices(mask))
-
-
-def expansion_masks(keys: Sequence[int], rows: dict[int, int], dim: int) -> list[int]:
-    """For each key, the mask of its unique expansion in the basis behind rows.
-
-    ``rows`` is the row-echelon form that greedy_basis returns, and every key
-    must lie in its span (NotInSpanError otherwise). The masks are every
-    fundamental circuit of that basis at once: a peel builds its state from
-    one call (circuits.WorkingSet.rref), and the oracles and the density
-    bound make one call per input. The scan follows the Method of Four
-    Russians (Arlazarov, Dinic, Kronrod, Faradzev 1970; Albrecht, Bard,
-    Hart, ACM TOMS 2010).
-    Each 8-bit slice of the key that holds a pivot gets one table, mapping
-    the slice to the XOR of rows that clears its pivot bits top down. That
-    map is linear, so the table is built by doubling: each row is first
-    cleared of the lower pivots of its slice through the table so far, and
-    the new half is that row XOR the old half. No row has a bit above its
-    pivot, so the table entries touch no higher slice: applied from the top
-    slice down, the tables end at the residual, which is zero exactly in
-    the span, with the mask above it. A table is sized to the highest pivot
-    in its slice, so a call builds at most 32 entries per key bit and keeps
-    one table alive at a time; a key costs one lookup per table.
-    """
-    entries = [0] * dim  # per key bit: its row, 0 off the pivots
-    for pivot, row in rows.items():
-        entries[pivot] = row
-    acc = list(keys)
-    for shift in range((dim - 1) & ~7, -1, -8):
-        chunk = entries[shift:shift + 8]
-        while chunk and not chunk[-1]:
-            chunk.pop()
-        if not chunk:
-            continue
-        table = [0]
-        for row in chunk:  # table doubles per bit; the new half has this bit set
-            if row:
-                row ^= table[row >> shift & (len(table) - 1)]  # clear lower pivots
-                table += [row ^ t for t in table]
-            else:
-                table += table
-        sel = len(table) - 1
-        acc = [a ^ table[a >> shift & sel] for a in acc]
-    low = (1 << dim) - 1
-    if any([a & low for a in acc]):
-        raise NotInSpanError("a key lies outside the span")
-    return [a >> dim for a in acc]

@@ -22,7 +22,7 @@ from .formats import check_oddcover
 from .gf2core import (
     BinaryMatroid,
     Gf2Vector,
-    expansion_masks,
+    column_rref,
     greedy_basis,
     require_eulerian,
     xor_key,
@@ -82,10 +82,11 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
     threshold = len(m) / (math.log(len(m)) ** 2)
     work = WorkingSet(m)
     cover: list[Circuit] = []
+    bound = m.dim
     while work and len(work) >= threshold:
-        basis, _ = greedy_basis(work.keys, m.dim, work.bound)
-        work.bound = len(basis)
-        if work.bound <= 2:
+        basis = greedy_basis(work.keys, bound)
+        bound = len(basis)
+        if bound <= 2:
             break
         c = complete_to_circuit(work.vectors(basis))
         work.toggle(c)
@@ -182,18 +183,14 @@ def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
     require_eulerian(m)
     if len(m) <= exhaustive_limit:
         return max_quotient_exhaustive(m, denom_offset=1)
-    keys = [v.key for v in m.elements]
-    basis, rows = greedy_basis(keys, m.dim, m.dim)
-    r = len(basis)
-    # minimal prefix length whose span holds each element: the highest basis
-    # index in its expansion, plus one
-    prefix_counts = [0] * (r + 1)
-    for mask in expansion_masks(keys, rows, m.dim):
-        prefix_counts[mask.bit_length()] += 1
+    rows = column_rref([v.key for v in m.elements], m.dim)
+    pivots = sorted(rows)  # the basis in canonical order
+    # the span of the first i basis elements holds exactly the elements that
+    # no row from pivot i on holds
     best = 0
-    running = 0
-    for length in range(1, r + 1):
-        running += prefix_counts[length]
-        value = -(-running // (length + 1))
-        best = max(best, value)
+    outside = 0  # the OR of the rows past the prefix
+    for length in range(len(pivots), 0, -1):
+        inside = len(m) - outside.bit_count()
+        best = max(best, -(-inside // (length + 1)))
+        outside |= rows[pivots[length - 1]]
     return best

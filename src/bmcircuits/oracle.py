@@ -5,11 +5,15 @@ circuit enumeration, exact minimum circuit decompositions, exact minimum
 odd-covers over a small ambient space, and conjecture probes that compare
 the exact values against the closed-form bounds.
 
-Circuit enumeration walks the cycle space of one greedy basis: subsets of
-the |M| - rank elements outside the basis, up to rank + 1 of them, each
-tested by a short reduction over rank-bit expansion masks. exact_c and
-intersection_lower_bound enumerate each connected component on its own;
-exact_c2 enumerates each ambient complete matroid once per process.
+Circuit enumeration, the component split and exact_c2's coordinates all
+read one gf2core.column_rref of the input: the reduced row-echelon form
+of its coordinate slices, whose pivots are the first-seen basis and whose
+rows hold every fundamental circuit of that basis. Enumeration walks the
+cycle space of that basis: subsets of the |M| - rank elements outside it,
+up to rank + 1 of them, each tested by a short reduction over their
+expansion masks. exact_c and intersection_lower_bound enumerate each
+connected component on its own; exact_c2 enumerates each ambient
+complete matroid once per process.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     _mask_indices,
-    expansion_masks,
-    greedy_basis,
+    column_rref,
     rank,
     require_eulerian,
 )
@@ -60,9 +63,11 @@ class CircuitCatalog:
 def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     """All minimal zero-sum subsets of m, from the cycle space of one basis.
 
-    Let r be the rank of m, B the positions of its greedy basis, N the
-    other positions, and u_e (e in N) the expansion mask of e over B: its
-    fundamental circuit minus e. B is independent, so a zero-sum subset S
+    Let r be the rank of m, B the positions of its first-seen basis, N the
+    other positions, and u_e (e in N) the mask of the positions in B of
+    e's expansion: its fundamental circuit minus e. Both come from the one
+    gf2core.column_rref of m: B is its pivots, and u_e has bit p for each
+    row p that holds e. B is independent, so a zero-sum subset S
     is fixed by A = S & N: S is A plus the basis positions in P, the XOR of
     u_e over A. The search walks the subsets A of N depth-first in position
     order, carrying P, and tests each one.
@@ -76,7 +81,8 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     else but the empty set. So the rank is at most |A| - 1, and it is
     |A| - 1 iff no nonempty proper subset of A is in the kernel, iff the
     vectors of A minus its last element are independent. The test reduces
-    those |A| - 1 vectors, r-bit ints, against each other.
+    those |A| - 1 vectors, masks over the r positions of B, against each
+    other.
 
     A circuit has at most r + 1 elements, so a subset is tested only when
     |A| + |P| <= r + 1, and the walk stops at |A| = r + 1. Each circuit C
@@ -84,14 +90,13 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     """
     if len(m) > ENUMERATION_LIMIT:
         raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
-    keys = [v.key for v in m.elements]
-    basis, rows = greedy_basis(keys, m.dim, m.dim)
-    expansion = expansion_masks(keys, rows, m.dim)
-    index_of = {k: i for i, k in enumerate(keys)}
-    basis_bits = [1 << index_of[k] for k in basis]  # element bit per basis position
-    in_basis = set(basis)
-    others = [(1 << i, expansion[i]) for i, k in enumerate(keys) if k not in in_basis]
-    limit = len(basis) + 1
+    rows = column_rref([v.key for v in m.elements], m.dim)
+    expansion = [0] * len(m)  # u_e over the basis positions
+    for p, row in rows.items():
+        for e in _mask_indices(row):
+            expansion[e] |= 1 << p
+    others = [(1 << e, u) for e, u in enumerate(expansion) if e not in rows]
+    limit = len(rows) + 1
     masks: list[int] = []
 
     def independent(vecs: list[int], keep: int) -> bool:
@@ -115,10 +120,7 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
             bit, u = others[j]
             q = p ^ u
             if size + q.bit_count() <= limit and independent(vecs, ~q):
-                mk = chosen | bit
-                for b in _mask_indices(q):
-                    mk |= basis_bits[b]
-                masks.append(mk)
+                masks.append(chosen | bit | q)
             if size < limit:
                 vecs.append(u)
                 dfs(j + 1, chosen | bit, vecs, q, size + 1)
@@ -134,26 +136,22 @@ def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
     Elements share a component when a circuit holds both, and the
     fundamental circuits of one basis already relate them: the components
     are the classes of the transitive closure (Oxley, Matroid Theory,
-    ch. 4). One greedy_basis and one expansion_masks scan give each
-    element's mask of basis positions: a basis element's own bit, and for
-    any other element its fundamental circuit minus itself, which has at
-    least 2 bits because m is simple. Masks that meet are merged, and each
-    element joins the class its mask lies in. The components span a direct
-    sum, so the zero sum of m splits into one per component: each is
-    Eulerian, nonempty and has no coloop.
+    ch. 4). In the one gf2core.column_rref of m, row p holds basis element
+    p and every element whose fundamental circuit holds p, and every
+    element lies in some row. So rows that share a bit are merged, and
+    each merged class of positions is a component. The components span a
+    direct sum, so the zero sum of m splits into one per component: each
+    is Eulerian, nonempty and has no coloop.
     """
     keys = [v.key for v in m.elements]
-    masks = expansion_masks(keys, greedy_basis(keys, m.dim, m.dim)[1], m.dim)
-    classes: list[int] = []  # disjoint masks of basis positions
-    for mk in masks:
+    classes: list[int] = []  # disjoint masks of element positions
+    for mk in column_rref(keys, m.dim).values():
         for c in [c for c in classes if c & mk]:
             classes.remove(c)
             mk |= c
         classes.append(mk)
-    return [
-        BinaryMatroid.from_keys(m.dim, (k for k, mk in zip(keys, masks) if mk & c))
-        for c in classes
-    ]
+    return [BinaryMatroid.from_keys(m.dim, (keys[j] for j in _mask_indices(c)))
+            for c in classes]
 
 
 def _min_disjoint_cover(sub: BinaryMatroid) -> int:
@@ -243,9 +241,10 @@ def exact_c2(m: BinaryMatroid) -> int:
     When the search is restricted to span(M)
     (see c2_search_is_restricted) the result is still an upper bound for the
     restricted problem and at most exact_c(m). The restricted search takes
-    each element's expansion mask in one greedy basis as its coordinates in
-    F_2^rank: any order of the basis permutes those coordinates, which maps
-    the ambient circuits onto themselves and leaves the value unchanged.
+    each element's expansion in the first-seen basis as its coordinates in
+    F_2^rank, read from the rows of gf2core.column_rref in pivot order:
+    any order of the basis permutes those coordinates, which maps the
+    ambient circuits onto themselves and leaves the value unchanged.
     """
     require_eulerian(m)
     if len(m) == 0:
@@ -253,9 +252,11 @@ def exact_c2(m: BinaryMatroid) -> int:
     keys = [v.key for v in m.elements]
     ambient_dim = m.dim
     if c2_search_is_restricted(m):
-        basis, rows = greedy_basis(keys, m.dim, m.dim)
-        keys = expansion_masks(keys, rows, m.dim)
-        ambient_dim = len(basis)
+        # element j's coordinates: bit i is j's bit in the row of pivot i
+        rows = [row for _, row in sorted(column_rref(keys, m.dim).items())]
+        keys = [sum((row >> j & 1) << i for i, row in enumerate(rows))
+                for j in range(len(keys))]
+        ambient_dim = len(rows)
     catalog = _ambient_catalog(ambient_dim)
     masks = catalog.masks
     mask_set = set(masks)

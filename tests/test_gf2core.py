@@ -10,7 +10,8 @@ from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
-    expansion_masks,
+    _mask_indices,
+    column_rref,
     express_in_basis,
     greedy_basis,
     is_eulerian,
@@ -241,43 +242,39 @@ def _low_rank_keys(dim, r, size, seed):
 
 
 class TestGreedyBasisAndExpansionMasks:
-    """The byte-table scan against one Gf2Eliminator.reduce per key.
+    """column_rref's rows, read by columns, against one Gf2Eliminator.reduce
+    per key over greedy_basis.
 
-    Dimensions up to 40 put pivots in up to five 8-bit slices, so the tables
-    must be applied from the top slice down.
+    The cases hold the empty key list, dimension 1, dimensions that are not
+    multiples of 8 (so the transpose pads), rank below the dimension, and
+    more dimensions than keys.
     """
 
     CASES = [(1, 1, 1), (3, 3, 7), (8, 8, 60), (9, 9, 60), (17, 6, 50),
-             (17, 17, 80), (40, 12, 80), (40, 40, 80)]
+             (17, 17, 80), (40, 12, 80), (40, 40, 80), (5, 3, 0), (1, 1, 0),
+             (40, 40, 12), (200, 30, 25)]
 
     @pytest.mark.parametrize("dim,r,size", CASES)
     def test_masks_match_per_key_reduce(self, dim, r, size):
         keys = _low_rank_keys(dim, r, size, seed=dim * 100 + r)
-        basis, rows = greedy_basis(keys, dim, dim)
+        assert len(keys) == size
+        basis = greedy_basis(keys, dim)
         elim = Gf2Eliminator()
         for b in basis:
             assert elim.insert(b) is None
-        expected = []
-        for key in keys:
+        position = {key: j for j, key in enumerate(keys)}
+        expected = {position[b]: 0 for b in basis}
+        for j, key in enumerate(keys):
             residual, mask = elim.reduce(key)
             assert residual == 0
-            expected.append(mask)
-        assert expansion_masks(keys, rows, dim) == expected
+            for i in _mask_indices(mask):  # the witness mask, transposed
+                expected[position[basis[i]]] |= 1 << j
+        assert column_rref(keys, dim) == expected
 
     @pytest.mark.parametrize("dim,r,size", CASES)
     def test_bound_at_rank_gives_the_full_scan_basis(self, dim, r, size):
         keys = _low_rank_keys(dim, r, size, seed=dim * 100 + r)
         m = BinaryMatroid.from_keys(dim, keys)
         full = [v.key for v in max_independent_subset(m)]
-        assert greedy_basis(keys, dim, dim)[0] == full
-        assert greedy_basis(keys, dim, rank(m))[0] == full
-
-    def test_key_outside_the_span(self):
-        keys = _low_rank_keys(20, 5, 30, seed=1)
-        basis, rows = greedy_basis(keys, 20, 20)
-        elim = Gf2Eliminator()
-        for b in basis:
-            elim.insert(b)
-        outside = next(k for k in range(1, 1 << 20) if not elim.contains(k))
-        with pytest.raises(NotInSpanError):
-            expansion_masks(keys + [outside], rows, 20)
+        assert greedy_basis(keys, dim) == full
+        assert greedy_basis(keys, rank(m)) == full

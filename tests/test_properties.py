@@ -8,9 +8,10 @@ exhaustive max of ceil(|N| / rank(N)); can_partition, on up to 40 elements
 and on mid-size inputs, to the augmenting search without its shortcuts;
 every decomposer and odd-cover builder
 to the exact oracles, the peel family to reference loops that rebuild a
-BinaryMatroid per step and to the per-step basis-and-expansion scan that
-the peel state replaced (sparse high-rank inputs included), the peel
-state after each removal to a fresh build, exact_c and its component split to a
+BinaryMatroid per step and to a per-step scan on Gf2Eliminator witnesses
+(sparse high-rank inputs included), the peel state after each removal to
+a fresh build, density_lower_bound above its exhaustive limit to a
+per-prefix span count, exact_c and its component split to a
 union-find over the whole circuit catalogue, intersection_lower_bound to
 that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
@@ -52,13 +53,12 @@ from bmcircuits.gf2core import (
     Gf2Eliminator,
     Gf2Vector,
     _mask_indices,
-    expansion_masks,
     express_in_basis,
     greedy_basis,
     rank,
 )
 from bmcircuits.generators import complete_matroid, random_eulerian
-from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
+from bmcircuits.oddcover import density_lower_bound, oddcover_via_arboricity, symdiff_reduce
 from bmcircuits.oracle import (
     _components,
     c2_search_is_restricted,
@@ -428,15 +428,18 @@ def sparse_high_rank_matroids(draw):
 
 
 def scan_decompose(m):
-    """Peel with the per-step scan the peel state replaced: each step takes
-    the greedy basis of the keys left and expands every key in it."""
+    """Peel with a per-step scan on Gf2Eliminator: each step inserts the keys
+    left in order, the independent ones being the first-seen basis, and
+    reduces every key over them; a key's witness mask is its expansion."""
     keys, circuits = [v.key for v in m.elements], []
     while keys:
-        basis, rows = greedy_basis(keys, m.dim, m.dim)
-        masks = expansion_masks(keys, rows, m.dim)
-        best = max(masks, key=int.bit_count)  # the first of the largest
-        circuit = sorted([b for i, b in enumerate(basis) if best >> i & 1]
-                         + [keys[masks.index(best)]])
+        elim = Gf2Eliminator()
+        for key in keys:
+            elim.insert(key)
+        masks = [elim.reduce(key)[1] for key in keys]
+        # the first of the largest expansions
+        j = max(range(len(keys)), key=lambda j: masks[j].bit_count())
+        circuit = sorted([keys[i] for i in _mask_indices(masks[j])] + [keys[j]])
         circuits.append(circuit)
         keys = [k for k in keys if k not in circuit]
     return circuits
@@ -447,6 +450,23 @@ def test_peel_matches_the_scan_and_the_reference_at_high_rank(m):
     circuits = [[v.key for v in c] for c in peel_decompose(m).circuits]
     assert circuits == scan_decompose(m)
     assert circuits == outcome(*reference_decompose(m, lambda work: True))[0]
+
+
+@given(st.one_of(eulerian_matroids(), sparse_high_rank_matroids()))
+def test_density_bound_is_the_best_basis_prefix(m):
+    """Above the exhaustive limit, the bound is the max over the prefixes of
+    the first-seen basis of ceil(inside / (length + 1)), where inside counts
+    the elements an eliminator finds in the prefix's span."""
+    keys = [v.key for v in m.elements]
+    basis = greedy_basis(keys, m.dim)
+    best = 0
+    for length in range(1, len(basis) + 1):
+        elim = Gf2Eliminator(track_witnesses=False)
+        for b in basis[:length]:
+            elim.insert(b)
+        inside = sum(elim.contains(key) for key in keys)
+        best = max(best, math.ceil(inside / (length + 1)))
+    assert density_lower_bound(m, exhaustive_limit=0) == best
 
 
 def state_row_sets(work):
@@ -467,7 +487,7 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, first_dependency):
         c = extract_any_circuit(work) if first_dependency else largest_fundamental_circuit(work)
         work.remove(c)
         at, rows = work.rref()
-        assert sorted(at[p] for p in rows) == greedy_basis(work.keys, m.dim, m.dim)[0]
+        assert sorted(at[p] for p in rows) == greedy_basis(work.keys, m.dim)
         if work:
             fresh = WorkingSet(BinaryMatroid.from_keys(m.dim, work.keys))
             assert state_row_sets(work) == state_row_sets(fresh)
