@@ -9,7 +9,6 @@ from .arboricity import (
 )
 from .circuits import (
     Circuit,
-    extract_any_circuit,
     fundamental_circuit,
     guaranteed_circuit_size,
     is_circuit,

@@ -2,9 +2,12 @@
 
 A circuit is a minimal nonempty zero-sum subset: XOR of its elements is zero
 and its rank is size - 1. In a simple binary matroid every circuit has at
-least 3 elements. All functions here are pure and safe to call concurrently,
-except that largest_fundamental_circuit builds the peel state of a
-WorkingSet it is given, which the set's single owner then reuses.
+least 3 elements. The one circuit search is largest_fundamental_circuit, and
+peel repeats it on a WorkingSet until the set is empty; every decomposition
+and every odd-cover remainder comes from that loop. All functions here are
+pure and safe to call concurrently, except that largest_fundamental_circuit
+builds the peel state of a WorkingSet it is given and peel empties the set,
+which its single owner then reuses.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
+    _gauss_jordan,
     _key_of,
     _mask_indices,
     column_rref,
@@ -165,8 +169,9 @@ class WorkingSet:
     zero, and keys change only through remove and toggle.
 
     The first largest_fundamental_circuit call also builds the peel state
-    (see rref), which remove then keeps current and toggle drops; a set
-    that is never searched, such as symdiff_reduce's, never builds it.
+    (see rref), which remove then keeps current and toggle drops; the next
+    search rebuilds it, so symdiff_reduce, which toggles and then peels,
+    builds it once.
     """
 
     __slots__ = ("dim", "keys", "elements", "total", "_at", "_rows")
@@ -224,19 +229,8 @@ class WorkingSet:
             return
         gone = sum(1 << bisect_left(self._at, key) for key in c.keys)
         keep = ~gone
-        fresh: dict[int, int] = {}  # new pivot -> row, reduced among themselves
-        pivots = 0  # the new pivots' bits
-        for p in [p for p, row in rows.items() if row & gone]:
-            row = rows.pop(p) & keep
-            for q in _mask_indices(row & pivots):
-                row ^= fresh[q]
-            if row:
-                low = row & -row
-                for q, other in fresh.items():
-                    if other & low:
-                        fresh[q] = other ^ row
-                fresh[low.bit_length() - 1] = row
-                pivots |= low
+        hit = [p for p, row in rows.items() if row & gone]
+        fresh, pivots = _gauss_jordan([rows.pop(p) & keep for p in hit])
         for p, row in rows.items():
             if row & pivots:
                 for q in _mask_indices(row & pivots):
@@ -308,29 +302,17 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     return work.circuit(support + [at[low.bit_length() - 1]])
 
 
-def extract_any_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
-    """Some circuit contained in n, found at the first elimination dependency.
+def peel(work: WorkingSet) -> list[Circuit]:
+    """Remove the largest fundamental circuit from work until it is empty.
 
-    Elements are inserted in canonical order. The first dependent element
-    together with its witness set is a circuit: the witnesses are drawn from
-    the independent prefix, so the dependent element's expansion in them is
-    unique and no proper subset sums to zero. Circuit() re-checks the law.
+    Each step is largest_fundamental_circuit, which reads the set's peel
+    state, and remove, which updates the rows that held the circuit; the
+    first step builds the state (see WorkingSet.rref). The circuits are
+    disjoint and their union is the set as given, so they decompose it.
     """
-    work = _working_set(n)
-    keys = work.keys
-    elim = Gf2Eliminator()
-    for key in keys:
-        witness = elim.insert(key)
-        if witness is not None:
-            return work.circuit([keys[i] for i in _mask_indices(witness)] + [key])
-    raise NotEulerianError("independent set cannot be Eulerian")
-
-
-def extract_all(work: WorkingSet) -> list[Circuit]:
-    """Remove first-dependency circuits from work until it is empty."""
     circuits = []
     while work:
-        c = extract_any_circuit(work)
+        c = largest_fundamental_circuit(work)
         circuits.append(c)
         work.remove(c)
     return circuits

@@ -204,8 +204,6 @@ def build_parser() -> _Parser:
     v.add_argument("--against", required=True)
     v.add_argument("--mode", required=True, choices=list(ARTIFACT_KINDS))
 
-    b = sub.add_parser("bench", help="run the quick built-in suite")
-    b.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -369,52 +367,6 @@ def _cmd_verify(args) -> int:
     return 0 if verified else 2
 
 
-def _cmd_bench(args) -> int:
-    instances = [
-        ("complete-3", complete_matroid(3)),
-        ("complete-4", complete_matroid(4)),
-        ("complete-5", complete_matroid(5)),
-        ("complete-6", complete_matroid(6)),
-        ("copies-2x2", independent_copies(2, 2)),
-        ("copies-3x2", independent_copies(3, 2)),
-        ("copies-2x3", independent_copies(2, 3)),
-        ("random-8-20", random_eulerian(8, 20, args.seed)),
-        ("random-10-30", random_eulerian(10, 30, args.seed + 1)),
-    ]
-    failures = 0
-    for name, m in instances:
-        start = time.perf_counter()
-        dec = auto_decompose(m)
-        a_value, cover = oddcover_via_arboricity(m)
-        elapsed = time.perf_counter() - start
-        cover_bound = -(-4 * a_value // 3)
-        # dec is a checked Decomposition, which never has fewer circuits than
-        # the quotient bound (see formats.check_decomposition); the cover is the test
-        ok = len(cover.circuits) <= cover_bound
-        failures += 0 if ok else 1
-        print(
-            f"{name}: odd-cover of {len(cover.circuits)} circuits (bound {cover_bound})",
-            file=sys.stderr,
-        )
-        _emit(
-            instance=name,
-            algorithm="bench",
-            circuits=len(dec.circuits),
-            a=a_value,
-            arboricity=a_value,
-            branch=dec.branch,
-            phase1=dec.phase1,
-            phase2=dec.phase2,
-            c2=None,
-            quotient_bound=_quotient_bound(m),
-            seed=args.seed,
-            wall_time_s=round(elapsed, 6),
-            verified=ok,
-            **_matroid_stats(m),
-        )
-    return 0 if failures == 0 else 2
-
-
 _HANDLERS = {
     "gen": _cmd_gen,
     "decompose": _cmd_decompose,
@@ -423,7 +375,6 @@ _HANDLERS = {
     "orbit": _cmd_orbit,
     "oracle": _cmd_oracle,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
 }
 
 

@@ -1,18 +1,16 @@
 """Circuit decompositions of Eulerian binary matroids.
 
-One peel loop removes the largest fundamental circuit until nothing is left.
-peel_decompose, log_greedy_decompose and dense_decompose all return its
-circuits; they differ in precondition and in the branch and phase labels
-that record which size guarantee applies. auto_decompose returns the
-rotation orbits of orbit.py on an admissible complete matroid, which meet
-the quotient bound, and otherwise lets a density test pick the labels.
+peel_decompose, log_greedy_decompose and dense_decompose all return the
+circuits of circuits.peel, which removes the largest fundamental circuit
+until nothing is left; they differ in precondition and in the branch and
+phase labels that record which size guarantee applies. auto_decompose
+returns the rotation orbits of orbit.py on an admissible complete matroid,
+which meet the quotient bound, and otherwise lets a density test pick the
+labels.
 
-Each run is a single-threaded state machine over its own circuits.WorkingSet,
-an ascending list of int keys: a peeled circuit leaves it by bisect deletion,
-and a Circuit is built once per emitted circuit. The set eliminates once per
-run: its first search takes gf2core.column_rref of its keys, the one
-elimination kernel, from which every step reads all fundamental circuits
-at once, and each removal updates only the rows that hold a removed
+Each run peels its own circuits.WorkingSet, an ascending list of int keys,
+whose first search takes gf2core.column_rref of its keys, the one
+elimination kernel; each removal updates only the rows that hold a removed
 position. The pivots stay the first-seen basis of the elements left, so
 every tie-break is the one a fresh scan of them would find. Separate runs
 may proceed in parallel.
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .circuits import Circuit, WorkingSet, largest_fundamental_circuit
+from .circuits import WorkingSet, peel
 from .errors import NotDenseEnoughError, OutOfRangeError
 from .formats import Decomposition
 from .gf2core import BinaryMatroid, rank, require_eulerian
@@ -99,26 +97,20 @@ def _meets_pow2(size: int, exponent: float) -> bool:
     return math.log2(size) >= exponent - _LOG2_MARGIN
 
 
-def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda work: True) -> Decomposition:
-    """Remove the largest fundamental circuit until nothing is left.
+def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda size: True) -> Decomposition:
+    """circuits.peel on m, with branch and phase labels.
 
-    Each step is largest_fundamental_circuit on the working set, which
-    reads its column counts off the set's reduced row-echelon form, and
-    WorkingSet.remove, which updates the rows that held the circuit; the
-    form is built once, at the first step (see WorkingSet.rref).
-    in_phase1(work) sees the working set before a step. Phase 1 ends at
-    the first step it rejects and never resumes; the predicate only labels
-    steps and never changes the circuits.
+    in_phase1(size) sees the number of elements left before a step. Phase 1
+    ends at the first step it rejects and never resumes; the predicate only
+    labels steps and never changes the circuits.
     """
-    work = WorkingSet(m)
-    circuits: list[Circuit] = []
-    phase1 = 0
-    while work:
-        c = largest_fundamental_circuit(work)
-        if phase1 == len(circuits) and in_phase1(work):
-            phase1 += 1
-        circuits.append(c)
-        work.remove(c)
+    circuits = peel(WorkingSet(m))
+    phase1, left = 0, len(m)
+    for c in circuits:
+        if not in_phase1(left):
+            break
+        phase1 += 1
+        left -= len(c)
     return Decomposition(m, tuple(circuits), branch, phase1, len(circuits) - phase1)
 
 
@@ -134,7 +126,7 @@ def log_greedy_decompose(m: BinaryMatroid) -> Decomposition:
     binary matroid has at least 3 elements, so phase 2 has at most a third
     as many circuits as elements."""
     require_eulerian(m)
-    return _peel(m, "sparse", lambda work: len(work) >= len(m) / math.log(len(m)) ** 2)
+    return _peel(m, "sparse", lambda size: size >= len(m) / math.log(len(m)) ** 2)
 
 
 def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
@@ -165,7 +157,7 @@ def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
             f"|M| = {len(m)} below 2^((1-delta)*r) for r = {r}, delta = {params.delta:.6g}"
         )
     phase1_exp = (1.0 - 2.0 * params.delta) * r
-    return _peel(m, "dense", lambda work: _meets_pow2(len(work), phase1_exp))
+    return _peel(m, "dense", lambda size: _meets_pow2(size, phase1_exp))
 
 
 def auto_decompose(

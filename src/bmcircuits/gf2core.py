@@ -341,9 +341,7 @@ def column_rref(keys: Sequence[int], dim: int) -> dict[int, int]:
     Each position of a nonzero key is set in some row.
 
     The slices come from one bit-matrix transpose on numpy bit arrays,
-    little-endian on both sides. Each slice is then cleared of the pivots
-    so far, row by row; what is left, if anything, pivots on its lowest
-    bit, which is cleared from every other row (Gauss-Jordan).
+    little-endian on both sides, and are reduced in order by _gauss_jordan.
     """
     if not keys:
         return {}
@@ -353,20 +351,31 @@ def column_rref(keys: Sequence[int], dim: int) -> dict[int, int]:
                          axis=1, count=dim, bitorder="little")
     packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
     flat, stride = packed.tobytes(), packed.shape[1]
-    rows: dict[int, int] = {}
-    pivots = 0  # the pivots' bits
-    for i in range(0, len(flat), stride):
-        row = int.from_bytes(flat[i:i + stride], "little")
+    return _gauss_jordan(int.from_bytes(flat[i:i + stride], "little")
+                         for i in range(0, len(flat), stride))[0]
+
+
+def _gauss_jordan(rows: Iterable[int]) -> tuple[dict[int, int], int]:
+    """Reduce rows Gauss-Jordan style, pivoting on the lowest set bit.
+
+    Each row is cleared of the pivots so far; what is left, if anything,
+    pivots on its lowest bit, which is cleared from every other row. Returns
+    pivot position -> row, each pivot set in its own row only, and the
+    pivots' bits.
+    """
+    reduced: dict[int, int] = {}
+    pivots = 0
+    for row in rows:
         for q in _mask_indices(row & pivots):
-            row ^= rows[q]
+            row ^= reduced[q]
         if row:
             low = row & -row
-            for q, other in rows.items():
+            for q, other in reduced.items():
                 if other & low:
-                    rows[q] = other ^ row
-            rows[low.bit_length() - 1] = row
+                    reduced[q] = other ^ row
+            reduced[low.bit_length() - 1] = row
             pivots |= low
-    return rows
+    return reduced, pivots
 
 
 def max_independent_subset(m: BinaryMatroid) -> tuple[Gf2Vector, ...]:

@@ -5,7 +5,8 @@ each step can erase a whole independent set at once: complete a basis I of
 the working set with its sum x and XOR the circuit I + {x} away. The
 arboricity-based construction does this for all parts of a minimum
 independent partition simultaneously, leaving a remainder no bigger than the
-part count.
+part count. What the completions leave is peeled into contained circuits
+by circuits.peel, the loop every decomposition runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arboricity import arboricity, max_quotient_exhaustive
-from .circuits import Circuit, WorkingSet, extract_all
+from .circuits import Circuit, WorkingSet, peel
 from .decompose import peel_decompose
 from .errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from .formats import check_oddcover
@@ -69,12 +70,14 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
     Each main step removes rank(N) elements and adds at most one, so the size
     drops by at least two while rank(N) >= 3. Once the working set falls
     under |M| / ln^2 |M| elements (or its rank reaches 2, leaving at most a
-    triangle), the rest is peeled as ordinary contained circuits.
+    triangle), circuits.peel removes the rest as largest fundamental
+    circuits.
 
     The working set is a circuits.WorkingSet, toggled in place. The
     completion lies in the span of the basis, so a step never raises the
     rank, and each step's greedy basis stops at the previous step's rank:
     the basis is still the one a full scan finds, computed once per step.
+    Toggling drops the peel state, and the first peel step builds it once.
     """
     require_eulerian(m)
     if len(m) == 0:
@@ -91,7 +94,7 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
         c = complete_to_circuit(work.vectors(basis))
         work.toggle(c)
         cover.append(c)
-    cover += extract_all(work)
+    cover += peel(work)
     return OddCover(m, tuple(cover))
 
 
@@ -121,6 +124,13 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
     greedy. Parts of size one cannot be completed; they either borrow an
     element from a part that can spare one, or get covered by an auxiliary
     triangle {y, z, y + z} whose alien elements flow into the remainder.
+
+    The remainder holds completion keys only, so it needs no check of its
+    own. Each base circuit C_i is its part P_i plus completion keys X_i
+    disjoint from P_i: the sum of an independent part lies outside it, and
+    z and y + z differ from y. The parts partition M, so
+    M Δ P_1 Δ ... Δ P_t is empty and M Δ C_1 Δ ... Δ C_t = X_1 Δ ... Δ X_t.
+    OddCover re-checks the final cover.
     """
     if len(m) == 0:
         raise EmptyMatroidError("nothing to cover")
@@ -137,26 +147,18 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
             part.append(donor.pop())
 
     base: list[Circuit] = []
-    allowed_leftover: set[int] = set()
     for part in parts:
         if len(part) >= 2:
-            c = complete_to_circuit(part)
-            part_keys = {v.key for v in part}
-            allowed_leftover.update(k for k in c.keys if k not in part_keys)
+            base.append(complete_to_circuit(part))
         else:
-            y = part[0]
-            z = _smallest_other_key(y.key)
-            c = Circuit.from_keys(m.dim, (y.key, z, y.key ^ z))
-            allowed_leftover |= {z, y.key ^ z}
-        base.append(c)
+            y = part[0].key
+            z = _smallest_other_key(y)
+            base.append(Circuit.from_keys(m.dim, (y, z, y ^ z)))
 
     left = set(m.key_set)
     for c in base:
         left.symmetric_difference_update(c.keys)
     remainder = BinaryMatroid.from_keys(m.dim, left)
-    stray = left - allowed_leftover
-    if stray:
-        raise OutOfRangeError(f"remainder escaped the completion set: {stray}")
 
     cover = list(base) + list(symdiff_reduce(remainder).circuits)
     final = _cancel_pairs(cover)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .circuits import Circuit, extract_any_circuit, is_circuit
+from .circuits import Circuit, is_circuit, largest_fundamental_circuit
 from .errors import (
     BmcError,
     NotCoprimeError,
@@ -182,7 +182,8 @@ def demonstrate_order_failure() -> OrderFailureReport:
     """Show the rotation method break at p = 7.
 
     The orbit of 1110100 (coordinates 0, 1, 2, 4) has 7 elements but is not a
-    circuit; extraction splits it into two circuits whose sizes sum to 7.
+    circuit; its largest fundamental circuit (4 elements) and the other 3
+    elements split it into two circuits.
     """
     p = 7
     order = multiplicative_order(2, p)
@@ -191,6 +192,6 @@ def demonstrate_order_failure() -> OrderFailureReport:
     orbit = tuple(sorted(Gf2Vector(p, k) for k in set(keys)))
     whole = is_circuit(orbit)
     as_matroid = BinaryMatroid(p, orbit)
-    first = extract_any_circuit(as_matroid)
+    first = largest_fundamental_circuit(as_matroid)
     second = Circuit(as_matroid.difference(first).elements)
     return OrderFailureReport(p, order, orbit, whole, (first, second))

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from bmcircuits.circuits import (
     Circuit,
     WorkingSet,
-    extract_all,
-    extract_any_circuit,
     fundamental_circuit,
     guaranteed_circuit_size,
     is_circuit,
     largest_fundamental_circuit,
+    peel,
 )
 from bmcircuits.errors import (
     DegenerateMemberError,
@@ -27,11 +26,10 @@ from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
-    is_eulerian,
     max_independent_subset,
     rank,
 )
-from bmcircuits.generators import complete_matroid, independent_copies
+from bmcircuits.generators import complete_matroid
 from bmcircuits.oddcover import complete_to_circuit
 from bmcircuits.orbit import build_even_weight_model, orbit_decompose
 
@@ -193,28 +191,6 @@ class TestLargestFundamentalCircuit:
             assert c.size >= guaranteed_circuit_size(len(m), rank(m))
 
 
-class TestExtractAnyCircuit:
-    def test_triangle(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
-        assert extract_any_circuit(m).key_set == {1, 2, 3}
-
-    def test_two_disjoint_triangles_yields_one_triangle(self):
-        m = independent_copies(2, 2)
-        c = extract_any_circuit(m)
-        assert c.size == 3
-        assert all(v in m for v in c)
-
-    def test_complete_dim3_small_circuit(self):
-        c = extract_any_circuit(complete_matroid(3))
-        assert 3 <= c.size <= 4
-        assert all(v in complete_matroid(3) for v in c)
-
-    def test_removal_leaves_eulerian(self, small_corpus):
-        for m in small_corpus:
-            c = extract_any_circuit(m)
-            assert is_eulerian(m.difference(c))
-
-
 class TestWorkingSet:
     def test_toggle_and_remove_keep_keys_ascending(self):
         m = BinaryMatroid.from_keys(3, [2, 4, 6])
@@ -234,7 +210,6 @@ class TestWorkingSet:
             work = WorkingSet(m)
             assert largest_fundamental_circuit(work) == largest_fundamental_circuit(m)
             assert len(work.rref()[1]) == rank(m)
-            assert extract_any_circuit(work) == extract_any_circuit(m)
             assert work.keys == [v.key for v in m.elements]
 
     def test_search_after_toggle_matches_a_fresh_matroid(self, small_corpus):
@@ -248,17 +223,19 @@ class TestWorkingSet:
                 assert largest_fundamental_circuit(work) == largest_fundamental_circuit(fresh)
 
     def test_extract_all_empties_the_set(self, small_corpus):
+        """peel removes disjoint circuits of the set until nothing is left."""
         for m in small_corpus:
             work = WorkingSet(m)
-            circuits = extract_all(work)
+            circuits = peel(work)
             assert len(work) == 0
             assert sum(c.size for c in circuits) == len(m)
+            assert set().union(*(c.key_set for c in circuits)) == m.key_set
             with pytest.raises(EmptyMatroidError):
-                extract_any_circuit(work)
+                largest_fundamental_circuit(work)
 
     def test_non_eulerian_working_set_rejected(self):
         work = WorkingSet(BinaryMatroid(3, [vec("100"), vec("010"), vec("110"), vec("001")]))
         with pytest.raises(NotEulerianError):
             largest_fundamental_circuit(work)
         with pytest.raises(NotEulerianError):
-            extract_any_circuit(work)
+            peel(work)

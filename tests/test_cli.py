@@ -43,8 +43,7 @@ class TestGen:
     @pytest.mark.parametrize("argv", [
         ["gen", "--kind", "random", "--n", "4", "--size", "5", "--seed", "-1",
          "--out", "{tmp}/r.bm"],
-        ["bench", "--seed", "-1"],
-    ], ids=["gen", "bench"])
+    ], ids=["gen"])
     def test_negative_seed_is_an_input_error(self, argv, tmp_path, capsys):
         assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
         captured = capsys.readouterr()
@@ -323,16 +322,10 @@ class TestSchemaStability:
 
     def test_unknown_subcommand_exit1(self, capsys):
         assert run(["frobnicate"]) == 1
-
-
-class TestBench:
-    def test_quick_suite(self, capsys):
-        assert run(["bench", "--seed", "0"]) == 0
-        recs = records(capsys)
-        assert len(recs) >= 5
-        assert all(r["verified"] for r in recs)
-        # c2 is the exact oracle's key; bench computes only the heuristic cover
-        assert all(r["c2"] is None for r in recs)
+        assert run(["bench", "--seed", "0"]) == 1  # retired
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 #: Golden CLI runs: per scenario, the argv of each step (with {tmp} for the

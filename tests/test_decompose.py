@@ -116,7 +116,7 @@ class TestPeelLoop:
     def test_phase1_ends_at_the_first_rejected_step_and_never_resumes(self):
         m = complete_matroid(6)
         seen = []
-        d = _peel(m, "x", lambda work: seen.append(len(work)) or len(seen) != 2)
+        d = _peel(m, "x", lambda size: seen.append(size) or len(seen) != 2)
         assert seen == [len(m), len(m) - len(d.circuits[0])]  # not asked after the rejection
         assert (d.phase1, d.phase2) == (1, len(d) - 1)
         assert d.circuits == peel_decompose(m).circuits

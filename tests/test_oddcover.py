@@ -88,6 +88,9 @@ class TestSymdiffReduce:
         for m in small_corpus:
             check_cover(m, symdiff_reduce(m))
 
+    def test_tail_peels_largest_fundamental_circuits(self):
+        assert len(symdiff_reduce(complete_matroid(9))) == 59
+
     @pytest.mark.parametrize("name", sorted(PIN_INPUTS))
     def test_pinned(self, name):
         cover = symdiff_reduce(PIN_INPUTS[name]())

@@ -1,8 +1,7 @@
 """Hypothesis properties on small random Eulerian matroids.
 
 Every constructive output must pass its single checker in formats, the
-checkers must reject simple corruptions of a valid artifact, and
-extract_any_circuit must return the first elimination dependency. On at most
+checkers must reject simple corruptions of a valid artifact. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
 exhaustive max of ceil(|N| / rank(N)); can_partition, on up to 40 elements
 and on mid-size inputs, to the augmenting search without its shortcuts;
@@ -34,7 +33,6 @@ from bmcircuits.arboricity import (
 from bmcircuits.circuits import (
     Circuit,
     WorkingSet,
-    extract_any_circuit,
     fundamental_circuit,
     largest_fundamental_circuit,
 )
@@ -146,20 +144,6 @@ def test_checkers_reject_corrupted_blocks(m, data):
             swapped = blocks[i][:j] + (alien,) + blocks[i][j + 1:]
             corrupted = blocks[:i] + [swapped] + blocks[i + 1:]
             assert checker(m, m.dim, corrupted) is not None
-
-
-@given(eulerian_matroids())
-def test_extract_any_circuit_is_first_dependency_plus_witness(m):
-    prefix = []
-    for v in m.elements:
-        try:
-            support = express_in_basis(v, prefix)
-        except NotInSpanError:
-            prefix.append(v)
-            continue
-        break
-    expected = {v.key} | {prefix[i].key for i in support}
-    assert extract_any_circuit(m).key_set == expected
 
 
 @given(tiny_eulerian_matroids())
@@ -477,14 +461,19 @@ def state_row_sets(work):
 
 @given(st.one_of(tiny_eulerian_matroids(), near_complete_matroids(),
                  sparse_high_rank_matroids()), st.booleans())
-def test_removal_keeps_the_peel_state_a_fresh_one(m, first_dependency):
+def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
     """After each remove, the pivots are the greedy basis of the keys left and
     the rows are those a fresh build finds, whether the removed circuit is
-    the largest fundamental one or the first dependency."""
+    the largest fundamental one or that of the last key outside the basis."""
     work = WorkingSet(m)
     largest_fundamental_circuit(work)  # builds the state
     while work:
-        c = extract_any_circuit(work) if first_dependency else largest_fundamental_circuit(work)
+        if last_non_basis:
+            basis = greedy_basis(work.keys, m.dim)
+            last = max(set(work.keys) - set(basis))
+            c = fundamental_circuit(*work.vectors([last]), work.vectors(basis))
+        else:
+            c = largest_fundamental_circuit(work)
         work.remove(c)
         at, rows = work.rref()
         assert sorted(at[p] for p in rows) == greedy_basis(work.keys, m.dim)
