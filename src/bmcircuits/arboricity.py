@@ -191,7 +191,7 @@ def can_partition(
             span = Gf2Eliminator(track_witnesses=False)
             for v in reachable:
                 span.insert(v.key)
-            cert = BinaryMatroid(m.dim, (v for v in m.elements if span.contains(v.key)))
+            cert = BinaryMatroid(m.dim, [k for k in m.keys if span.contains(k)])
             quotient = ceil(len(cert) / span.rank)
             if quotient <= k:  # would contradict the exchange argument
                 raise OutOfRangeError("augmentation failed without a certificate")
@@ -228,7 +228,7 @@ def max_quotient_exhaustive(m: BinaryMatroid, denom_offset: int = 0) -> int:
         raise EmptyMatroidError("no nonempty subsets")
     if len(m) > _BRUTEFORCE_LIMIT:
         raise TooLargeError(f"|M| = {len(m)} exceeds the scan limit {_BRUTEFORCE_LIMIT}")
-    keys = [v.key for v in m.elements]
+    keys = m.keys
     n = len(keys)
     elim = Gf2Eliminator(track_witnesses=False)
     best = ceil(n / (rank(m) + denom_offset))  # N = M is always a candidate

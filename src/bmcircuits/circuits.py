@@ -29,8 +29,8 @@ from .gf2core import (
     Gf2Eliminator,
     Gf2Vector,
     _gauss_jordan,
-    _key_of,
     _mask_indices,
+    _sorted_keys,
     column_rref,
     express_in_basis,
 )
@@ -51,7 +51,7 @@ def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
         return True
     keys = list(block)
     if keys and isinstance(keys[0], Gf2Vector):
-        keys = _vector_keys(keys)
+        keys = _sorted_keys(keys[0].n, keys)
     if not keys or min(keys) < 1 or len(set(keys)) != len(keys) or reduce(xor, keys):
         return False
     elim = Gf2Eliminator(track_witnesses=False)
@@ -60,31 +60,26 @@ def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
     return elim.rank == len(keys) - 1
 
 
-def _vector_keys(vectors: Sequence[Gf2Vector]) -> tuple[int, ...]:
-    """The keys of nonempty vectors of one dimension, in their order."""
-    n = vectors[0].n
-    if any(v.n != n for v in vectors):
-        raise OutOfRangeError("mixed dimensions")
-    return tuple(v.key for v in vectors)
-
-
 class Circuit:
     """An immutable, validated circuit. Construction checks the invariants.
 
-    ``elements`` holds the vectors and ``keys`` their keys, both in ascending
-    key order; a circuit's keys are distinct, so two circuits are equal
-    exactly when their dims and key tuples are.
+    ``keys`` holds the elements as int keys in ascending order; ``elements``
+    and iteration build the Gf2Vectors on each call. A circuit's keys are
+    distinct, so two circuits are equal exactly when their dims and key
+    tuples are.
     """
 
-    __slots__ = ("dim", "elements", "keys")
+    __slots__ = ("dim", "keys")
 
-    def __init__(self, elements: Iterable[Gf2Vector]):
-        elems = tuple(sorted(elements, key=_key_of))
-        keys = _vector_keys(elems) if elems else ()
+    def __init__(self, elements: Iterable[Gf2Vector] | Iterable[int], dim: int | None = None):
+        """From Gf2Vectors of one dimension, or from int keys and their dim."""
+        items = list(elements)
+        if dim is None and items:
+            dim = items[0].n
+        keys = _sorted_keys(dim, items) if items else ()
         if not is_circuit(keys):
             raise OutOfRangeError("not a circuit")
-        object.__setattr__(self, "dim", elems[0].n)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "keys", keys)
 
     def __setattr__(self, name, value):
@@ -92,7 +87,12 @@ class Circuit:
 
     @classmethod
     def from_keys(cls, dim: int, keys: Iterable[int]) -> Circuit:
-        return cls(Gf2Vector(dim, k) for k in keys)
+        return cls(keys, dim)
+
+    @property
+    def elements(self) -> tuple[Gf2Vector, ...]:
+        """The elements as Gf2Vectors, in key order, built on each call."""
+        return tuple(Gf2Vector(self.dim, k) for k in self.keys)
 
     @property
     def key_set(self) -> frozenset[int]:
@@ -101,10 +101,10 @@ class Circuit:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def __iter__(self):
         return iter(self.elements)
@@ -125,7 +125,7 @@ class Circuit:
         return hash((self.dim, self.keys))
 
     def __repr__(self) -> str:
-        return f"Circuit({[v.bits() for v in self.elements]})"
+        return f"Circuit({[format(k, f'0{self.dim}b') for k in self.keys]})"
 
 
 def fundamental_circuit(m: Gf2Vector, basis: Sequence[Gf2Vector]) -> Circuit:
@@ -162,11 +162,10 @@ def guaranteed_circuit_size(size: int, r: int) -> int:
 class WorkingSet:
     """The elements a peeling loop has yet to cover, as ascending int keys.
 
-    Single-owner and mutable. ``keys`` and ``elements`` run in parallel: a
-    circuit leaves both by bisect deletion (remove) or is XORed in (toggle),
-    and a Circuit is built once per emitted circuit, from the source's own
-    vectors. ``total``, the XOR of the keys, never changes: circuits sum to
-    zero, and keys change only through remove and toggle.
+    Single-owner and mutable. A circuit leaves the keys by bisect deletion
+    (remove) or is XORed in (toggle), and a Circuit is built from keys once
+    per emitted circuit. ``total``, the XOR of the keys, never changes:
+    circuits sum to zero, and keys change only through remove and toggle.
 
     The first largest_fundamental_circuit call also builds the peel state
     (see rref), which remove then keeps current and toggle drops; the next
@@ -174,24 +173,16 @@ class WorkingSet:
     builds it once.
     """
 
-    __slots__ = ("dim", "keys", "elements", "total", "_at", "_rows")
+    __slots__ = ("dim", "keys", "total", "_at", "_rows")
 
     def __init__(self, m: BinaryMatroid):
         self.dim = m.dim
-        self.keys = [v.key for v in m.elements]
-        self.elements = list(m.elements)
+        self.keys = list(m.keys)
         self.total = reduce(xor, self.keys, 0)
         self._rows: dict[int, int] | None = None  # the peel state, with _at; see rref
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def vectors(self, keys: Iterable[int]) -> list[Gf2Vector]:
-        """The vectors of keys, all of which must be present."""
-        return [self.elements[bisect_left(self.keys, key)] for key in keys]
-
-    def circuit(self, keys: Iterable[int]) -> Circuit:
-        return Circuit(self.vectors(keys))
 
     def rref(self) -> tuple[list[int], dict[int, int]]:
         """The peel state: positions and the reduced row-echelon form over them.
@@ -222,8 +213,7 @@ class WorkingSet:
         that hold j, and a step costs O(|c| * rank) big-int operations.
         """
         for key in c.keys:
-            i = bisect_left(self.keys, key)
-            del self.keys[i], self.elements[i]
+            del self.keys[bisect_left(self.keys, key)]
         rows = self._rows
         if rows is None:
             return
@@ -242,13 +232,12 @@ class WorkingSet:
         """Symmetric difference with c, in place. Positions move, so the
         peel state is dropped; the next search rebuilds it."""
         keys = self.keys
-        for v in c:
-            i = bisect_left(keys, v.key)
-            if i < len(keys) and keys[i] == v.key:
-                del keys[i], self.elements[i]
+        for key in c.keys:
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                del keys[i]
             else:
-                keys.insert(i, v.key)
-                self.elements.insert(i, v)
+                keys.insert(i, key)
         self._rows = None
 
 
@@ -299,7 +288,7 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
             best &= count
     low = best & -best
     support = [at[p] for p, row in rows.items() if row & low]
-    return work.circuit(support + [at[low.bit_length() - 1]])
+    return Circuit(support + [at[low.bit_length() - 1]], work.dim)
 
 
 def peel(work: WorkingSet) -> list[Circuit]:

@@ -54,7 +54,7 @@ from .oracle import (
     exact_c2,
     probe_conjectures,
 )
-from .orbit import compress_even_weight, demonstrate_order_failure, orbit_decompose
+from .orbit import _require_admissible, demonstrate_order_failure, orbit_decompose
 
 REPORT_FIELDS = (
     "instance",
@@ -312,17 +312,14 @@ def _cmd_orbit(args) -> int:
     if args.out is None:
         raise UsageError("orbit --p needs --out")
     start = time.perf_counter()
-    dec = orbit_decompose(args.p)  # OrderConditionError surfaces as input error
+    if args.compress:  # the compressed model is complete_matroid(p - 1)
+        _require_admissible(args.p)  # OrderConditionError surfaces as input error
+        dec = auto_decompose(complete_matroid(args.p - 1))
+    else:
+        dec = orbit_decompose(args.p)
     elapsed = time.perf_counter() - start
-    model = dec.source
-    blocks = dec.circuits
-    if args.compress:
-        # the model holds key k at index (k >> 1) - 1 (build_even_weight_model),
-        # and compression keeps the order: element i maps to element i
-        model = compress_even_weight(model)
-        blocks = [tuple(model.elements[(v.key >> 1) - 1] for v in block) for block in blocks]
     return _write_checked(
-        "decomposition", model, args.out, blocks, elapsed, {"p": args.p},
+        "decomposition", dec.source, args.out, dec.circuits, elapsed, {"p": args.p},
         instance=f"orbit-p{args.p}", algorithm="orbit", p=args.p, order=args.p - 1,
     )
 

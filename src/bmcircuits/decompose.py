@@ -173,8 +173,7 @@ def auto_decompose(
         return _peel(m, "trivial")
     params = DenseParams.from_epsilon(epsilon)
     if len(m) == (1 << m.dim) - 1 and is_admissible(m.dim + 1):
-        # element i has key i + 1, so model key k compresses to index (k >> 1) - 1
-        orbits = tuple(_rotation_orbits(m.dim + 1, m.elements))
+        orbits = tuple(_rotation_orbits(m.dim + 1, m))
         return Decomposition(m, orbits, branch="orbit", phase1=len(orbits))
     if _meets_pow2(len(m), (1.0 - params.delta) * rank(m)):
         return dense_decompose(m, params)

@@ -15,11 +15,11 @@ lines and the all-zeros line are format errors.
      preceded by '# ...' comments>
     # key=value trailer comments collected into metadata
 
-Parsers report 1-based line numbers on every error. parse_bmdec returns each
-block as a tuple of int keys (the line read as a big-endian integer, as in
-Gf2Vector.key), validated line by line but never built into vectors. The
-checkers take blocks of three kinds: such key tuples, Circuits, and
-collections of Gf2Vectors.
+Parsers report 1-based line numbers on every error. A vector line is read
+and written as its int key (the line as a big-endian integer, as in
+Gf2Vector.key), and no vector object is built for it; parse_bmdec returns
+each block as a tuple of keys. format_bmdec and the checkers take blocks of
+three kinds: such key tuples, Circuits, and collections of Gf2Vectors.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from .circuits import Circuit, is_circuit
 from .errors import FormatError, OutOfRangeError
 from .gf2core import MAX_DIM, BinaryMatroid, Gf2Eliminator, Gf2Vector
 
-_Blocks = Sequence[Collection[Gf2Vector]]
-# what the checkers take: _Blocks, or key blocks as parse_bmdec returns them
-_CheckedBlocks = Sequence[Collection[Gf2Vector] | Collection[int]]
+# Circuits, collections of Gf2Vectors, or key blocks as parse_bmdec returns them
+_Blocks = Sequence[Collection[Gf2Vector] | Collection[int]]
 
 
 def _parse_dim(token_line: str, lineno: int) -> int:
@@ -60,7 +59,7 @@ def _parse_key(line: str, dim: int, lineno: int) -> int:
 
 def parse_bm(text: str) -> BinaryMatroid:
     dim = None
-    vectors: list[Gf2Vector] = []
+    keys: list[int] = []
     seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -69,27 +68,28 @@ def parse_bm(text: str) -> BinaryMatroid:
         if dim is None:
             dim = _parse_dim(line, lineno)
             continue
-        v = Gf2Vector(dim, _parse_key(line, dim, lineno))
-        if v.key in seen:
+        key = _parse_key(line, dim, lineno)
+        if key in seen:
             raise FormatError(f"duplicate vector {line}", lineno)
-        seen.add(v.key)
-        vectors.append(v)
+        seen.add(key)
+        keys.append(key)
     if dim is None:
         raise FormatError("missing 'dim <n>' header")
-    return BinaryMatroid(dim, vectors)
+    return BinaryMatroid(dim, keys)
 
 
 def format_bm(m: BinaryMatroid, comments: tuple[str, ...] = ()) -> str:
+    spec = f"0{m.dim}b"
     lines = [f"dim {m.dim}"]
     lines += [f"# {c}" for c in comments]
-    lines += [v.bits() for v in m.elements]
+    lines += [format(k, spec) for k in m.keys]
     return "\n".join(lines) + "\n"
 
 
 def format_circuit(c: Circuit) -> str:
     """Single circuit in .bm form with a '# circuit' marker."""
     lines = [f"dim {c.dim}", "# circuit"]
-    lines += [v.bits() for v in c.elements]
+    lines += [format(k, f"0{c.dim}b") for k in c.keys]
     return "\n".join(lines) + "\n"
 
 
@@ -164,11 +164,20 @@ def format_bmdec(
         lines.append("")
         if block_comment:
             lines.append(f"# {block_comment}")
-        lines += [format(v.key, spec) for v in block]
+        lines += [format(k, spec) for k in _keys(block)]
     if meta:
         lines.append("")
         lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
     return "\n".join(lines) + "\n"
+
+
+def _keys(block) -> Collection[int]:
+    """The keys of a Circuit or of a collection of Gf2Vectors, or a key block itself."""
+    if isinstance(block, Circuit):
+        return block.keys
+    if block and isinstance(next(iter(block)), Gf2Vector):
+        return [v.key for v in block]
+    return block
 
 
 def _block_keys(block, dim: int) -> Collection[int] | None:
@@ -192,7 +201,7 @@ def _outside(i: int, dim: int) -> str:
     return f"block {i} has a vector that is not a nonzero vector of dimension {dim}"
 
 
-def check_decomposition(m: BinaryMatroid, dim: int, blocks: _CheckedBlocks) -> str | None:
+def check_decomposition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
     """None if the blocks are disjoint circuits whose union is m, else a reason.
 
     Blocks that pass always meet the quotient bound ceil(|m| / (rank(m) + 1)):
@@ -240,7 +249,7 @@ class Decomposition:
         return len(self.circuits)
 
 
-def check_oddcover(m: BinaryMatroid, dim: int, blocks: _CheckedBlocks) -> str | None:
+def check_oddcover(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
     """None if every block is a circuit and the blocks XOR to m, else a reason.
 
     Blocks may use vectors outside m; each must occur an even number of times.
@@ -260,7 +269,7 @@ def check_oddcover(m: BinaryMatroid, dim: int, blocks: _CheckedBlocks) -> str | 
     return None
 
 
-def check_partition(m: BinaryMatroid, dim: int, blocks: _CheckedBlocks) -> str | None:
+def check_partition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
     """None if the blocks are nonempty, disjoint independent sets covering m."""
     if dim != m.dim:
         return f"dimension mismatch: {dim} vs {m.dim}"
@@ -294,7 +303,7 @@ class ArtifactKind(NamedTuple):
 
     dec_kind: str
     block_comment: str | None
-    check: Callable[[BinaryMatroid, int, _CheckedBlocks], str | None]
+    check: Callable[[BinaryMatroid, int, _Blocks], str | None]
 
 
 # each checker is looked up when called, so a wrapper installed on the module

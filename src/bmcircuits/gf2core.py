@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, xor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -194,32 +195,48 @@ def _mask_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _sorted_keys(dim: int, elements: Iterable[Gf2Vector] | Iterable[int]) -> tuple[int, ...]:
+    """The ascending keys of Gf2Vectors of dimension dim, or of int keys.
+
+    Raises what building Gf2Vector(dim, key) from each key in turn would; a
+    vector of another dimension is named by the least such dimension, the
+    one an (n, key) sort would meet first. Duplicates are left to the caller.
+    """
+    if not 1 <= dim <= MAX_DIM:
+        raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
+    items = list(elements)
+    if items and isinstance(items[0], Gf2Vector):
+        if any(v.n != dim for v in items):
+            bad = min(v.n for v in items if v.n != dim)
+            raise OutOfRangeError(f"vector of dimension {bad} in matroid of dimension {dim}")
+        return tuple(sorted([v.key for v in items]))
+    keys = tuple(sorted(items))
+    if keys and (keys[0] < 1 or keys[-1] >> dim):
+        bad = next(k for k in items if not 0 < k < 1 << dim)
+        raise OutOfRangeError(f"key {bad} not a nonzero {dim}-bit value")
+    return keys
+
+
 class BinaryMatroid:
     """A finite set of distinct nonzero vectors of F_2^dim.
 
-    Immutable after construction and safe to share read-only. Elements are
-    stored sorted in canonical (ascending key) order.
+    Immutable after construction and safe to share read-only. ``keys`` holds
+    the elements as int keys in canonical (ascending) order; ``elements``,
+    the same elements as Gf2Vectors, is built on first access and kept.
     """
 
-    __slots__ = ("dim", "elements", "_key_set", "_rank_cache")
+    __slots__ = ("dim", "keys", "key_set", "_elements", "_rank_cache")
 
-    def __init__(self, dim: int, elements: Iterable[Gf2Vector] = ()):
-        if not 1 <= dim <= MAX_DIM:
-            raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
-        elems = sorted(elements, key=_key_of)
-        for v in elems:
-            if v.n != dim:
-                # name the dimension an (n, key) sort would meet first
-                bad = min(u.n for u in elems if u.n != dim)
-                raise OutOfRangeError(
-                    f"vector of dimension {bad} in matroid of dimension {dim}"
-                )
-        for a, b in zip(elems, elems[1:]):
-            if a.key == b.key:
-                raise OutOfRangeError(f"duplicate vector {a.bits()}")
+    def __init__(self, dim: int, elements: Iterable[Gf2Vector] | Iterable[int] = ()):
+        keys = _sorted_keys(dim, elements)
+        key_set = frozenset(keys)
+        if len(key_set) != len(keys):
+            dup = next(a for a, b in zip(keys, keys[1:]) if a == b)
+            raise OutOfRangeError(f"duplicate vector {dup:0{dim}b}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_key_set", frozenset(v.key for v in elems))
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "key_set", key_set)
+        object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_rank_cache", None)
 
     def __setattr__(self, name, value):
@@ -227,61 +244,63 @@ class BinaryMatroid:
 
     @classmethod
     def from_keys(cls, dim: int, keys: Iterable[int]) -> BinaryMatroid:
-        return cls(dim, (Gf2Vector(dim, k) for k in keys))
+        return cls(dim, keys)
 
     @property
-    def key_set(self) -> frozenset[int]:
-        return self._key_set
+    def elements(self) -> tuple[Gf2Vector, ...]:
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(Gf2Vector(self.dim, k) for k in self.keys))
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Gf2Vector]:
         return iter(self.elements)
 
     def __contains__(self, v: Gf2Vector) -> bool:
-        return v.key in self._key_set
+        return v.key in self.key_set
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinaryMatroid)
             and self.dim == other.dim
-            and self._key_set == other._key_set
+            and self.keys == other.keys
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._key_set))
+        return hash((self.dim, self.key_set))
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(dim={self.dim}, size={len(self)})"
 
     def difference(self, removed: Iterable[Gf2Vector]) -> BinaryMatroid:
         gone = {v.key for v in removed}
-        return BinaryMatroid(self.dim, (v for v in self.elements if v.key not in gone))
+        return BinaryMatroid(self.dim, [k for k in self.keys if k not in gone])
 
     def symmetric_difference(self, other: Iterable[Gf2Vector]) -> BinaryMatroid:
-        keys = set(self._key_set)
+        keys = set(self.key_set)
         for v in other:
             if v.key in keys:
                 keys.remove(v.key)
             else:
                 keys.add(v.key)
-        return BinaryMatroid.from_keys(self.dim, keys)
+        return BinaryMatroid(self.dim, keys)
 
 
 def rank(m: BinaryMatroid) -> int:
     """Size of a largest linearly independent subset; 0 for the empty matroid."""
     if m._rank_cache is None:
         elim = Gf2Eliminator(track_witnesses=False)
-        for v in m.elements:
-            elim.insert(v.key)
+        for key in m.keys:
+            elim.insert(key)
         object.__setattr__(m, "_rank_cache", elim.rank)
     return m._rank_cache
 
 
 def is_eulerian(m: BinaryMatroid) -> bool:
     """True iff the XOR of all elements is zero; vacuously true when empty."""
-    return xor_key(m.elements) == 0
+    return reduce(xor, m.keys, 0) == 0
 
 
 def require_eulerian(m: BinaryMatroid) -> None:
@@ -380,8 +399,7 @@ def _gauss_jordan(rows: Iterable[int]) -> tuple[dict[int, int], int]:
 
 def max_independent_subset(m: BinaryMatroid) -> tuple[Gf2Vector, ...]:
     """A basis of M, chosen by first-seen pivots in canonical element order."""
-    basis = set(greedy_basis([v.key for v in m.elements], m.dim))
-    return tuple(v for v in m.elements if v.key in basis)
+    return tuple(Gf2Vector(m.dim, k) for k in greedy_basis(m.keys, m.dim))
 
 
 def express_in_basis(

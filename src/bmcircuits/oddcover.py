@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .arboricity import arboricity, max_quotient_exhaustive
@@ -91,7 +93,7 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
         bound = len(basis)
         if bound <= 2:
             break
-        c = complete_to_circuit(work.vectors(basis))
+        c = Circuit(basis + [reduce(xor, basis)], work.dim)
         work.toggle(c)
         cover.append(c)
     cover += peel(work)
@@ -185,7 +187,7 @@ def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
     require_eulerian(m)
     if len(m) <= exhaustive_limit:
         return max_quotient_exhaustive(m, denom_offset=1)
-    rows = column_rref([v.key for v in m.elements], m.dim)
+    rows = column_rref(m.keys, m.dim)
     pivots = sorted(rows)  # the basis in canonical order
     # the span of the first i basis elements holds exactly the elements that
     # no row from pivot i on holds

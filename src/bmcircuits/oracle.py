@@ -50,8 +50,8 @@ class CircuitCatalog:
     masks: tuple[int, ...]
 
     def to_circuit(self, mask: int) -> Circuit:
-        elems = self.universe.elements
-        return Circuit(elems[i] for i in _mask_indices(mask))
+        keys = self.universe.keys
+        return Circuit.from_keys(self.universe.dim, (keys[i] for i in _mask_indices(mask)))
 
     def circuits(self):
         return [self.to_circuit(mask) for mask in self.masks]
@@ -90,7 +90,7 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     """
     if len(m) > ENUMERATION_LIMIT:
         raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
-    rows = column_rref([v.key for v in m.elements], m.dim)
+    rows = column_rref(m.keys, m.dim)
     expansion = [0] * len(m)  # u_e over the basis positions
     for p, row in rows.items():
         for e in _mask_indices(row):
@@ -143,7 +143,7 @@ def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
     direct sum, so the zero sum of m splits into one per component: each
     is Eulerian, nonempty and has no coloop.
     """
-    keys = [v.key for v in m.elements]
+    keys = m.keys
     classes: list[int] = []  # disjoint masks of element positions
     for mk in column_rref(keys, m.dim).values():
         for c in [c for c in classes if c & mk]:
@@ -157,7 +157,7 @@ def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
 def _min_disjoint_cover(sub: BinaryMatroid) -> int:
     """Branch and bound exact cover: fewest disjoint circuits covering sub."""
     n = len(sub)
-    keys = [v.key for v in sub.elements]
+    keys = sub.keys
     by_element: list[list[int]] = [[] for _ in range(n)]
     for mk in enumerate_circuits(sub).masks:
         for b in _mask_indices(mk):
@@ -195,13 +195,11 @@ def exact_c(m: BinaryMatroid) -> int:
 
     Circuits never straddle connected components, so the value is the sum
     over the components of _components, each enumerated and covered on its
-    own. The ENUMERATION_LIMIT cap applies to the whole input.
+    own, so the ENUMERATION_LIMIT cap applies to each component.
     """
     require_eulerian(m)
     if len(m) == 0:
         return 0
-    if len(m) > ENUMERATION_LIMIT:
-        raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
     return sum(_min_disjoint_cover(sub) for sub in _components(m))
 
 
@@ -249,7 +247,7 @@ def exact_c2(m: BinaryMatroid) -> int:
     require_eulerian(m)
     if len(m) == 0:
         return 0
-    keys = [v.key for v in m.elements]
+    keys = m.keys
     ambient_dim = m.dim
     if c2_search_is_restricted(m):
         # element j's coordinates: bit i is j's bit in the row of pivot i
@@ -295,13 +293,11 @@ def intersection_lower_bound(m: BinaryMatroid) -> int:
 
     Every circuit lies in one connected component, so the largest circuit
     of M is the largest over _components(m), each enumerated on its own.
-    The ENUMERATION_LIMIT cap applies to the whole input, as in exact_c.
+    The ENUMERATION_LIMIT cap applies to each component, as in exact_c.
     """
     require_eulerian(m)
     if len(m) == 0:
         return 0
-    if len(m) > ENUMERATION_LIMIT:
-        raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
     largest = max(enumerate_circuits(sub).max_size() for sub in _components(m))
     return ceil(len(m) / max(rank(m), largest))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 from .circuits import Circuit, is_circuit, largest_fundamental_circuit
 from .errors import (
@@ -30,11 +29,10 @@ from .errors import (
 from .formats import Decomposition
 from .gf2core import BinaryMatroid, Gf2Vector
 
-#: the model holds 2^(p-1) - 1 vectors as Python objects; orbit_decompose(19)
-#: peaks at about 80 MB resident and `orbit --p 19`, which also writes,
-#: re-reads (as int keys) and re-checks them, at about 109 MB (Python 3.11,
-#: ru_maxrss of one process); the next admissible prime, 29, would need 2^28
-#: of them
+#: the model holds 2^(p-1) - 1 int keys as Python objects; orbit_decompose(19)
+#: peaks at about 64 MB resident and `orbit --p 19`, which also writes,
+#: re-reads and re-checks them, at about 93 MB (Python 3.11, ru_maxrss of one
+#: process); the next admissible prime, 29, would need 2^28 of them
 MAX_P = 19
 
 
@@ -117,14 +115,16 @@ def _rotations(key: int, p: int) -> list[int]:
     return [((key >> j) | (key << (p - j))) & mask if j else key for j in range(p)]
 
 
-def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
+def _rotation_orbits(p: int, m: BinaryMatroid) -> list[Circuit]:
     """The rotation orbits of the even-weight model for an admissible p, each
-    a Circuit of the elements[(k >> 1) - 1] for its model keys k: the model's
-    own vectors, or their compressions when elements is complete_matroid(p - 1).
+    a Circuit of the m.keys[(k >> 1) - 1] for its model keys k: the model's
+    own keys when m is the model, or their compressions k >> 1 when m is
+    complete_matroid(p - 1). The circuits share m's int objects.
     Representatives are the smallest keys, found by a scan over k >> 1.
     Ascending k >> 1 is ascending key order in both cases, so Circuit gets
     each orbit already sorted, and validates its circuit law.
     """
+    keys = m.keys
     visited = bytearray(1 << (p - 1))
     orbits: list[Circuit] = []
     for y in range(1, 1 << (p - 1)):
@@ -135,7 +135,7 @@ def _rotation_orbits(p: int, elements: Sequence[Gf2Vector]) -> list[Circuit]:
             raise OutOfRangeError(f"orbit of {_model_key(y):0{p}b} has {len(distinct)} elements")
         for x in distinct:
             visited[x] = 1
-        orbits.append(Circuit([elements[x - 1] for x in sorted(distinct)]))
+        orbits.append(Circuit([keys[x - 1] for x in sorted(distinct)], m.dim))
     return orbits
 
 
@@ -150,21 +150,8 @@ def orbit_decompose(p: int) -> Decomposition:
     """
     _require_admissible(p)
     model = build_even_weight_model(p)
-    orbits = tuple(_rotation_orbits(p, model.elements))
+    orbits = tuple(_rotation_orbits(p, model))
     return Decomposition(model, orbits, branch="orbit", phase1=len(orbits))
-
-
-def compress_even_weight(m: BinaryMatroid) -> BinaryMatroid:
-    """Drop the last coordinate after checking every vector has even weight.
-
-    The projection is a linear bijection from the even-weight subspace onto
-    F_2^(p-1), so matroid structure is preserved. On even-weight keys it is
-    also strictly increasing, so element i of m maps to element i of the result.
-    """
-    for v in m.elements:
-        if v.weight % 2 != 0:
-            raise OutOfRangeError(f"{v.bits()} has odd weight")
-    return BinaryMatroid.from_keys(m.dim - 1, (v.key >> 1 for v in m.elements))
 
 
 @dataclass(frozen=True)
@@ -193,5 +180,5 @@ def demonstrate_order_failure() -> OrderFailureReport:
     whole = is_circuit(orbit)
     as_matroid = BinaryMatroid(p, orbit)
     first = largest_fundamental_circuit(as_matroid)
-    second = Circuit(as_matroid.difference(first).elements)
+    second = Circuit(as_matroid.difference(first).keys, p)
     return OrderFailureReport(p, order, orbit, whole, (first, second))

@@ -277,7 +277,36 @@ class TestOrbit:
 
         monkeypatch.setattr(BinaryMatroid, "__init__", counting_init)
         assert run(["orbit", "--p", "11", "--compress", "--out", str(tmp_path / "c.bmdec")]) == 0
-        assert built == [11, 10]
+        assert built == [10]
+
+
+class TestKeyOnlyCommands:
+    """The orbit, decompose and reduction odd-cover paths read, build, check
+    and write int keys: they build no Gf2Vector at all."""
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--p", "13", "--compress"],
+        ["orbit", "--p", "11"],
+        ["decompose", "--in", "{tmp}/c10.bm"],
+        ["decompose", "--in", "{tmp}/r14.bm"],
+        ["oddcover", "--in", "{tmp}/r14.bm", "--method", "reduce"],
+    ])
+    def test_builds_no_vector(self, argv, tmp_path, monkeypatch, capsys):
+        run(["gen", "--kind", "complete", "--n", "10", "--out", str(tmp_path / "c10.bm")])
+        run(["gen", "--kind", "random", "--n", "14", "--size", "500", "--seed", "3",
+             "--out", str(tmp_path / "r14.bm")])
+        built = []
+        check = Gf2Vector.__post_init__
+
+        def counting_post_init(v):
+            built.append(v)
+            check(v)
+
+        monkeypatch.setattr(Gf2Vector, "__post_init__", counting_post_init)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert run(argv + ["--out", str(tmp_path / "out.bmdec")]) == 0
+        assert records(capsys)[-1]["verified"] is True
+        assert built == []
 
 
 class TestOracleCli:

@@ -142,8 +142,11 @@ class TestBmdecFormat:
         kind = data.draw(st.sampled_from(DEC_KINDS), label="kind")
         word = st.text("abcxyz019._", min_size=1, max_size=5)
         meta = data.draw(st.dictionaries(word, word, max_size=3), label="meta")
-        text = format_bmdec(kind, dim, [[Gf2Vector(dim, k) for k in b] for b in blocks],
-                            meta=meta, block_comment=data.draw(st.sampled_from([None, "part"])))
+        # format_bmdec writes key blocks as they are and vector blocks by their keys
+        written = blocks if data.draw(st.booleans(), label="as keys") else [
+            [Gf2Vector(dim, k) for k in b] for b in blocks]
+        text = format_bmdec(kind, dim, written, meta=meta,
+                            block_comment=data.draw(st.sampled_from([None, "part"])))
         filler = st.lists(st.sampled_from(["", "   ", "\t", "# a comment", "#"]), max_size=3)
         padded = []
         for line in text.splitlines():

@@ -125,10 +125,11 @@ class TestExactC:
         for k in (1, 3, 6, 8):
             assert exact_c(independent_copies(k, 2)) == k
 
-    def test_cap_is_on_the_whole_input(self):
-        # 9 triangles: every component is tiny, but 27 elements exceed the cap
-        with pytest.raises(TooLargeError, match=r"\|M\| = 27 exceeds 24"):
-            exact_c(independent_copies(9, 2))
+    def test_cap_is_per_component(self):
+        # 9 triangles: 27 elements in all, but every component has 3
+        assert exact_c(independent_copies(9, 2)) == 9
+        with pytest.raises(TooLargeError, match=r"\|M\| = 31 exceeds 24"):
+            exact_c(complete_matroid(5))
 
     def test_complete_dim2(self):
         assert exact_c(complete_matroid(2)) == 1
@@ -242,9 +243,11 @@ class TestIntersectionLowerBound:
         # rank 16 exceeds the largest circuit, a triangle: ceil(24 / 16)
         assert intersection_lower_bound(independent_copies(8, 2)) == 2
 
-    def test_cap_is_on_the_whole_input(self):
-        with pytest.raises(TooLargeError, match="27 exceeds 24"):
-            intersection_lower_bound(independent_copies(9, 2))
+    def test_cap_is_per_component(self):
+        # rank 18 exceeds the largest circuit, a triangle: ceil(27 / 18)
+        assert intersection_lower_bound(independent_copies(9, 2)) == 2
+        with pytest.raises(TooLargeError, match="31 exceeds 24"):
+            intersection_lower_bound(complete_matroid(5))
 
 
 class TestProbeConjectures:

@@ -15,11 +15,13 @@ union-find over the whole circuit catalogue, intersection_lower_bound to
 that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
 peel_decompose's circuits; they differ only in their branch and phase
-labels.
+labels. A BinaryMatroid or Circuit built from int keys is the one built
+from their vectors, and a rejected key list raises what its vectors raise.
 """
 
 import math
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -44,9 +46,10 @@ from bmcircuits.decompose import (
     log_greedy_decompose,
     peel_decompose,
 )
-from bmcircuits.errors import NotDenseEnoughError, NotInSpanError
+from bmcircuits.errors import NotDenseEnoughError, NotInSpanError, OutOfRangeError
 from bmcircuits.formats import check_decomposition, check_oddcover, check_partition
 from bmcircuits.gf2core import (
+    MAX_DIM,
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
@@ -471,7 +474,7 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
         if last_non_basis:
             basis = greedy_basis(work.keys, m.dim)
             last = max(set(work.keys) - set(basis))
-            c = fundamental_circuit(*work.vectors([last]), work.vectors(basis))
+            c = fundamental_circuit(Gf2Vector(m.dim, last), [Gf2Vector(m.dim, k) for k in basis])
         else:
             c = largest_fundamental_circuit(work)
         work.remove(c)
@@ -688,3 +691,44 @@ def test_restricted_exact_c2_matches_the_ambient_search(m, images):
     embedded = BinaryMatroid.from_keys(6, (image(k) for k in m.key_set))
     assert c2_search_is_restricted(embedded)
     assert exact_c2(embedded) == exact_c2(m)
+
+
+@st.composite
+def dims_and_key_lists(draw):
+    """A dimension, sometimes outside 1..MAX_DIM, and a list of keys that may
+    hold 0, negative keys, keys of 2**dim and duplicates; closed by their
+    XOR half the time, so that some lists are circuits."""
+    dim = draw(st.one_of(st.integers(1, 6), st.sampled_from([0, -1, MAX_DIM, MAX_DIM + 1, 5000])))
+    top = 1 << min(max(dim, 1), 6)
+    keys = draw(st.lists(st.integers(-1, top), max_size=7))
+    if draw(st.booleans()):
+        keys.append(reduce(xor, keys, 0))
+    return dim, keys
+
+
+def built_or_raised(build):
+    try:
+        return build()
+    except OutOfRangeError as exc:
+        return str(exc)
+
+
+@given(dims_and_key_lists())
+def test_keys_and_their_vectors_build_the_same_objects(dim_keys):
+    dim, keys = dim_keys
+    for from_keys, from_vectors in [
+        (lambda: BinaryMatroid(dim, keys),
+         lambda: BinaryMatroid(dim, [Gf2Vector(dim, k) for k in keys])),
+        (lambda: Circuit.from_keys(dim, keys),
+         lambda: Circuit([Gf2Vector(dim, k) for k in keys])),
+    ]:
+        a, b = built_or_raised(from_keys), built_or_raised(from_vectors)
+        assert type(a) is type(b)
+        if isinstance(a, str):
+            assert a == b
+        else:
+            assert a == b and hash(a) == hash(b)
+            assert a.keys == b.keys == tuple(sorted(keys))
+            assert a.elements == b.elements
+    assert built_or_raised(lambda: BinaryMatroid.from_keys(dim, keys)) == built_or_raised(
+        lambda: BinaryMatroid(dim, keys))
