@@ -26,17 +26,18 @@ from typing import Union
 
 from .errors import EmptyMatroidError, OutOfRangeError, TooLargeError
 from .formats import check_partition
-from .gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, _key_of, rank
+from .gf2core import BinaryMatroid, Gf2Eliminator, rank
 
 _BRUTEFORCE_LIMIT = 22
 
 
 @dataclass(frozen=True)
 class IndependentPartition:
-    """Disjoint independent sets covering the source matroid."""
+    """Disjoint independent sets covering the source matroid, each an
+    ascending tuple of int keys."""
 
     source: BinaryMatroid
-    parts: tuple[tuple[Gf2Vector, ...], ...]
+    parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         reason = check_partition(self.source, self.source.dim, self.parts)
@@ -58,7 +59,8 @@ class Infeasible:
 
 
 class _PartState:
-    """Working partition with per-part elimination caches (None: rebuild).
+    """Working partition of int keys with per-part elimination caches
+    (None: rebuild).
 
     Part 0 spans every element placed so far, so it holds rank(placed)
     members. _augment tries part 0 first, so an element outside its span is
@@ -81,7 +83,7 @@ class _PartState:
     """
 
     def __init__(self, k: int):
-        self.members: list[list[Gf2Vector]] = [[] for _ in range(k)]
+        self.members: list[list[int]] = [[] for _ in range(k)]
         self.elims: list[Gf2Eliminator | None] = [None] * k
         self.spanned: list[dict[int, int]] = [{} for _ in range(k)]
         self.open: list[int] = []
@@ -89,15 +91,15 @@ class _PartState:
     def elim(self, j: int) -> Gf2Eliminator:
         if self.elims[j] is None:
             e = Gf2Eliminator()
-            for v in self.members[j]:
-                e.insert(v.key)
+            for key in self.members[j]:
+                e.insert(key)
             self.elims[j] = e
         return self.elims[j]
 
 
-def _augment(state: _PartState, x: Gf2Vector) -> list[Gf2Vector] | None:
-    """Place x via a shortest exchange chain. Returns None on success, else
-    the reachable elements. seen[j] masks the queued members of part j;
+def _augment(state: _PartState, x: int) -> list[int] | None:
+    """Place key x via a shortest exchange chain. Returns None on success, else
+    the reachable keys. seen[j] masks the queued members of part j;
     positions only move when a chain is applied, which ends the search.
 
     x goes to part 0 if part 0 does not span it. Otherwise each dequeued y
@@ -109,58 +111,57 @@ def _augment(state: _PartState, x: Gf2Vector) -> list[Gf2Vector] | None:
     """
     members, spanned, open_ = state.members, state.spanned, state.open
     first = members[0]
-    residual, mask = state.elim(0).reduce(x.key)
+    residual, mask = state.elim(0).reduce(x)
     if residual:
         first.append(x)
-        state.elims[0].insert(x.key)
+        state.elims[0].insert(x)
         state.open = [j for j in range(1, len(members)) if len(members[j]) < len(first)]
         return None
-    spanned[0][x.key] = mask
+    spanned[0][x] = mask
     k = len(members)
-    parent: dict[int, tuple[Gf2Vector, int]] = {}
+    parent: dict[int, tuple[int, int]] = {}
     seen = [0] * k
     queue = [x]
     head = 0
     while head < len(queue):
         y = queue[head]
         head += 1
-        key = y.key
         for j in open_:
-            if key in spanned[j]:
+            if y in spanned[j]:
                 continue
-            residual, mask = state.elim(j).reduce(key)
+            residual, mask = state.elim(j).reduce(y)
             if residual:
                 # free slot found: append keeps insertion index = list position,
                 # then apply the chain back to x, dropping the parts it touches
                 members[j].append(y)
-                state.elims[j].insert(key)
+                state.elims[j].insert(y)
                 if len(members[j]) == len(first):
                     open_.remove(j)
                 cur = y
-                while cur.key in parent:
-                    pred, jj = parent[cur.key]
+                while cur in parent:
+                    pred, jj = parent[cur]
                     members[jj].remove(cur)
                     members[jj].append(pred)
                     state.elims[jj] = None
                     spanned[jj] = {}
                     cur = pred
                 return None
-            spanned[j][key] = mask
+            spanned[j][y] = mask
         for j in range(k):
             part = members[j]
             unseen = ~seen[j] & ((1 << len(part)) - 1)
             if not unseen:
                 continue
-            mask = spanned[j].get(key)
+            mask = spanned[j].get(y)
             if mask is None:  # a part outside open spans y
-                mask = spanned[j][key] = state.elim(j).reduce(key)[1]
+                mask = spanned[j][y] = state.elim(j).reduce(y)[1]
             mask &= unseen
             seen[j] |= mask
             # inline, not gf2core._mask_indices: the generator cost arboricity 5-8 % (2-core host)
             while mask:
                 low = mask & -mask
                 z = part[low.bit_length() - 1]
-                parent[z.key] = (y, j)
+                parent[z] = (y, j)
                 queue.append(z)
                 mask ^= low
     return queue
@@ -185,18 +186,18 @@ def can_partition(
     if k < 1:
         raise OutOfRangeError("k must be positive")
     state = _PartState(min(k, max(len(m), 1)))
-    for x in m.elements:
+    for x in m.keys:
         reachable = _augment(state, x)
         if reachable is not None:
             span = Gf2Eliminator(track_witnesses=False)
-            for v in reachable:
-                span.insert(v.key)
-            cert = BinaryMatroid(m.dim, [k for k in m.keys if span.contains(k)])
+            for key in reachable:
+                span.insert(key)
+            cert = BinaryMatroid(m.dim, [key for key in m.keys if span.contains(key)])
             quotient = ceil(len(cert) / span.rank)
             if quotient <= k:  # would contradict the exchange argument
                 raise OutOfRangeError("augmentation failed without a certificate")
             return Infeasible(k, cert, quotient)
-    parts = tuple(tuple(sorted(p, key=_key_of)) for p in state.members if p)
+    parts = tuple(tuple(sorted(p)) for p in state.members if p)
     return IndependentPartition(m, parts)
 
 

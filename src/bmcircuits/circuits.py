@@ -75,6 +75,8 @@ class Circuit:
         """From Gf2Vectors of one dimension, or from int keys and their dim."""
         items = list(elements)
         if dim is None and items:
+            if not isinstance(items[0], Gf2Vector):
+                raise OutOfRangeError("int keys need their dim, and none was given")
             dim = items[0].n
         keys = _sorted_keys(dim, items) if items else ()
         if not is_circuit(keys):

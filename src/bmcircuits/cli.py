@@ -290,7 +290,7 @@ def _cmd_orbit(args) -> int:
         sizes = sorted(len(c) for c in report.parts)
         print(
             f"p=7: order of 2 is {report.order}; orbit of "
-            f"{report.orbit[0].bits()} has {len(report.orbit)} elements; "
+            f"{format(report.orbit[0], '07b')} has {len(report.orbit)} elements; "
             f"is_circuit={report.orbit_is_circuit}; splits into circuits of "
             f"sizes {sizes[0]} and {sizes[1]}",
             file=sys.stderr,

@@ -19,7 +19,8 @@ Parsers report 1-based line numbers on every error. A vector line is read
 and written as its int key (the line as a big-endian integer, as in
 Gf2Vector.key), and no vector object is built for it; parse_bmdec returns
 each block as a tuple of keys. format_bmdec and the checkers take blocks of
-three kinds: such key tuples, Circuits, and collections of Gf2Vectors.
+two kinds: such key tuples (as IndependentPartition.parts holds too) and
+Circuits.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Callable, Collection, NamedTuple, Sequence
 
 from .circuits import Circuit, is_circuit
 from .errors import FormatError, OutOfRangeError
-from .gf2core import MAX_DIM, BinaryMatroid, Gf2Eliminator, Gf2Vector
+from .gf2core import MAX_DIM, BinaryMatroid, Gf2Eliminator
 
-# Circuits, collections of Gf2Vectors, or key blocks as parse_bmdec returns them
-_Blocks = Sequence[Collection[Gf2Vector] | Collection[int]]
+# Circuits, or key blocks as parse_bmdec returns them
+_Blocks = Sequence[Circuit | Collection[int]]
 
 
 def _parse_dim(token_line: str, lineno: int) -> int:
@@ -161,40 +162,26 @@ def format_bmdec(
     spec = f"0{dim}b"  # v.bits() for every vector of dimension dim
     lines = [f"{kind} {len(blocks)}", f"dim {dim}"]
     for block in blocks:
+        keys = block.keys if isinstance(block, Circuit) else block
         lines.append("")
         if block_comment:
             lines.append(f"# {block_comment}")
-        lines += [format(k, spec) for k in _keys(block)]
+        lines += [format(k, spec) for k in keys]
     if meta:
         lines.append("")
         lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
     return "\n".join(lines) + "\n"
 
 
-def _keys(block) -> Collection[int]:
-    """The keys of a Circuit or of a collection of Gf2Vectors, or a key block itself."""
-    if isinstance(block, Circuit):
-        return block.keys
-    if block and isinstance(next(iter(block)), Gf2Vector):
-        return [v.key for v in block]
-    return block
-
-
 def _block_keys(block, dim: int) -> Collection[int] | None:
     """The keys of one block, or None when one is not a nonzero dim-bit value.
 
     Runs the dimension test once per block: a Circuit by its dim (its keys
-    are returned as they are), a key block by its least and greatest key, and a
-    block of Gf2Vectors by the dimension of each, whose keys the vector type
-    keeps in range.
+    are returned as they are), a key block by its least and greatest key.
     """
     if isinstance(block, Circuit):
         return block.keys if block.dim == dim else None
-    if not block:
-        return block
-    if isinstance(next(iter(block)), Gf2Vector):
-        return [v.key for v in block] if all(v.n == dim for v in block) else None
-    return block if 0 < min(block) and not max(block) >> dim else None
+    return block if not block or (0 < min(block) and not max(block) >> dim) else None
 
 
 def _outside(i: int, dim: int) -> str:

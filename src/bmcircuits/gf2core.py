@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import attrgetter, xor
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,18 +91,6 @@ class Gf2Vector:
 
     def __repr__(self) -> str:
         return f"Gf2Vector({self.bits()!r})"
-
-
-# sort key for vectors of one dimension: compares ints, not generated (n, key) tuples
-_key_of = attrgetter("key")
-
-
-def xor_key(vectors: Iterable[Gf2Vector]) -> int:
-    """Raw XOR of the keys; 0 means the vectors sum to the zero vector."""
-    acc = 0
-    for v in vectors:
-        acc ^= v.key
-    return acc
 
 
 class Gf2Eliminator:

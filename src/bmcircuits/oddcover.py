@@ -15,21 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arboricity import arboricity, max_quotient_exhaustive
 from .circuits import Circuit, WorkingSet, peel
 from .decompose import peel_decompose
 from .errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from .formats import check_oddcover
-from .gf2core import (
-    BinaryMatroid,
-    Gf2Vector,
-    column_rref,
-    greedy_basis,
-    require_eulerian,
-    xor_key,
-)
+from .gf2core import BinaryMatroid, column_rref, greedy_basis, require_eulerian
 
 
 @dataclass(frozen=True)
@@ -52,18 +45,20 @@ class OddCover:
         return len(self.circuits)
 
 
-def complete_to_circuit(independent: Sequence[Gf2Vector]) -> Circuit:
-    """Close an independent set I with its own sum x.
+def complete_to_circuit(independent: Iterable, dim: int | None = None) -> Circuit:
+    """Close an independent set I, of Gf2Vectors or of int keys and their
+    dim, with its own sum x, built by Circuit like any other input.
 
     x is nonzero and outside I (both would contradict independence), so the
     result has |I| + 1 >= 3 elements and is a circuit. A dependent I raises
-    OutOfRangeError from Gf2Vector (zero sum) or from Circuit, as then
-    rank(I + {x}) <= |I| - 1 < size - 1.
+    OutOfRangeError: from Gf2Vector's XOR or Circuit's key range when a sum
+    is zero, else from Circuit, as then rank(I + {x}) <= |I| - 1 < size - 1.
+    So do int keys without their dim.
     """
-    vs = list(independent)
-    if len(vs) <= 1:
+    items = list(independent)
+    if len(items) <= 1:
         raise TooSmallError("need at least 2 independent vectors")
-    return Circuit(vs + [Gf2Vector(vs[0].n, xor_key(vs))])
+    return Circuit(items + [reduce(xor, items)], dim)
 
 
 def symdiff_reduce(m: BinaryMatroid) -> OddCover:
@@ -151,9 +146,9 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
     base: list[Circuit] = []
     for part in parts:
         if len(part) >= 2:
-            base.append(complete_to_circuit(part))
+            base.append(complete_to_circuit(part, m.dim))
         else:
-            y = part[0].key
+            y = part[0]
             z = _smallest_other_key(y)
             base.append(Circuit.from_keys(m.dim, (y, z, y ^ z)))
 

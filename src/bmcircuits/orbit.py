@@ -160,7 +160,7 @@ class OrderFailureReport:
 
     p: int
     order: int
-    orbit: tuple[Gf2Vector, ...]
+    orbit: tuple[int, ...]
     orbit_is_circuit: bool
     parts: tuple[Circuit, Circuit]
 
@@ -168,17 +168,14 @@ class OrderFailureReport:
 def demonstrate_order_failure() -> OrderFailureReport:
     """Show the rotation method break at p = 7.
 
-    The orbit of 1110100 (coordinates 0, 1, 2, 4) has 7 elements but is not a
-    circuit; its largest fundamental circuit (4 elements) and the other 3
-    elements split it into two circuits.
+    The orbit of 1110100 (coordinates 0, 1, 2, 4) has 7 elements, held as
+    ascending int keys, but is not a circuit; its largest fundamental circuit
+    (4 elements) and the other 3 elements split it into two circuits.
     """
     p = 7
     order = multiplicative_order(2, p)
-    seed = Gf2Vector.from_coords(p, (0, 1, 2, 4))
-    keys = _rotations(seed.key, p)
-    orbit = tuple(sorted(Gf2Vector(p, k) for k in set(keys)))
+    orbit = tuple(sorted(set(_rotations(0b1110100, p))))
     whole = is_circuit(orbit)
-    as_matroid = BinaryMatroid(p, orbit)
-    first = largest_fundamental_circuit(as_matroid)
-    second = Circuit(as_matroid.difference(first).keys, p)
+    first = largest_fundamental_circuit(BinaryMatroid(p, orbit))
+    second = Circuit(set(orbit).difference(first.keys), p)
     return OrderFailureReport(p, order, orbit, whole, (first, second))

@@ -27,7 +27,7 @@ from bmcircuits.decompose import (
 )
 from bmcircuits.errors import NotDenseEnoughError, OrderConditionError, TooLargeError
 from bmcircuits.formats import format_bm, format_bmdec, parse_bm, parse_bmdec
-from bmcircuits.gf2core import BinaryMatroid, Gf2Vector, rank
+from bmcircuits.gf2core import BinaryMatroid, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.oddcover import oddcover_via_arboricity, symdiff_reduce
 from bmcircuits.oracle import (
@@ -100,9 +100,8 @@ def test_criterion_2_p7_failure():
         len(rep.orbit) == 7
         and rep.orbit_is_circuit is False
         and sizes == [3, 4]
-        and all(is_circuit(c.elements) for c in rep.parts)
-        and (rep.parts[0].key_set | rep.parts[1].key_set)
-        == {v.key for v in rep.orbit}
+        and all(is_circuit(c.keys) for c in rep.parts)
+        and (rep.parts[0].key_set | rep.parts[1].key_set) == set(rep.orbit)
     )
     report(2, ok, f"order 3, orbit of size 7 splits into circuits of sizes {sizes}")
 
@@ -246,20 +245,17 @@ def test_criterion_11_round_trip(tmp_path):
 
     m = complete_matroid(5)
     artifacts = [
-        ("circuits", [c.elements for c in auto_decompose(m).circuits],
-         {"branch": "dense"}),
-        ("oddcover", [c.elements for c in oddcover_via_arboricity(m)[1].circuits], None),
-        ("indsets", [p for p in arboricity(m)[1].parts], None),
-        ("circuits", [c.elements for c in orbit_decompose(5).circuits], {"p": "5"}),
+        ("circuits", [c.keys for c in auto_decompose(m).circuits], {"branch": "dense"}),
+        ("oddcover", [c.keys for c in oddcover_via_arboricity(m)[1].circuits], None),
+        ("indsets", list(arboricity(m)[1].parts), None),
+        ("circuits", [c.keys for c in orbit_decompose(5).circuits], {"p": "5"}),
     ]
     for kind, blocks, meta in artifacts:
-        dim = blocks[0][0].n
-        text = format_bmdec(kind, dim, blocks, meta=meta)
+        text = format_bmdec(kind, m.dim, blocks, meta=meta)
         path = tmp_path / "x.bmdec"
         path.write_text(text)
         parsed = parse_bmdec(path.read_text())
-        assert [list(b) for b in parsed.blocks] == [[v.key for v in b] for b in blocks]
-        vectors = [[Gf2Vector(parsed.dim, k) for k in b] for b in parsed.blocks]
-        assert format_bmdec(parsed.kind, parsed.dim, vectors,
+        assert list(parsed.blocks) == blocks
+        assert format_bmdec(parsed.kind, parsed.dim, parsed.blocks,
                             meta=parsed.meta or None) == text
     report(11, True, "all emitted .bm/.bmdec artifacts re-parse bit-identically")

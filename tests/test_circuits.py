@@ -80,6 +80,15 @@ class TestCircuitType:
         with pytest.raises(OutOfRangeError):
             Circuit([vec("10"), vec("01")])
 
+    def test_int_keys_without_their_dim_are_refused(self):
+        message = "int keys need their dim, and none was given"
+        with pytest.raises(OutOfRangeError, match=message):
+            Circuit([1, 2, 3])
+        with pytest.raises(OutOfRangeError, match=message):
+            complete_to_circuit([1, 2])
+        assert Circuit([1, 2, 3], 2) == complete_to_circuit([1, 2], 2) == Circuit(
+            [vec("01"), vec("10"), vec("11")])
+
     def test_proper_subsets_independent(self):
         c = Circuit([vec("1000"), vec("0100"), vec("0010"), vec("0001"), vec("1111")])
         for x in c.elements:

@@ -261,10 +261,7 @@ class TestOrbit:
     def test_compress_writes_each_orbit_without_its_parity_bit(self, p, tmp_path):
         out = tmp_path / "c.bmdec"
         assert run(["orbit", "--p", str(p), "--compress", "--out", str(out)]) == 0
-        blocks = [
-            tuple(Gf2Vector(p - 1, k >> 1) for k in sorted(orbit.key_set))
-            for orbit in orbit_decompose(p).circuits
-        ]
+        blocks = [tuple(k >> 1 for k in orbit.keys) for orbit in orbit_decompose(p).circuits]
         assert out.read_text() == format_bmdec("circuits", p - 1, blocks, meta={"p": p})
 
     def test_compress_builds_the_model_and_its_compression_only(self, tmp_path, monkeypatch):
@@ -281,20 +278,31 @@ class TestOrbit:
 
 
 class TestKeyOnlyCommands:
-    """The orbit, decompose and reduction odd-cover paths read, build, check
-    and write int keys: they build no Gf2Vector at all."""
+    """Every command reads, builds, checks and writes int keys: gen, orbit
+    (the p = 7 demo too), decompose, oddcover by either method, arboricity,
+    verify and oracle build no Gf2Vector at all."""
 
     @pytest.mark.parametrize("argv", [
-        ["orbit", "--p", "13", "--compress"],
-        ["orbit", "--p", "11"],
-        ["decompose", "--in", "{tmp}/c10.bm"],
-        ["decompose", "--in", "{tmp}/r14.bm"],
-        ["oddcover", "--in", "{tmp}/r14.bm", "--method", "reduce"],
+        ["orbit", "--p", "13", "--compress", "--out", "{tmp}/out.bmdec"],
+        ["orbit", "--p", "11", "--out", "{tmp}/out.bmdec"],
+        ["decompose", "--in", "{tmp}/c10.bm", "--out", "{tmp}/out.bmdec"],
+        ["decompose", "--in", "{tmp}/r14.bm", "--out", "{tmp}/out.bmdec"],
+        ["oddcover", "--in", "{tmp}/r14.bm", "--method", "reduce", "--out", "{tmp}/out.bmdec"],
+        ["gen", "--kind", "random", "--n", "14", "--size", "500", "--seed", "3",
+         "--out", "{tmp}/out.bm"],
+        ["arboricity", "--in", "{tmp}/r14.bm", "--out", "{tmp}/out.bmdec"],
+        ["oddcover", "--in", "{tmp}/r14.bm", "--method", "arboricity",
+         "--out", "{tmp}/out.bmdec"],
+        ["verify", "--in", "{tmp}/r14.bm", "--against", "{tmp}/r14.part", "--mode", "partition"],
+        ["oracle", "--in", "{tmp}/c4.bm", "--what", "conjectures"],
+        ["orbit", "--demo-p7"],
     ])
     def test_builds_no_vector(self, argv, tmp_path, monkeypatch, capsys):
+        run(["gen", "--kind", "complete", "--n", "4", "--out", str(tmp_path / "c4.bm")])
         run(["gen", "--kind", "complete", "--n", "10", "--out", str(tmp_path / "c10.bm")])
         run(["gen", "--kind", "random", "--n", "14", "--size", "500", "--seed", "3",
              "--out", str(tmp_path / "r14.bm")])
+        run(["arboricity", "--in", str(tmp_path / "r14.bm"), "--out", str(tmp_path / "r14.part")])
         built = []
         check = Gf2Vector.__post_init__
 
@@ -303,8 +311,7 @@ class TestKeyOnlyCommands:
             check(v)
 
         monkeypatch.setattr(Gf2Vector, "__post_init__", counting_post_init)
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-        assert run(argv + ["--out", str(tmp_path / "out.bmdec")]) == 0
+        assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
         assert records(capsys)[-1]["verified"] is True
         assert built == []
 

@@ -92,16 +92,15 @@ class TestBmdecFormat:
         m = complete_matroid(4)
         dec = peel_decompose(m)
         meta = {"branch": dec.branch, "phase1": str(dec.phase1), "phase2": str(dec.phase2)}
-        text = format_bmdec("circuits", m.dim, [c.elements for c in dec.circuits], meta=meta)
+        text = format_bmdec("circuits", m.dim, dec.circuits, meta=meta)
         parsed = parse_bmdec(text)
         assert parsed.kind == "circuits"
         assert parsed.dim == 4
         assert len(parsed.blocks) == len(dec.circuits)
         assert parsed.meta["branch"] == dec.branch
-        assert parsed.blocks == tuple(tuple(v.key for v in c.elements) for c in dec.circuits)
-        vectors = [[Gf2Vector(parsed.dim, k) for k in b] for b in parsed.blocks]
+        assert parsed.blocks == tuple(c.keys for c in dec.circuits)
         assert parse_bmdec(format_bmdec(
-            parsed.kind, parsed.dim, vectors, meta=parsed.meta
+            parsed.kind, parsed.dim, parsed.blocks, meta=parsed.meta
         )) == parsed
 
     def test_count_mismatch_detected(self):
@@ -142,10 +141,7 @@ class TestBmdecFormat:
         kind = data.draw(st.sampled_from(DEC_KINDS), label="kind")
         word = st.text("abcxyz019._", min_size=1, max_size=5)
         meta = data.draw(st.dictionaries(word, word, max_size=3), label="meta")
-        # format_bmdec writes key blocks as they are and vector blocks by their keys
-        written = blocks if data.draw(st.booleans(), label="as keys") else [
-            [Gf2Vector(dim, k) for k in b] for b in blocks]
-        text = format_bmdec(kind, dim, written, meta=meta,
+        text = format_bmdec(kind, dim, blocks, meta=meta,
                             block_comment=data.draw(st.sampled_from([None, "part"])))
         filler = st.lists(st.sampled_from(["", "   ", "\t", "# a comment", "#"]), max_size=3)
         padded = []
@@ -168,28 +164,28 @@ class TestSemanticChecks:
     def test_decomposition_pass_and_fail(self):
         m = complete_matroid(3)
         dec = peel_decompose(m)
-        good = parse_bmdec(format_bmdec("circuits", 3, [c.elements for c in dec.circuits]))
+        good = parse_bmdec(format_bmdec("circuits", 3, dec.circuits))
         assert check_decomposition(m, good.dim, good.blocks) is None
-        truncated = parse_bmdec(format_bmdec("circuits", 3, [dec.circuits[0].elements]))
+        truncated = parse_bmdec(format_bmdec("circuits", 3, dec.circuits[:1]))
         assert check_decomposition(m, truncated.dim, truncated.blocks) is not None
 
     def test_oddcover_check(self):
         m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
-        tri = [vec("01"), vec("10"), vec("11")]
-        once = parse_bmdec(format_bmdec("oddcover", 2, [tuple(tri)]))
+        tri = Circuit([vec("01"), vec("10"), vec("11")])
+        once = parse_bmdec(format_bmdec("oddcover", 2, [tri]))
         assert check_oddcover(m, once.dim, once.blocks) is None
-        twice = parse_bmdec(format_bmdec("oddcover", 2, [tuple(tri), tuple(tri)]))
+        twice = parse_bmdec(format_bmdec("oddcover", 2, [tri, tri]))
         assert check_oddcover(m, twice.dim, twice.blocks) is not None
 
     def test_partition_check(self):
         m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
         ok = parse_bmdec(format_bmdec(
-            "indsets", 2, [(vec("01"), vec("10")), (vec("11"),)],
+            "indsets", 2, [(0b01, 0b10), (0b11,)],
             block_comment="independent-set",
         ))
         assert check_partition(m, ok.dim, ok.blocks) is None
         bad = parse_bmdec(format_bmdec(
-            "indsets", 2, [(vec("01"), vec("10"), vec("11"))]
+            "indsets", 2, [(0b01, 0b10, 0b11)]
         ))
         assert check_partition(m, bad.dim, bad.blocks) is not None
 

@@ -65,6 +65,13 @@ class TestCompleteToCircuit:
         with pytest.raises(OutOfRangeError):
             complete_to_circuit(dependent)
 
+    def test_keys_with_their_dim(self):
+        assert complete_to_circuit([0b100, 0b010, 0b001], 3).keys == (1, 2, 4, 7)
+        with pytest.raises(OutOfRangeError):  # the sum is the zero key
+            complete_to_circuit([0b10, 0b01, 0b11], 2)
+        with pytest.raises(OutOfRangeError):  # as above: nonzero sum, rank 4
+            complete_to_circuit([0b1000, 0b0100, 0b1100, 0b0010, 0b0001], 4)
+
 
 class TestSymdiffReduce:
     def test_triangle_single_step(self):
