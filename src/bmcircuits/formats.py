@@ -161,12 +161,17 @@ def format_bmdec(
         raise FormatError(f"unknown kind {kind!r}")
     spec = f"0{dim}b"  # v.bits() for every vector of dimension dim
     lines = [f"{kind} {len(blocks)}", f"dim {dim}"]
-    for block in blocks:
+    for i, block in enumerate(blocks):
         keys = block.keys if isinstance(block, Circuit) else block
         lines.append("")
         if block_comment:
             lines.append(f"# {block_comment}")
-        lines += [format(k, spec) for k in keys]
+        try:
+            lines += [format(k, spec) for k in keys]
+        except (TypeError, ValueError) as err:  # format(v, "03b") on a Gf2Vector or a str
+            raise FormatError(
+                f"block {i} is neither a Circuit nor a collection of int keys"
+            ) from err
     if meta:
         lines.append("")
         lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
@@ -177,11 +182,16 @@ def _block_keys(block, dim: int) -> Collection[int] | None:
     """The keys of one block, or None when one is not a nonzero dim-bit value.
 
     Runs the dimension test once per block: a Circuit by its dim (its keys
-    are returned as they are), a key block by its least and greatest key.
+    are returned as they are), a key block by its least and greatest key. A
+    block whose least or greatest item is no int, such as a Gf2Vector list,
+    is None too; the items between them are not type-checked.
     """
     if isinstance(block, Circuit):
         return block.keys if block.dim == dim else None
-    return block if not block or (0 < min(block) and not max(block) >> dim) else None
+    try:
+        return block if not block or (0 < min(block) and not max(block) >> dim) else None
+    except TypeError:
+        return None
 
 
 def _outside(i: int, dim: int) -> str:

@@ -11,9 +11,11 @@ of its coordinate slices, whose pivots are the first-seen basis and whose
 rows hold every fundamental circuit of that basis. Enumeration walks the
 cycle space of that basis: subsets of the |M| - rank elements outside it,
 up to rank + 1 of them, each tested by a short reduction over their
-expansion masks. exact_c and intersection_lower_bound enumerate each
+expansion masks. exact_c and intersection_lower_bound work on each
 connected component on its own; exact_c2 enumerates each ambient
-complete matroid once per process.
+complete matroid once per process. exact_c peels each component first and
+enumerates it only when the peel count misses the quotient floor
+ceil(|C| / (rank(C) + 1)), which settles the minimum otherwise.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ class CircuitCatalog:
         return max((mask.bit_count() for mask in self.masks), default=0)
 
 
+def _require_enumerable(m: BinaryMatroid) -> None:
+    """Raise TooLargeError when m has more than ENUMERATION_LIMIT elements."""
+    if len(m) > ENUMERATION_LIMIT:
+        raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
+
+
 def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     """All minimal zero-sum subsets of m, from the cycle space of one basis.
 
@@ -88,8 +96,7 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     |A| + |P| <= r + 1, and the walk stops at |A| = r + 1. Each circuit C
     is found once, at A = C & N, which is nonempty because B is independent.
     """
-    if len(m) > ENUMERATION_LIMIT:
-        raise TooLargeError(f"|M| = {len(m)} exceeds {ENUMERATION_LIMIT}")
+    _require_enumerable(m)
     rows = column_rref(m.keys, m.dim)
     expansion = [0] * len(m)  # u_e over the basis positions
     for p, row in rows.items():
@@ -155,15 +162,47 @@ def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
 
 
 def _min_disjoint_cover(sub: BinaryMatroid) -> int:
-    """Branch and bound exact cover: fewest disjoint circuits covering sub."""
+    """Fewest disjoint circuits covering sub: peel, then exact cover if needed.
+
+    Floor. A circuit C inside sub has |C| = rank(C) + 1 <= rank(sub) + 1
+    elements, so any cover of the n elements of sub needs at least
+    floor = ceil(n / (rank(sub) + 1)) circuits. The same bound holds on any
+    set U of elements still to cover, with rank(U) in place of rank(sub).
+
+    Upper bound. peel_decompose(sub) is a cover, so its count is achievable.
+    When it equals the floor it is the minimum, and nothing is enumerated.
+
+    Otherwise the search branches on the least uncovered element and tries
+    each catalogue circuit inside the uncovered set U that holds it, largest
+    first (Knuth, "Dancing Links", 2000). With best the least count found
+    so far, a node at count circuits keeps only what can beat best:
+    - U empty is a leaf: count circuits cover sub, so best takes count.
+    - count + 2 >= best: a cover of U by k >= 2 circuits ends at
+      count + k >= best, so only k = 1 can beat best. U has a one-circuit
+      cover iff U is a circuit, and then the catalogue, which holds every
+      circuit inside sub, holds U. One set lookup settles the node, with no
+      rank and no loop.
+    - otherwise the floor of U, count + ceil(|U| / (rank(U) + 1)) >= best,
+      prunes the node. This is the only place rank_of runs, so it runs
+      only where the search may still branch.
+    - best == floor: the floor bounds every cover of sub from below, so
+      best is the minimum, and every open loop returns.
+    Each rule cuts only branches that cannot beat best, so the result is
+    the minimum. A sub over ENUMERATION_LIMIT is refused before any of it.
+    """
+    _require_enumerable(sub)
     n = len(sub)
+    floor = ceil(n / (rank(sub) + 1))
+    best = len(peel_decompose(sub).circuits)
+    if best == floor:
+        return best
     keys = sub.keys
+    masks = enumerate_circuits(sub).masks
+    catalogue = set(masks)
     by_element: list[list[int]] = [[] for _ in range(n)]
-    for mk in enumerate_circuits(sub).masks:
+    for mk in sorted(masks, key=int.bit_count, reverse=True):  # stable: largest first
         for b in _mask_indices(mk):
             by_element[b].append(mk)
-    for lst in by_element:
-        lst.sort(key=lambda mk: -mk.bit_count())  # largest first
 
     def rank_of(mask: int) -> int:
         elim = Gf2Eliminator(track_witnesses=False)
@@ -171,20 +210,20 @@ def _min_disjoint_cover(sub: BinaryMatroid) -> int:
             elim.insert(keys[b])
         return elim.rank
 
-    best = len(peel_decompose(sub).circuits)  # achievable upper bound
-
     def dfs(uncovered: int, count: int) -> None:
         nonlocal best
-        if uncovered == 0:
+        if not uncovered:
             best = min(best, count)
-            return
-        lower = count + ceil(uncovered.bit_count() / (rank_of(uncovered) + 1))
-        if lower >= best:
-            return
-        e = (uncovered & -uncovered).bit_length() - 1
-        for mk in by_element[e]:
-            if mk & ~uncovered == 0:
-                dfs(uncovered ^ mk, count + 1)
+        elif count + 2 >= best:
+            if uncovered in catalogue:
+                best = min(best, count + 1)
+        elif count + ceil(uncovered.bit_count() / (rank_of(uncovered) + 1)) < best:
+            e = (uncovered & -uncovered).bit_length() - 1
+            for mk in by_element[e]:
+                if mk & ~uncovered == 0:
+                    dfs(uncovered ^ mk, count + 1)
+                    if best == floor:
+                        return
 
     dfs((1 << n) - 1, 0)
     return best
@@ -194,8 +233,9 @@ def exact_c(m: BinaryMatroid) -> int:
     """Minimum number of pairwise-disjoint circuits partitioning m.
 
     Circuits never straddle connected components, so the value is the sum
-    over the components of _components, each enumerated and covered on its
-    own, so the ENUMERATION_LIMIT cap applies to each component.
+    over the components of _components, each covered on its own by
+    _min_disjoint_cover, so the ENUMERATION_LIMIT cap applies to each
+    component.
     """
     require_eulerian(m)
     if len(m) == 0:

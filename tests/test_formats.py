@@ -18,7 +18,12 @@ from bmcircuits.formats import (
     parse_bm,
     parse_bmdec,
 )
-from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector
+from bmcircuits.gf2core import (
+    BinaryMatroid,
+    Gf2Eliminator,
+    Gf2Vector,
+    max_independent_subset,
+)
 from bmcircuits.generators import complete_matroid, independent_copies
 from bmcircuits.oddcover import OddCover, symdiff_reduce
 from conftest import GOOD_KEY_BLOCKS, KEY_BLOCK_FAULTS
@@ -234,6 +239,30 @@ class TestKeyBlockChecks:
         wide = Circuit.from_keys(4, (1, 2, 3))
         assert "dimension 3" in check_decomposition(m, 3, [wide])
         assert "dimension 3" in check_oddcover(m, 3, [wide])
+
+
+class TestVectorBlocks:
+    """Blocks of Gf2Vectors, as the public vector API hands them out, are
+    neither key tuples nor Circuits: the checkers give a reason and
+    format_bmdec a FormatError, never a TypeError."""
+
+    @pytest.mark.parametrize("mode", list(CHECKERS))
+    def test_checkers_give_a_reason(self, mode):
+        vectors = [[Gf2Vector(3, k) for k in b] for b in GOOD_KEY_BLOCKS[mode]]
+        reason = CHECKERS[mode](complete_matroid(3), 3, vectors)
+        assert reason == "block 0 has a vector that is not a nonzero vector of dimension 3"
+
+    def test_api_blocks(self):
+        m = complete_matroid(3)
+        elements = [c.elements for c in peel_decompose(m).circuits]
+        assert check_partition(m, 3, [max_independent_subset(m)]) is not None
+        assert check_decomposition(m, 3, elements) is not None
+        assert check_oddcover(m, 3, elements) is not None
+
+    def test_format_bmdec_names_the_block(self):
+        circuits = peel_decompose(complete_matroid(3)).circuits
+        with pytest.raises(FormatError, match="^block 1 is neither a Circuit"):
+            format_bmdec("circuits", 3, [circuits[0], circuits[1].elements])
 
 
 class TestArtifactTypes:

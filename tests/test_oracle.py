@@ -1,17 +1,22 @@
 import itertools
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from bmcircuits import oracle
 from bmcircuits.circuits import fundamental_circuit, is_circuit
+from bmcircuits.decompose import peel_decompose
 from bmcircuits.errors import NotEulerianError, TooLargeError
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     Gf2Vector,
     max_independent_subset,
+    rank,
 )
-from bmcircuits.generators import complete_matroid, independent_copies
+from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.oracle import (
     _components,
     c2_search_is_restricted,
@@ -120,6 +125,24 @@ class TestComponents:
             assert _components(complete_matroid(n)) == [complete_matroid(n)]
 
 
+#: random_eulerian(dim, size, seed) -> exact_c, on connected inputs where
+#: peel misses the quotient floor, so the exact-cover search runs: (6, 20, 22)
+#: peels 5 against a floor of 3, so two levels branch; (7, 16, 39) peels 4
+#: against 2; the last three end one above their floor of 3, so the root is
+#: searched to the end. tests/test_properties.py's reference_exact_c agrees.
+SEARCHED = {
+    (6, 20, 22): 3,
+    (7, 16, 39): 2,
+    (6, 20, 16): 4,
+    (6, 20, 39): 4,
+    (6, 22, 24): 4,
+}
+
+
+def quotient_floor(m):
+    return math.ceil(len(m) / (rank(m) + 1))
+
+
 class TestExactC:
     def test_disjoint_triangles(self):
         for k in (1, 3, 6, 8):
@@ -145,16 +168,38 @@ class TestExactC:
             exact_c(BinaryMatroid(2, [vec("10")]))
 
     def test_quotient_bound_respected(self, small_corpus):
-        import math
-
-        from bmcircuits.gf2core import rank
-
         for m in small_corpus:
             if len(m) > 16:
                 continue
             c = exact_c(m)
             assert c >= density_lower_bound(m, exhaustive_limit=16)
-            assert c >= math.ceil(len(m) / (rank(m) + 1))
+            assert c >= quotient_floor(m)
+
+    @pytest.mark.parametrize("args", list(SEARCHED))
+    def test_search_below_the_peel_count(self, args):
+        m = random_eulerian(*args)
+        assert len(_components(m)) == 1
+        assert len(peel_decompose(m)) > quotient_floor(m)
+        assert exact_c(m) == SEARCHED[args]
+
+    def test_inflated_upper_bound(self, monkeypatch):
+        # |C| circuits bounds every cover of C from above, but no cover
+        # reaches it: the value must come from the search's own leaves
+        monkeypatch.setattr(
+            oracle, "peel_decompose", lambda sub: SimpleNamespace(circuits=sub.keys)
+        )
+        assert exact_c(complete_matroid(4)) == 3
+        assert exact_c(independent_copies(3, 2)) == 3
+        for args, c in SEARCHED.items():
+            assert exact_c(random_eulerian(*args)) == c
+
+    def test_peel_at_the_floor_enumerates_nothing(self, monkeypatch):
+        def refuse(sub):
+            raise AssertionError("enumerated a component that peel settles")
+
+        monkeypatch.setattr(oracle, "enumerate_circuits", refuse)
+        assert exact_c(complete_matroid(3)) == 2
+        assert exact_c(independent_copies(8, 2)) == 8
 
 
 def cycle_space_distances(d):
