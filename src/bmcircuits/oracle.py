@@ -8,10 +8,10 @@ the exact values against the closed-form bounds.
 Circuit enumeration, the component split and exact_c2's coordinates all
 read one gf2core.column_rref of the input: the reduced row-echelon form
 of its coordinate slices, whose pivots are the first-seen basis and whose
-rows hold every fundamental circuit of that basis. Enumeration walks the
-cycle space of that basis: subsets of the |M| - rank elements outside it,
-up to rank + 1 of them, each tested by a short reduction over their
-expansion masks. exact_c and intersection_lower_bound work on each
+rows hold every fundamental circuit of that basis. Enumeration lists the
+cycle space of that basis: every XOR of the fundamental circuits of the
+|M| - rank elements outside it, kept by size when it holds no smaller
+circuit. exact_c and intersection_lower_bound work on each
 connected component on its own; exact_c2 enumerates each ambient
 complete matroid once per process. exact_c peels each component first and
 enumerates it only when the peel count misses the quotient floor
@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
+
+import numpy as np
 
 from .arboricity import arboricity
 from .circuits import Circuit
@@ -71,70 +73,43 @@ def _require_enumerable(m: BinaryMatroid) -> None:
 def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
     """All minimal zero-sum subsets of m, from the cycle space of one basis.
 
-    Let r be the rank of m, B the positions of its first-seen basis, N the
-    other positions, and u_e (e in N) the mask of the positions in B of
-    e's expansion: its fundamental circuit minus e. Both come from the one
-    gf2core.column_rref of m: B is its pivots, and u_e has bit p for each
-    row p that holds e. B is independent, so a zero-sum subset S
-    is fixed by A = S & N: S is A plus the basis positions in P, the XOR of
-    u_e over A. The search walks the subsets A of N depth-first in position
-    order, carrying P, and tests each one.
+    Let r be the rank of m, B the positions of its first-seen basis and N
+    the other positions. Each e in N has a fundamental circuit f_e: e plus
+    the positions of B in its expansion. Both come from the one
+    gf2core.column_rref of m: B is its pivots, and f_e has bit p for each
+    row p that holds e. The f_e are a basis of the cycle space, the
+    zero-sum subsets of m, so XORing each new f_e into every cycle listed
+    so far lists all 2^|N| cycles, one uint32 mask each. Under
+    ENUMERATION_LIMIT, |N| is at most 19 (24 keys need rank 5), so the
+    list stays within 2 MB.
 
-    S is a circuit iff the vectors {u_e & ~P : e in A} have rank |A| - 1.
-    Proof: a subset S' of S is zero-sum iff A' = S' & N has its own P'
-    inside P, that is iff the u_e of A' XOR to zero outside P. Those A' are
-    the kernel of the map that sends A' to the XOR of u_e & ~P over A', so
-    the cycle space of S has dimension |A| minus that rank. A itself is in
-    the kernel, since P & ~P = 0; S is minimal iff the kernel holds nothing
-    else but the empty set. So the rank is at most |A| - 1, and it is
-    |A| - 1 iff no nonempty proper subset of A is in the kernel, iff the
-    vectors of A minus its last element are independent. The test reduces
-    those |A| - 1 vectors, masks over the r positions of B, against each
-    other.
-
-    A circuit has at most r + 1 elements, so a subset is tested only when
-    |A| + |P| <= r + 1, and the walk stops at |A| = r + 1. Each circuit C
-    is found once, at A = C & N, which is nonempty because B is independent.
+    A cycle S that is not a circuit holds a circuit T other than S, and
+    S ^ T is a nonempty cycle too, so S splits into two disjoint nonempty
+    cycles; the smaller holds a circuit of at most |S| / 2 elements. The
+    keys are distinct and nonzero, so every circuit has at least 3
+    elements, and at most r + 1. So the cycles are taken by size from 3 to
+    r + 1, and one of size s is a circuit iff it holds none of the circuits
+    of at most s // 2 elements kept before it: every cycle of at most 5
+    elements is one.
     """
     _require_enumerable(m)
     rows = column_rref(m.keys, m.dim)
-    expansion = [0] * len(m)  # u_e over the basis positions
+    fundamental = [1 << e for e in range(len(m))]
     for p, row in rows.items():
         for e in _mask_indices(row):
-            expansion[e] |= 1 << p
-    others = [(1 << e, u) for e, u in enumerate(expansion) if e not in rows]
-    limit = len(rows) + 1
-    masks: list[int] = []
-
-    def independent(vecs: list[int], keep: int) -> bool:
-        pivots: dict[int, int] = {}
-        for v in vecs:
-            v &= keep
-            while v:
-                top = v.bit_length()
-                row = pivots.get(top)
-                if row is None:
-                    pivots[top] = v
-                    break
-                v ^= row
-            else:
-                return False
-        return True
-
-    def dfs(start: int, chosen: int, vecs: list[int], p: int, size: int) -> None:
-        # vecs holds u_e of the chosen A; size is |A| once one more is added
-        for j in range(start, len(others)):
-            bit, u = others[j]
-            q = p ^ u
-            if size + q.bit_count() <= limit and independent(vecs, ~q):
-                masks.append(chosen | bit | q)
-            if size < limit:
-                vecs.append(u)
-                dfs(j + 1, chosen | bit, vecs, q, size + 1)
-                vecs.pop()
-
-    dfs(0, 0, [], 0, 1)
-    return CircuitCatalog(m, tuple(sorted(masks)))
+            fundamental[e] |= 1 << p
+    cycles = np.zeros(1, dtype=np.uint32)
+    for e, f in enumerate(fundamental):
+        if e not in rows:
+            cycles = np.concatenate((cycles, cycles ^ f))
+    sizes = np.bitwise_count(cycles)
+    found = cycles[(sizes > 0) & (sizes <= min(5, len(rows) + 1))]
+    for s in range(6, len(rows) + 2):
+        candidates = cycles[sizes == s]
+        for t in found[np.bitwise_count(found) <= s // 2].tolist():
+            candidates = candidates[candidates & t != t]
+        found = np.concatenate((found, candidates))
+    return CircuitCatalog(m, tuple(np.sort(found).tolist()))
 
 
 def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
@@ -199,10 +174,9 @@ def _min_disjoint_cover(sub: BinaryMatroid) -> int:
     keys = sub.keys
     masks = enumerate_circuits(sub).masks
     catalogue = set(masks)
-    by_element: list[list[int]] = [[] for _ in range(n)]
-    for mk in sorted(masks, key=int.bit_count, reverse=True):  # stable: largest first
-        for b in _mask_indices(mk):
-            by_element[b].append(mk)
+    ordered = np.array(sorted(masks, key=int.bit_count, reverse=True),  # stable: largest first
+                       dtype=np.uint32)
+    by_element = [ordered[ordered >> e & 1 == 1].tolist() for e in range(n)]
 
     def rank_of(mask: int) -> int:
         elim = Gf2Eliminator(track_witnesses=False)
@@ -226,6 +200,7 @@ def _min_disjoint_cover(sub: BinaryMatroid) -> int:
                         return
 
     dfs((1 << n) - 1, 0)
+    del dfs  # its closure holds it: free the catalogue now, not at a full collection
     return best
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -70,6 +71,14 @@ class TestEnumerateCircuits:
         assert len(listed) == 14  # 7 triangles plus 7 quadruples
         sizes = sorted(mask.bit_count() for mask in catalog.masks)
         assert sizes.count(3) == 7 and sizes.count(4) == 7
+
+    def test_rank_6_matches_direct_scan(self):
+        # 15 cycles of 6 or 7 elements here hold a triangle, so the
+        # size-ordered filter decides which cycles are circuits
+        m = random_eulerian(6, 12, 0)
+        listed = {frozenset(c.key_set) for c in enumerate_circuits(m).circuits()}
+        assert listed == circuits_by_scan(m)
+        assert len(listed) == 71 and max(len(c) for c in listed) == 7
 
     def test_five_disjoint_triangles(self):
         masks = enumerate_circuits(independent_copies(5, 2)).masks
@@ -200,6 +209,18 @@ class TestExactC:
         monkeypatch.setattr(oracle, "enumerate_circuits", refuse)
         assert exact_c(complete_matroid(3)) == 2
         assert exact_c(independent_copies(8, 2)) == 8
+
+    def test_search_frees_its_catalogue_on_return(self):
+        # the recursive search's closure refers to itself; left as a cycle,
+        # the catalogue would stay allocated until a full collection
+        m = random_eulerian(6, 20, 22)  # in SEARCHED: peel misses the floor
+        gc.collect()
+        gc.disable()
+        try:
+            assert exact_c(m) == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def cycle_space_distances(d):
