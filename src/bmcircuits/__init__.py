@@ -27,10 +27,8 @@ from .decompose import (
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
-    Gf2Vector,
     express_in_basis,
     is_eulerian,
-    max_independent_subset,
     rank,
 )
 from .generators import complete_matroid, independent_copies, random_eulerian
@@ -51,7 +49,6 @@ from .oracle import (
 )
 from .orbit import (
     build_even_weight_model,
-    cyclic_shift,
     demonstrate_order_failure,
     multiplicative_order,
     orbit_decompose,

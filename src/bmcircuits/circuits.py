@@ -27,7 +27,6 @@ from .errors import (
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
-    Gf2Vector,
     _gauss_jordan,
     _mask_indices,
     _sorted_keys,
@@ -36,22 +35,18 @@ from .gf2core import (
 )
 
 
-def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
-    """True iff the block is a circuit: distinct nonzero members, zero sum and
+def is_circuit(keys: Iterable[int]) -> bool:
+    """True iff the keys form a circuit: distinct nonzero keys, zero sum and
     rank = size - 1.
 
-    The block is a Circuit, an iterable of Gf2Vectors of one dimension, or
-    one of int keys, such as a block parsed from a .bmdec file or a
-    Circuit's keys. A Circuit is one without a further check: its
-    constructor ran this test and the object is immutable. The others are
-    checked in full, on their keys; a key below 1 is no vector, so a key
-    block that holds one is no circuit.
+    The keys may be a Circuit, which is one without a further check: its
+    constructor ran this test and the object is immutable. Other keys, such
+    as a block parsed from a .bmdec file, are checked in full; a key below 1
+    is no vector, so a block that holds one is no circuit.
     """
-    if isinstance(block, Circuit):
+    if isinstance(keys, Circuit):
         return True
-    keys = list(block)
-    if keys and isinstance(keys[0], Gf2Vector):
-        keys = _sorted_keys(keys[0].n, keys)
+    keys = list(keys)
     if not keys or min(keys) < 1 or len(set(keys)) != len(keys) or reduce(xor, keys):
         return False
     elim = Gf2Eliminator(track_witnesses=False)
@@ -61,24 +56,18 @@ def is_circuit(block: Iterable[Gf2Vector] | Iterable[int]) -> bool:
 
 
 class Circuit:
-    """An immutable, validated circuit. Construction checks the invariants.
+    """An immutable, validated circuit of F_2^dim. Construction checks the
+    invariants.
 
-    ``keys`` holds the elements as int keys in ascending order; ``elements``
-    and iteration build the Gf2Vectors on each call. A circuit's keys are
-    distinct, so two circuits are equal exactly when their dims and key
-    tuples are.
+    ``keys`` holds the elements as int keys in ascending order. A circuit's
+    keys are distinct, so two circuits are equal exactly when their dims and
+    key tuples are.
     """
 
     __slots__ = ("dim", "keys")
 
-    def __init__(self, elements: Iterable[Gf2Vector] | Iterable[int], dim: int | None = None):
-        """From Gf2Vectors of one dimension, or from int keys and their dim."""
-        items = list(elements)
-        if dim is None and items:
-            if not isinstance(items[0], Gf2Vector):
-                raise OutOfRangeError("int keys need their dim, and none was given")
-            dim = items[0].n
-        keys = _sorted_keys(dim, items) if items else ()
+    def __init__(self, dim: int, keys: Iterable[int]):
+        keys = _sorted_keys(dim, keys)
         if not is_circuit(keys):
             raise OutOfRangeError("not a circuit")
         object.__setattr__(self, "dim", dim)
@@ -87,14 +76,8 @@ class Circuit:
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")
 
-    @classmethod
-    def from_keys(cls, dim: int, keys: Iterable[int]) -> Circuit:
-        return cls(keys, dim)
-
-    @property
-    def elements(self) -> tuple[Gf2Vector, ...]:
-        """The elements as Gf2Vectors, in key order, built on each call."""
-        return tuple(Gf2Vector(self.dim, k) for k in self.keys)
+    def __reduce__(self):  # pickle and copy rebuild rather than set slots
+        return Circuit, (self.dim, self.keys)
 
     @property
     def key_set(self) -> frozenset[int]:
@@ -107,14 +90,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, v: Gf2Vector) -> bool:
-        keys = self.keys
-        i = bisect_left(keys, v.key)
-        return i < len(keys) and keys[i] == v.key
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,16 +105,16 @@ class Circuit:
         return f"Circuit({[format(k, f'0{self.dim}b') for k in self.keys]})"
 
 
-def fundamental_circuit(m: Gf2Vector, basis: Sequence[Gf2Vector]) -> Circuit:
-    """The circuit {m} plus the basis vectors in m's unique expansion.
+def fundamental_circuit(dim: int, key: int, basis: Sequence[int]) -> Circuit:
+    """The circuit {key} plus the basis keys in key's unique expansion.
 
-    Requires m in span(basis) and m not itself a basis member (that would
+    Requires key in span(basis) and key not itself a basis member (that would
     yield a 2-element set, which is never a circuit here).
     """
-    if any(b.key == m.key for b in basis):
-        raise DegenerateMemberError(f"{m.bits()} is a basis member")
-    indices = express_in_basis(m, basis)  # raises NotInSpanError if outside
-    return Circuit([m] + [basis[i] for i in indices])
+    if key in basis:
+        raise DegenerateMemberError(f"{key:0{dim}b} is a basis member")
+    indices = express_in_basis(key, basis)  # raises NotInSpanError if outside
+    return Circuit(dim, [key] + [basis[i] for i in indices])
 
 
 def guaranteed_circuit_size(size: int, r: int) -> int:
@@ -255,8 +230,8 @@ def _working_set(n: BinaryMatroid | WorkingSet) -> WorkingSet:
 def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     """Largest fundamental circuit over the canonical basis of n.
 
-    The basis is the first-seen one in canonical order (as in
-    max_independent_subset); the maximum runs over all fundamental circuits
+    The basis is the first-seen one in canonical order (as greedy_basis
+    finds it); the maximum runs over all fundamental circuits
     of elements outside it, ties going to the smallest element in canonical
     order. The result has at least guaranteed_circuit_size(|n|, rank(n))
     elements. A nonempty Eulerian set of distinct nonzero keys has at least
@@ -290,7 +265,7 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
             best &= count
     low = best & -best
     support = [at[p] for p, row in rows.items() if row & low]
-    return Circuit(support + [at[low.bit_length() - 1]], work.dim)
+    return Circuit(work.dim, support + [at[low.bit_length() - 1]])
 
 
 def peel(work: WorkingSet) -> list[Circuit]:

@@ -16,11 +16,10 @@ lines and the all-zeros line are format errors.
     # key=value trailer comments collected into metadata
 
 Parsers report 1-based line numbers on every error. A vector line is read
-and written as its int key (the line as a big-endian integer, as in
-Gf2Vector.key), and no vector object is built for it; parse_bmdec returns
-each block as a tuple of keys. format_bmdec and the checkers take blocks of
-two kinds: such key tuples (as IndependentPartition.parts holds too) and
-Circuits.
+and written as its int key, the line as a big-endian integer (coordinate 0
+is the most significant bit); parse_bmdec returns each block as a tuple of
+keys. format_bmdec and the checkers take blocks of two kinds: such key
+tuples (as IndependentPartition.parts holds too) and Circuits.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def parse_bmdec(text: str) -> DecFile:
                     meta[key] = value
         elif dim is not None:  # a vector line: the only kind after the dim line
             current.append(_parse_key(line, dim, lineno))
-            if dim > MAX_DIM:  # as Gf2Vector(dim, key) would raise
+            if dim > MAX_DIM:  # as BinaryMatroid(dim, keys) would raise
                 raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
         elif kind is None:
             parts = line.split()
@@ -159,7 +158,7 @@ def format_bmdec(
 ) -> str:
     if kind not in DEC_KINDS:
         raise FormatError(f"unknown kind {kind!r}")
-    spec = f"0{dim}b"  # v.bits() for every vector of dimension dim
+    spec = f"0{dim}b"  # the vector line of every key of dimension dim
     lines = [f"{kind} {len(blocks)}", f"dim {dim}"]
     for i, block in enumerate(blocks):
         keys = block.keys if isinstance(block, Circuit) else block
@@ -168,7 +167,7 @@ def format_bmdec(
             lines.append(f"# {block_comment}")
         try:
             lines += [format(k, spec) for k in keys]
-        except (TypeError, ValueError) as err:  # format(v, "03b") on a Gf2Vector or a str
+        except (TypeError, ValueError) as err:  # format(k, "03b") on a str or a float
             raise FormatError(
                 f"block {i} is neither a Circuit nor a collection of int keys"
             ) from err
@@ -183,8 +182,10 @@ def _block_keys(block, dim: int) -> Collection[int] | None:
 
     Runs the dimension test once per block: a Circuit by its dim (its keys
     are returned as they are), a key block by its least and greatest key. A
-    block whose least or greatest item is no int, such as a Gf2Vector list,
-    is None too; the items between them are not type-checked.
+    block whose items do not compare with ints, such as bit strings, is None
+    too. The items between the ends are not type-checked here: a non-int
+    among them fails the block's own processing, which each checker turns
+    into the same reason (see _BAD_KEY).
     """
     if isinstance(block, Circuit):
         return block.keys if block.dim == dim else None
@@ -196,6 +197,22 @@ def _block_keys(block, dim: int) -> Collection[int] | None:
 
 def _outside(i: int, dim: int) -> str:
     return f"block {i} has a vector that is not a nonzero vector of dimension {dim}"
+
+
+# what a non-int key between a block's two int ends raises when the block is
+# processed: no XOR (TypeError), no bit_length (AttributeError), no binary
+# format (ValueError)
+_BAD_KEY = (TypeError, AttributeError, ValueError)
+
+
+def _circuit_reason(i: int, block, keys: Collection[int], dim: int) -> str | None:
+    """None when block i, with keys from _block_keys, is a circuit, else a reason."""
+    try:
+        if isinstance(block, Circuit) or is_circuit(keys):
+            return None
+    except _BAD_KEY:
+        return _outside(i, dim)
+    return f"block {i} is not a circuit"
 
 
 def check_decomposition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
@@ -211,8 +228,9 @@ def check_decomposition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | No
         keys = _block_keys(block, dim)
         if keys is None:
             return _outside(i, dim)
-        if not (isinstance(block, Circuit) or is_circuit(keys)):
-            return f"block {i} is not a circuit"
+        reason = _circuit_reason(i, block, keys, dim)
+        if reason is not None:
+            return reason
         if not seen.isdisjoint(keys):
             return f"block {i} overlaps an earlier block"
         seen.update(keys)
@@ -258,8 +276,9 @@ def check_oddcover(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
         keys = _block_keys(block, dim)
         if keys is None:
             return _outside(i, dim)
-        if not (isinstance(block, Circuit) or is_circuit(keys)):
-            return f"block {i} is not a circuit"
+        reason = _circuit_reason(i, block, keys, dim)
+        if reason is not None:
+            return reason
         parity.symmetric_difference_update(keys)
     if parity != m.key_set:
         return "symmetric difference of blocks differs from the matroid"
@@ -278,17 +297,20 @@ def check_partition(m: BinaryMatroid, dim: int, blocks: _Blocks) -> str | None:
         if not keys:
             return f"block {i} is empty"
         own: set[int] = set()
-        for key in keys:
-            if key in own:
-                return f"block {i} repeats vector {key:0{dim}b}"
-            own.add(key)
         elim = Gf2Eliminator(track_witnesses=False)
-        for key in keys:
-            if key in seen:
-                return f"block {i} overlaps an earlier block"
-            seen.add(key)
-            if elim.insert(key) is not None:
-                return f"block {i} is not independent"
+        try:
+            for key in keys:
+                if key in own:
+                    return f"block {i} repeats vector {key:0{dim}b}"
+                own.add(key)
+            for key in keys:
+                if key in seen:
+                    return f"block {i} overlaps an earlier block"
+                seen.add(key)
+                if elim.insert(key) is not None:
+                    return f"block {i} is not independent"
+        except _BAD_KEY:
+            return _outside(i, dim)
     if seen != m.key_set:
         return "union of blocks differs from the matroid"
     return None

@@ -33,7 +33,7 @@ def complete_matroid(n: int) -> BinaryMatroid:
     """All 2^n - 1 nonzero vectors of F_2^n; Eulerian for n >= 2."""
     if not 1 <= n <= 24:
         raise OutOfRangeError(f"complete matroid dimension {n} not in 1..24")
-    return BinaryMatroid.from_keys(n, range(1, 1 << n))
+    return BinaryMatroid(n, range(1, 1 << n))
 
 
 def independent_copies(k: int, s: int) -> BinaryMatroid:
@@ -50,7 +50,7 @@ def independent_copies(k: int, s: int) -> BinaryMatroid:
     for block in range(k):
         shift = dim - (block + 1) * s  # block 0 occupies the leading coordinates
         keys.extend(key << shift for key in range(1, 1 << s))
-    return BinaryMatroid.from_keys(dim, keys)
+    return BinaryMatroid(dim, keys)
 
 
 def _random_key(rng: np.random.Generator, n: int) -> int:
@@ -87,13 +87,13 @@ def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
         for key in chosen:
             defect ^= key
         if defect == 0:
-            return BinaryMatroid.from_keys(n, chosen)
+            return BinaryMatroid(n, chosen)
         if defect in chosen and len(chosen) > 3:
             chosen.remove(defect)
-            return BinaryMatroid.from_keys(n, chosen)
+            return BinaryMatroid(n, chosen)
         if defect not in chosen and len(chosen) < (1 << n) - 1:
             chosen.add(defect)
-            return BinaryMatroid.from_keys(n, chosen)
+            return BinaryMatroid(n, chosen)
     raise InfeasibleError(
         f"no Eulerian repair found for n={n} size={size} after {_REDRAW_LIMIT} redraws"
     )

@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) vectors, binary matroids, and Gaussian elimination.
+"""GF(2) vectors as int keys, binary matroids, and Gaussian elimination.
 
 Gf2Eliminator eliminates incrementally, with undo and witnesses;
 column_rref reduces a whole key list at once, and every fundamental circuit
@@ -13,7 +13,6 @@ ascending order, which makes greedy choices and bases reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 from typing import Iterable, Iterator, Sequence
@@ -23,74 +22,6 @@ import numpy as np
 from .errors import NotEulerianError, NotInSpanError, OutOfRangeError
 
 MAX_DIM = 4096
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class Gf2Vector:
-    """A nonzero vector of F_2^n.
-
-    ``key`` holds the bit string read as a big-endian integer, so coordinate i
-    sits at bit position n - 1 - i. Instances are immutable and totally
-    ordered by (n, key); vectors from one matroid share n, so the order is
-    simply the canonical key order. Slotted: no per-instance ``__dict__``.
-    """
-
-    n: int
-    key: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIM:
-            raise OutOfRangeError(f"dimension {self.n} not in 1..{MAX_DIM}")
-        if not 0 < self.key < (1 << self.n):
-            raise OutOfRangeError(
-                f"key {self.key} not a nonzero {self.n}-bit value"
-            )
-
-    @classmethod
-    def from_bits(cls, bits: str) -> Gf2Vector:
-        """Build from a string over {0,1}; leftmost character is coordinate 0."""
-        if not bits or bits.strip("01"):
-            raise OutOfRangeError(f"not a bit string: {bits!r}")
-        return cls(len(bits), int(bits, 2))
-
-    @classmethod
-    def from_coords(cls, n: int, coords: Iterable[int]) -> Gf2Vector:
-        """Build from the set of coordinates that are 1."""
-        key = 0
-        for i in coords:
-            if not 0 <= i < n:
-                raise OutOfRangeError(f"coordinate {i} not in 0..{n - 1}")
-            key |= 1 << (n - 1 - i)
-        return cls(n, key)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> Gf2Vector:
-        """Standard basis vector with coordinate i set."""
-        return cls.from_coords(n, (i,))
-
-    def bits(self) -> str:
-        return format(self.key, f"0{self.n}b")
-
-    def coord(self, i: int) -> int:
-        return (self.key >> (self.n - 1 - i)) & 1
-
-    @property
-    def weight(self) -> int:
-        return self.key.bit_count()
-
-    def __xor__(self, other: Gf2Vector) -> Gf2Vector:
-        if self.n != other.n:
-            raise OutOfRangeError("cannot XOR vectors of different dimension")
-        k = self.key ^ other.key
-        if k == 0:
-            raise OutOfRangeError("XOR of equal vectors is the zero vector")
-        return Gf2Vector(self.n, k)
-
-    def __str__(self) -> str:
-        return self.bits()
-
-    def __repr__(self) -> str:
-        return f"Gf2Vector({self.bits()!r})"
 
 
 class Gf2Eliminator:
@@ -183,40 +114,34 @@ def _mask_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _sorted_keys(dim: int, elements: Iterable[Gf2Vector] | Iterable[int]) -> tuple[int, ...]:
-    """The ascending keys of Gf2Vectors of dimension dim, or of int keys.
+def _sorted_keys(dim: int, keys: Iterable[int]) -> tuple[int, ...]:
+    """The ascending keys, each a nonzero dim-bit value.
 
-    Raises what building Gf2Vector(dim, key) from each key in turn would; a
-    vector of another dimension is named by the least such dimension, the
-    one an (n, key) sort would meet first. Duplicates are left to the caller.
+    A key out of range is named by its first occurrence in the order given.
+    Duplicates are left to the caller.
     """
     if not 1 <= dim <= MAX_DIM:
         raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
-    items = list(elements)
-    if items and isinstance(items[0], Gf2Vector):
-        if any(v.n != dim for v in items):
-            bad = min(v.n for v in items if v.n != dim)
-            raise OutOfRangeError(f"vector of dimension {bad} in matroid of dimension {dim}")
-        return tuple(sorted([v.key for v in items]))
-    keys = tuple(sorted(items))
-    if keys and (keys[0] < 1 or keys[-1] >> dim):
+    items = list(keys)
+    ordered = tuple(sorted(items))
+    if ordered and (ordered[0] < 1 or ordered[-1] >> dim):
         bad = next(k for k in items if not 0 < k < 1 << dim)
         raise OutOfRangeError(f"key {bad} not a nonzero {dim}-bit value")
-    return keys
+    return ordered
 
 
 class BinaryMatroid:
-    """A finite set of distinct nonzero vectors of F_2^dim.
+    """A finite set of distinct nonzero vectors of F_2^dim, held as int keys.
 
     Immutable after construction and safe to share read-only. ``keys`` holds
-    the elements as int keys in canonical (ascending) order; ``elements``,
-    the same elements as Gf2Vectors, is built on first access and kept.
+    the elements in canonical (ascending) order and ``key_set`` the same
+    keys as a set.
     """
 
-    __slots__ = ("dim", "keys", "key_set", "_elements", "_rank_cache")
+    __slots__ = ("dim", "keys", "key_set", "_rank_cache")
 
-    def __init__(self, dim: int, elements: Iterable[Gf2Vector] | Iterable[int] = ()):
-        keys = _sorted_keys(dim, elements)
+    def __init__(self, dim: int, keys: Iterable[int] = ()):
+        keys = _sorted_keys(dim, keys)
         key_set = frozenset(keys)
         if len(key_set) != len(keys):
             dup = next(a for a, b in zip(keys, keys[1:]) if a == b)
@@ -224,30 +149,21 @@ class BinaryMatroid:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "key_set", key_set)
-        object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_rank_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BinaryMatroid is immutable")
 
-    @classmethod
-    def from_keys(cls, dim: int, keys: Iterable[int]) -> BinaryMatroid:
-        return cls(dim, keys)
+    def __reduce__(self):  # pickle and copy rebuild rather than set slots
+        return BinaryMatroid, (self.dim, self.keys)
 
     @property
-    def elements(self) -> tuple[Gf2Vector, ...]:
-        if self._elements is None:
-            object.__setattr__(self, "_elements", tuple(Gf2Vector(self.dim, k) for k in self.keys))
-        return self._elements
+    def elements(self) -> tuple[int, ...]:
+        """The keys again: the name the benchmark's tracer reads (bmbench/spans.py)."""
+        return self.keys
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __iter__(self) -> Iterator[Gf2Vector]:
-        return iter(self.elements)
-
-    def __contains__(self, v: Gf2Vector) -> bool:
-        return v.key in self.key_set
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,19 +177,6 @@ class BinaryMatroid:
 
     def __repr__(self) -> str:
         return f"BinaryMatroid(dim={self.dim}, size={len(self)})"
-
-    def difference(self, removed: Iterable[Gf2Vector]) -> BinaryMatroid:
-        gone = {v.key for v in removed}
-        return BinaryMatroid(self.dim, [k for k in self.keys if k not in gone])
-
-    def symmetric_difference(self, other: Iterable[Gf2Vector]) -> BinaryMatroid:
-        keys = set(self.key_set)
-        for v in other:
-            if v.key in keys:
-                keys.remove(v.key)
-            else:
-                keys.add(v.key)
-        return BinaryMatroid(self.dim, keys)
 
 
 def rank(m: BinaryMatroid) -> int:
@@ -385,24 +288,17 @@ def _gauss_jordan(rows: Iterable[int]) -> tuple[dict[int, int], int]:
     return reduced, pivots
 
 
-def max_independent_subset(m: BinaryMatroid) -> tuple[Gf2Vector, ...]:
-    """A basis of M, chosen by first-seen pivots in canonical element order."""
-    return tuple(Gf2Vector(m.dim, k) for k in greedy_basis(m.keys, m.dim))
-
-
-def express_in_basis(
-    x: Gf2Vector, basis: Sequence[Gf2Vector]
-) -> frozenset[int]:
-    """Indices I into basis (0-based) with x equal to the XOR of basis[i] for i in I.
+def express_in_basis(key: int, basis: Sequence[int]) -> frozenset[int]:
+    """Indices I into basis (0-based) with key equal to the XOR of basis[i] for i in I.
 
     The basis must be linearly independent; the index set is then unique.
-    Raises NotInSpanError when x lies outside the span.
+    Raises NotInSpanError when key lies outside the span.
     """
     elim = Gf2Eliminator()
     for b in basis:
-        if elim.insert(b.key) is not None:
+        if elim.insert(b) is not None:
             raise OutOfRangeError("basis is not linearly independent")
-    residual, mask = elim.reduce(x.key)
+    residual, mask = elim.reduce(key)
     if residual != 0:
-        raise NotInSpanError(f"{x.bits()} is not in the span of the basis")
+        raise NotInSpanError(f"key {key:b} is not in the span of the basis")
     return frozenset(_mask_indices(mask))

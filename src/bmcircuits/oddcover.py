@@ -45,20 +45,19 @@ class OddCover:
         return len(self.circuits)
 
 
-def complete_to_circuit(independent: Iterable, dim: int | None = None) -> Circuit:
-    """Close an independent set I, of Gf2Vectors or of int keys and their
-    dim, with its own sum x, built by Circuit like any other input.
+def complete_to_circuit(independent: Iterable[int], dim: int) -> Circuit:
+    """Close an independent set I of int keys of dimension dim with its own
+    sum x, built by Circuit like any other input.
 
     x is nonzero and outside I (both would contradict independence), so the
     result has |I| + 1 >= 3 elements and is a circuit. A dependent I raises
-    OutOfRangeError: from Gf2Vector's XOR or Circuit's key range when a sum
-    is zero, else from Circuit, as then rank(I + {x}) <= |I| - 1 < size - 1.
-    So do int keys without their dim.
+    OutOfRangeError from Circuit: from its key range when the sum is zero,
+    else from its circuit test, as then rank(I + {x}) <= |I| - 1 < size - 1.
     """
     items = list(independent)
     if len(items) <= 1:
         raise TooSmallError("need at least 2 independent vectors")
-    return Circuit(items + [reduce(xor, items)], dim)
+    return Circuit(dim, items + [reduce(xor, items)])
 
 
 def symdiff_reduce(m: BinaryMatroid) -> OddCover:
@@ -88,7 +87,7 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
         bound = len(basis)
         if bound <= 2:
             break
-        c = Circuit(basis + [reduce(xor, basis)], work.dim)
+        c = Circuit(work.dim, basis + [reduce(xor, basis)])
         work.toggle(c)
         cover.append(c)
     cover += peel(work)
@@ -150,12 +149,12 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
         else:
             y = part[0]
             z = _smallest_other_key(y)
-            base.append(Circuit.from_keys(m.dim, (y, z, y ^ z)))
+            base.append(Circuit(m.dim, (y, z, y ^ z)))
 
     left = set(m.key_set)
     for c in base:
         left.symmetric_difference_update(c.keys)
-    remainder = BinaryMatroid.from_keys(m.dim, left)
+    remainder = BinaryMatroid(m.dim, left)
 
     cover = list(base) + list(symdiff_reduce(remainder).circuits)
     final = _cancel_pairs(cover)

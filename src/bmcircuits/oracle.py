@@ -55,7 +55,7 @@ class CircuitCatalog:
 
     def to_circuit(self, mask: int) -> Circuit:
         keys = self.universe.keys
-        return Circuit.from_keys(self.universe.dim, (keys[i] for i in _mask_indices(mask)))
+        return Circuit(self.universe.dim, (keys[i] for i in _mask_indices(mask)))
 
     def circuits(self):
         return [self.to_circuit(mask) for mask in self.masks]
@@ -132,7 +132,7 @@ def _components(m: BinaryMatroid) -> list[BinaryMatroid]:
             classes.remove(c)
             mk |= c
         classes.append(mk)
-    return [BinaryMatroid.from_keys(m.dim, (keys[j] for j in _mask_indices(c)))
+    return [BinaryMatroid(m.dim, (keys[j] for j in _mask_indices(c)))
             for c in classes]
 
 

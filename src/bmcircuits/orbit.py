@@ -27,7 +27,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .formats import Decomposition
-from .gf2core import BinaryMatroid, Gf2Vector
+from .gf2core import BinaryMatroid
 
 #: the model holds 2^(p-1) - 1 int keys as Python objects; orbit_decompose(19)
 #: peaks at about 64 MB resident and `orbit --p 19`, which also writes,
@@ -96,21 +96,11 @@ def build_even_weight_model(p: int) -> BinaryMatroid:
     canonical order, so the element with key k sits at index (k >> 1) - 1.
     """
     _require_capped_prime(p)
-    return BinaryMatroid.from_keys(p, map(_model_key, range(1, 1 << (p - 1))))
-
-
-def cyclic_shift(x: Gf2Vector, j: int) -> Gf2Vector:
-    """Rotate coordinates by j: coordinate i moves to coordinate i + j (mod p)."""
-    p = x.n
-    j %= p
-    if j == 0:
-        return x
-    mask = (1 << p) - 1
-    key = ((x.key >> j) | (x.key << (p - j))) & mask
-    return Gf2Vector(p, key)
+    return BinaryMatroid(p, map(_model_key, range(1, 1 << (p - 1))))
 
 
 def _rotations(key: int, p: int) -> list[int]:
+    """The p rotations of a p-bit key: entry j moves coordinate i to i + j (mod p)."""
     mask = (1 << p) - 1
     return [((key >> j) | (key << (p - j))) & mask if j else key for j in range(p)]
 
@@ -135,7 +125,7 @@ def _rotation_orbits(p: int, m: BinaryMatroid) -> list[Circuit]:
             raise OutOfRangeError(f"orbit of {_model_key(y):0{p}b} has {len(distinct)} elements")
         for x in distinct:
             visited[x] = 1
-        orbits.append(Circuit([keys[x - 1] for x in sorted(distinct)], m.dim))
+        orbits.append(Circuit(m.dim, [keys[x - 1] for x in sorted(distinct)]))
     return orbits
 
 
@@ -177,5 +167,5 @@ def demonstrate_order_failure() -> OrderFailureReport:
     orbit = tuple(sorted(set(_rotations(0b1110100, p))))
     whole = is_circuit(orbit)
     first = largest_fundamental_circuit(BinaryMatroid(p, orbit))
-    second = Circuit(set(orbit).difference(first.keys), p)
+    second = Circuit(p, set(orbit).difference(first.keys))
     return OrderFailureReport(p, order, orbit, whole, (first, second))

@@ -54,7 +54,7 @@ def dense_core():
     """Complete core on the leading 6 of 10 coordinates, symmetric difference
     with random_eulerian(10, 12, seed=1): 74 elements, a = 11."""
     core = {k << 4 for k in range(1, 64)}
-    return BinaryMatroid.from_keys(10, core ^ random_eulerian(10, 12, seed=1).key_set)
+    return BinaryMatroid(10, core ^ random_eulerian(10, 12, seed=1).key_set)
 
 
 @pytest.fixture(scope="session")
@@ -81,4 +81,4 @@ def peel_family_pins():
 
 
 def circuit_keys(circuits):
-    return [[v.key for v in c.elements] for c in circuits]
+    return [list(c.keys) for c in circuits]

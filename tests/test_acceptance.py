@@ -55,7 +55,7 @@ def report(number, ok, detail):
 def decomposition_is_valid(m, dec):
     seen = set()
     for c in dec.circuits:
-        if not is_circuit(c.elements):
+        if not is_circuit(c.keys):
             return False
         if seen & c.key_set:
             return False
@@ -70,7 +70,7 @@ def decomposition_is_valid(m, dec):
 def cover_is_valid(m, cover):
     parity = set()
     for c in cover.circuits:
-        if not is_circuit(c.elements):
+        if not is_circuit(c.keys):
             return False
         parity ^= c.key_set
     return parity == set(m.key_set)
@@ -84,7 +84,7 @@ def test_criterion_1_orbit_counts():
         od = orbit_decompose(p)
         timings[p] = time.perf_counter() - start
         assert len(od.circuits) == count == ((1 << (p - 1)) - 1) // p
-        assert all(len(o) == p and is_circuit(o.elements) for o in od.circuits)
+        assert all(len(o) == p and is_circuit(o.keys) for o in od.circuits)
         assert timings[p] < 10.0
     report(1, True, f"orbit counts {expected}, slowest {max(timings.values()):.2f}s")
 
@@ -199,7 +199,7 @@ def test_criterion_9_cover_bound_and_minmax():
 
 def test_criterion_10_oracle_dominance():
     instances = [
-        BinaryMatroid.from_keys(2, [1, 2, 3]),
+        BinaryMatroid(2, [1, 2, 3]),
         independent_copies(2, 2),
         independent_copies(3, 2),
         complete_matroid(3),

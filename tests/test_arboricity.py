@@ -12,29 +12,25 @@ from bmcircuits.arboricity import (
     edmonds_max_bruteforce,
 )
 from bmcircuits.errors import EmptyMatroidError, TooLargeError
-from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, Gf2Vector, rank
+from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 
 from conftest import dense_core, eulerian_corpus
 
 
-def vec(bits):
-    return Gf2Vector.from_bits(bits)
-
-
 def triangle():
-    return BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
+    return BinaryMatroid(2, [0b10, 0b01, 0b11])
 
 
 def quotient_scan(m):
     """Direct oracle: iterate every nonempty subset."""
-    elems = list(m.elements)
+    elems = m.keys
     best = 0
     for mask in range(1, 1 << len(elems)):
         subset = [elems[i] for i in range(len(elems)) if (mask >> i) & 1]
         elim = Gf2Eliminator(track_witnesses=False)
-        for v in subset:
-            elim.insert(v.key)
+        for key in subset:
+            elim.insert(key)
         best = max(best, math.ceil(len(subset) / elim.rank))
     return best
 
@@ -130,12 +126,12 @@ class TestArboricity:
         picker = random.Random(5)
         for m in eulerian_corpus(10, seed=11, n_range=(4, 8), size_cap=18):
             a_full, _ = arboricity(m)
-            keys = [v.key for v in m.elements]
+            keys = list(m.keys)
             picker.shuffle(keys)
             for cut in (len(keys) // 2, len(keys) - 1):
                 if cut < 1:
                     continue
-                sub = BinaryMatroid.from_keys(m.dim, keys[:cut])
+                sub = BinaryMatroid(m.dim, keys[:cut])
                 a_sub, _ = arboricity(sub)
                 assert a_sub <= a_full
 

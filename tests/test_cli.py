@@ -11,7 +11,8 @@ import pytest
 from bmcircuits import cli
 from bmcircuits.cli import REPORT_FIELDS, run
 from bmcircuits.formats import ARTIFACT_KINDS, DecFile, format_bmdec
-from bmcircuits.gf2core import BinaryMatroid, Gf2Vector
+from bmcircuits.circuits import Circuit
+from bmcircuits.gf2core import BinaryMatroid
 from bmcircuits.orbit import orbit_decompose
 from conftest import GOOD_KEY_BLOCKS, KEY_BLOCK_FAULTS
 
@@ -268,9 +269,9 @@ class TestOrbit:
         built = []
         init = BinaryMatroid.__init__
 
-        def counting_init(self, dim, elements=()):
+        def counting_init(self, dim, keys=()):
             built.append(dim)
-            init(self, dim, elements)
+            init(self, dim, keys)
 
         monkeypatch.setattr(BinaryMatroid, "__init__", counting_init)
         assert run(["orbit", "--p", "11", "--compress", "--out", str(tmp_path / "c.bmdec")]) == 0
@@ -280,7 +281,8 @@ class TestOrbit:
 class TestKeyOnlyCommands:
     """Every command reads, builds, checks and writes int keys: gen, orbit
     (the p = 7 demo too), decompose, oddcover by either method, arboricity,
-    verify and oracle build no Gf2Vector at all."""
+    verify and oracle build every BinaryMatroid and Circuit from Python ints,
+    with no vector object and no numpy integer among the keys."""
 
     @pytest.mark.parametrize("argv", [
         ["orbit", "--p", "13", "--compress", "--out", "{tmp}/out.bmdec"],
@@ -303,17 +305,17 @@ class TestKeyOnlyCommands:
         run(["gen", "--kind", "random", "--n", "14", "--size", "500", "--seed", "3",
              "--out", str(tmp_path / "r14.bm")])
         run(["arboricity", "--in", str(tmp_path / "r14.bm"), "--out", str(tmp_path / "r14.part")])
-        built = []
-        check = Gf2Vector.__post_init__
+        built, other = [], []
+        for cls in (BinaryMatroid, Circuit):
+            def recording_init(obj, dim, keys=(), init=cls.__init__):
+                init(obj, dim, keys)
+                built.append(obj)
+                other.extend(k for k in obj.keys if type(k) is not int)
 
-        def counting_post_init(v):
-            built.append(v)
-            check(v)
-
-        monkeypatch.setattr(Gf2Vector, "__post_init__", counting_post_init)
+            monkeypatch.setattr(cls, "__init__", recording_init)
         assert run([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
         assert records(capsys)[-1]["verified"] is True
-        assert built == []
+        assert built and other == []
 
 
 class TestOracleCli:

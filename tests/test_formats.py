@@ -18,26 +18,17 @@ from bmcircuits.formats import (
     parse_bm,
     parse_bmdec,
 )
-from bmcircuits.gf2core import (
-    BinaryMatroid,
-    Gf2Eliminator,
-    Gf2Vector,
-    max_independent_subset,
-)
+from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, greedy_basis
 from bmcircuits.generators import complete_matroid, independent_copies
 from bmcircuits.oddcover import OddCover, symdiff_reduce
 from conftest import GOOD_KEY_BLOCKS, KEY_BLOCK_FAULTS
-
-
-def vec(bits):
-    return Gf2Vector.from_bits(bits)
 
 
 #: 4-character lines that int(line, 2) parses but that are not 0/1 strings
 INT_ONLY_LINES = ("1_01", "+101", "0b11", "\uff11\uff10\uff11\uff10")
 
 #: malformed vector lines, the dimension of their file, and the message that
-#: both parsers raised for them while they still built one Gf2Vector per line
+#: both parsers raise for them
 MALFORMED_LINES = [
     ("101", 4, "expected a 4-character line over 0/1, got '101'"),
     ("10101", 4, "expected a 4-character line over 0/1, got '10101'"),
@@ -159,7 +150,7 @@ class TestBmdecFormat:
         assert parsed == formats.DecFile(kind, dim, tuple(blocks), meta)
 
     def test_circuit_block_file(self):
-        c = Circuit([vec("10"), vec("01"), vec("11")])
+        c = Circuit(2, [0b10, 0b01, 0b11])
         text = format_circuit(c)
         m = parse_bm(text)
         assert set(m.key_set) == set(c.key_set)
@@ -175,15 +166,15 @@ class TestSemanticChecks:
         assert check_decomposition(m, truncated.dim, truncated.blocks) is not None
 
     def test_oddcover_check(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
-        tri = Circuit([vec("01"), vec("10"), vec("11")])
+        m = BinaryMatroid(2, [0b10, 0b01, 0b11])
+        tri = Circuit(2, [0b01, 0b10, 0b11])
         once = parse_bmdec(format_bmdec("oddcover", 2, [tri]))
         assert check_oddcover(m, once.dim, once.blocks) is None
         twice = parse_bmdec(format_bmdec("oddcover", 2, [tri, tri]))
         assert check_oddcover(m, twice.dim, twice.blocks) is not None
 
     def test_partition_check(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
+        m = BinaryMatroid(2, [0b10, 0b01, 0b11])
         ok = parse_bmdec(format_bmdec(
             "indsets", 2, [(0b01, 0b10), (0b11,)],
             block_comment="independent-set",
@@ -229,40 +220,56 @@ class TestKeyBlockChecks:
         monkeypatch.setattr(formats, "is_circuit", counting_is_circuit)
         assert check_decomposition(m, 3, GOOD_KEY_BLOCKS["decomposition"]) is None
         assert called == [(1, 2, 3), (4, 5, 6, 7)]
-        circuits = [Circuit.from_keys(3, b) for b in GOOD_KEY_BLOCKS["oddcover"]]
+        circuits = [Circuit(3, b) for b in GOOD_KEY_BLOCKS["oddcover"]]
         assert check_decomposition(m, 3, circuits) is None
         assert check_oddcover(m, 3, circuits) is None
         assert len(called) == 2
 
     def test_a_circuit_is_tested_by_its_dimension(self):
         m = complete_matroid(3)
-        wide = Circuit.from_keys(4, (1, 2, 3))
+        wide = Circuit(4, (1, 2, 3))
         assert "dimension 3" in check_decomposition(m, 3, [wide])
         assert "dimension 3" in check_oddcover(m, 3, [wide])
 
 
+OUTSIDE = "block 0 has a vector that is not a nonzero vector of dimension 3"
+
+
 class TestVectorBlocks:
-    """Blocks of Gf2Vectors, as the public vector API hands them out, are
-    neither key tuples nor Circuits: the checkers give a reason and
+    """Blocks of vectors in another form than int keys, such as bit strings,
+    are neither key tuples nor Circuits: the checkers give a reason and
     format_bmdec a FormatError, never a TypeError."""
 
     @pytest.mark.parametrize("mode", list(CHECKERS))
     def test_checkers_give_a_reason(self, mode):
-        vectors = [[Gf2Vector(3, k) for k in b] for b in GOOD_KEY_BLOCKS[mode]]
-        reason = CHECKERS[mode](complete_matroid(3), 3, vectors)
-        assert reason == "block 0 has a vector that is not a nonzero vector of dimension 3"
+        strings = [[format(k, "03b") for k in b] for b in GOOD_KEY_BLOCKS[mode]]
+        assert CHECKERS[mode](complete_matroid(3), 3, strings) == OUTSIDE
+
+    def test_non_int_between_int_ends(self):
+        """The ends of (1, 2.5, 3) pass the block's range test; the float
+        fails the block's processing, which each checker turns into a reason."""
+        m = complete_matroid(3)
+        for check in CHECKERS.values():
+            assert check(m, 3, [(1, 2.5, 3)]) == OUTSIDE
+        with pytest.raises(FormatError, match="^block 0 is neither a Circuit"):
+            format_bmdec("circuits", 3, [(1, 2.5, 3)])
 
     def test_api_blocks(self):
+        """What the API hands out is int keys, which the checkers take."""
         m = complete_matroid(3)
-        elements = [c.elements for c in peel_decompose(m).circuits]
-        assert check_partition(m, 3, [max_independent_subset(m)]) is not None
-        assert check_decomposition(m, 3, elements) is not None
-        assert check_oddcover(m, 3, elements) is not None
+        blocks = [c.keys for c in peel_decompose(m).circuits]
+        assert check_decomposition(m, 3, blocks) is None
+        assert check_oddcover(m, 3, blocks) is None
+        basis = greedy_basis(m.keys, m.dim)
+        rest = tuple(k for k in m.keys if k not in basis)
+        assert check_partition(m, 3, [basis, rest]) == "block 1 is not independent"
+        assert check_partition(m, 3, [basis]) == "union of blocks differs from the matroid"
 
     def test_format_bmdec_names_the_block(self):
         circuits = peel_decompose(complete_matroid(3)).circuits
+        strings = [format(k, "03b") for k in circuits[1].keys]
         with pytest.raises(FormatError, match="^block 1 is neither a Circuit"):
-            format_bmdec("circuits", 3, [circuits[0], circuits[1].elements])
+            format_bmdec("circuits", 3, [circuits[0], strings])
 
 
 class TestArtifactTypes:

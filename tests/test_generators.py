@@ -53,7 +53,7 @@ class TestIndependentCopies:
         m = independent_copies(2, 2)
         masks = enumerate_circuits(m).masks
         assert len(masks) == 2
-        block_a = {v.key for v in m.elements if v.key >= 1 << 2}
+        block_a = {k for k in m.keys if k >= 1 << 2}
         for c in enumerate_circuits(m).circuits():
             keys = set(c.key_set)
             assert keys <= block_a or not (keys & block_a)
@@ -82,7 +82,7 @@ class TestRandomEulerian:
 
     def test_minimal_case_is_triangle(self):
         m = random_eulerian(2, 3, seed=0)
-        assert {v.key for v in m} == {1, 2, 3}
+        assert m.keys == (1, 2, 3)
 
     def test_range_checks(self):
         with pytest.raises(OutOfRangeError):

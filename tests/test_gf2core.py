@@ -5,74 +5,74 @@ import random
 
 import pytest
 
-from bmcircuits.errors import NotInSpanError, OutOfRangeError
+from bmcircuits.circuits import Circuit, WorkingSet
+from bmcircuits.errors import FormatError, NotInSpanError, OutOfRangeError
+from bmcircuits.formats import _parse_key, format_bm, parse_bm
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
-    Gf2Vector,
     _mask_indices,
     column_rref,
     express_in_basis,
     greedy_basis,
     is_eulerian,
-    max_independent_subset,
     rank,
 )
 from bmcircuits.generators import complete_matroid
-
-
-def vec(bits):
-    return Gf2Vector.from_bits(bits)
+from bmcircuits.oddcover import complete_to_circuit
 
 
 class TestGf2Vector:
+    """Vectors as int keys, which replaced the Gf2Vector class, held to its
+    checks: the bit layout, the range, the order, the XOR, the line parser,
+    immutability and pickling, now of the objects that hold the keys."""
+
     def test_key_layout_is_big_endian(self):
-        v = vec("100")
-        assert v.coord(0) == 1 and v.coord(1) == 0 and v.coord(2) == 0
-        assert v.key == 4
-        assert vec("001").key == 1
+        m = parse_bm("dim 3\n100\n001\n")
+        assert m.keys == (0b001, 0b100) == (1, 4)
+        assert format_bm(m) == "dim 3\n001\n100\n"
 
     def test_zero_vector_rejected(self):
         with pytest.raises(OutOfRangeError):
-            Gf2Vector(3, 0)
-        with pytest.raises(OutOfRangeError):
-            vec("000")
+            BinaryMatroid(3, [0])
+        with pytest.raises(FormatError):
+            parse_bm("dim 3\n000\n")
 
     def test_sort_order_matches_bit_strings(self):
-        vs = [vec(b) for b in ("110", "011", "101")]
-        assert [v.bits() for v in sorted(vs)] == ["011", "101", "110"]
+        m = BinaryMatroid(3, [0b110, 0b011, 0b101])
+        assert [format(k, "03b") for k in m.keys] == ["011", "101", "110"]
 
     def test_xor_and_weight(self):
-        assert (vec("110") ^ vec("011")).bits() == "101"
-        assert vec("1101").weight == 3
-        with pytest.raises(OutOfRangeError):
-            vec("110") ^ vec("110")
+        assert complete_to_circuit([0b110, 0b011], 3).keys == (0b011, 0b101, 0b110)
+        with pytest.raises(OutOfRangeError):  # the sum of equal keys is zero
+            complete_to_circuit([0b110, 0b110], 3)
 
     def test_unit_and_coords(self):
-        assert Gf2Vector.unit(5, 0).bits() == "10000"
-        assert Gf2Vector.from_coords(4, (1, 3)).bits() == "0101"
+        # unit vector i is the key 1 << (n - 1 - i); coordinates 1 and 3 of 4 are 0b0101
+        assert parse_bm("dim 5\n10000\n").keys == (1 << 4,)
+        assert parse_bm("dim 4\n0101\n").keys == (0b0101,)
 
     @pytest.mark.parametrize("bits", ["", "1_01", "+101", "0b11", "\uff11\uff10\uff11\uff10", "10 1"])
     def test_from_bits_rejects_what_only_int_accepts(self, bits):
-        with pytest.raises(OutOfRangeError):
-            vec(bits)
+        with pytest.raises(FormatError):
+            _parse_key(bits, 4, 1)
 
     def test_slotted_and_frozen(self):
-        v = vec("101")
-        assert not hasattr(v, "__dict__")
-        with pytest.raises(AttributeError):
-            v.key = 3
+        for obj in (complete_matroid(2), Circuit(2, [1, 2, 3])):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                obj.keys = (1, 2, 3)
 
     def test_pickle_and_deepcopy_round_trip(self):
-        v = vec("0110")
-        for w in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
-            assert w == v and hash(w) == hash(v)
-            assert (w.n, w.key) == (4, 6)
+        for obj in (complete_matroid(3), Circuit(4, [0b0110, 0b0011, 0b0101])):
+            for other in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert other == obj and hash(other) == hash(obj)
+                assert (other.dim, other.keys) == (obj.dim, obj.keys)
 
 
 class TestRank:
     def test_triangle(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
+        m = BinaryMatroid(2, [0b10, 0b01, 0b11])
         assert rank(m) == 2
 
     def test_complete_matroid_has_full_rank(self):
@@ -91,11 +91,11 @@ class TestRank:
 
 class TestEulerian:
     def test_triangle_true(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
+        m = BinaryMatroid(2, [0b10, 0b01, 0b11])
         assert is_eulerian(m)
 
     def test_pair_false(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01")])
+        m = BinaryMatroid(2, [0b10, 0b01])
         assert not is_eulerian(m)
 
     def test_complete_dim3(self):
@@ -106,77 +106,78 @@ class TestEulerian:
         assert is_eulerian(BinaryMatroid(4))
 
     def test_preserved_by_circuit_symmetric_difference(self, small_corpus):
-        triangle = [Gf2Vector(14, 1 << 13), Gf2Vector(14, 1 << 12), Gf2Vector(14, 3 << 12)]
+        triangle = {1 << 13, 1 << 12, 3 << 12}
         for m in small_corpus:
             if m.dim != 14:
                 continue
-            flipped = m.symmetric_difference(triangle)
+            flipped = BinaryMatroid(m.dim, m.key_set ^ triangle)
             assert is_eulerian(flipped) == is_eulerian(m)
 
 
 class TestMaxIndependentSubset:
+    """greedy_basis(m.keys, m.dim): the first-seen basis, a largest
+    independent subset."""
+
     def test_triangle_first_seen(self):
-        m = BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
-        assert [v.bits() for v in max_independent_subset(m)] == ["01", "10"]
+        m = BinaryMatroid(2, [0b10, 0b01, 0b11])
+        assert greedy_basis(m.keys, m.dim) == [0b01, 0b10]
 
     def test_empty(self):
-        assert max_independent_subset(BinaryMatroid(5)) == ()
+        assert greedy_basis(BinaryMatroid(5).keys, 5) == []
 
     def test_complete_dim4_gives_standard_basis(self):
         # canonical scan meets 0001, 0010, (0011 dependent), 0100, ... 1000
-        basis = max_independent_subset(complete_matroid(4))
-        assert sorted(v.bits() for v in basis) == ["0001", "0010", "0100", "1000"]
+        m = complete_matroid(4)
+        assert greedy_basis(m.keys, m.dim) == [0b0001, 0b0010, 0b0100, 0b1000]
 
     def test_output_independent_and_full_rank(self, small_corpus):
         for m in small_corpus:
-            basis = max_independent_subset(m)
+            basis = greedy_basis(m.keys, m.dim)
             elim = Gf2Eliminator(track_witnesses=False)
             for b in basis:
-                assert elim.insert(b.key) is None
+                assert elim.insert(b) is None
             assert elim.rank == rank(m)
 
 
 class TestExpressInBasis:
     def test_simple_sum(self):
-        basis = (vec("10"), vec("01"))
-        assert express_in_basis(vec("11"), basis) == {0, 1}
+        assert express_in_basis(0b11, (0b10, 0b01)) == {0, 1}
 
     def test_basis_member(self):
-        basis = (vec("100"), vec("010"), vec("001"))
-        assert express_in_basis(vec("001"), basis) == {2}
+        assert express_in_basis(0b001, (0b100, 0b010, 0b001)) == {2}
 
     def test_chain_basis_brute_forced(self):
         # oracle: scan all 2^4 index subsets for the one summing to the target
-        basis = (vec("1000"), vec("1100"), vec("0110"), vec("0011"))
-        target = vec("1111")
+        basis = (0b1000, 0b1100, 0b0110, 0b0011)
+        target = 0b1111
         expected = None
         for size in range(1, 5):
             for combo in itertools.combinations(range(4), size):
                 acc = 0
                 for i in combo:
-                    acc ^= basis[i].key
-                if acc == target.key:
+                    acc ^= basis[i]
+                if acc == target:
                     expected = frozenset(combo)
         assert expected is not None
         assert express_in_basis(target, basis) == expected
 
     def test_not_in_span(self):
         with pytest.raises(NotInSpanError):
-            express_in_basis(vec("001"), (vec("100"), vec("010")))
+            express_in_basis(0b001, (0b100, 0b010))
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(OutOfRangeError):
-            express_in_basis(vec("100"), (vec("110"), vec("010"), vec("100")))
+            express_in_basis(0b100, (0b110, 0b010, 0b100))
 
     def test_round_trip(self, small_corpus):
         for m in small_corpus:
-            basis = max_independent_subset(m)
-            for v in m.elements:
-                indices = express_in_basis(v, basis)
+            basis = greedy_basis(m.keys, m.dim)
+            for key in m.keys:
+                indices = express_in_basis(key, basis)
                 acc = 0
                 for i in indices:
-                    acc ^= basis[i].key
-                assert acc == v.key
+                    acc ^= basis[i]
+                assert acc == key
 
 
 class TestEliminatorUndo:
@@ -198,25 +199,33 @@ class TestEliminatorUndo:
 class TestBinaryMatroid:
     def test_duplicates_rejected(self):
         with pytest.raises(OutOfRangeError):
-            BinaryMatroid(2, [vec("10"), vec("10")])
+            BinaryMatroid(2, [0b10, 0b10])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            BinaryMatroid(3, [vec("10")])
+        for keys in ([0b1000], [-1], [3, 0, 1]):  # a key of a greater dimension, or none
+            with pytest.raises(OutOfRangeError):
+                BinaryMatroid(3, keys)
 
-    def test_dimension_mismatch_names_the_smallest_n_key_mismatch(self):
-        # by key alone the 5-dimensional vector comes first; by (n, key) the 4-dimensional one
-        vs = [Gf2Vector(4, 9), Gf2Vector(3, 1), Gf2Vector(5, 2)]
+    def test_out_of_range_names_the_first_bad_key_given(self):
+        # in key order 0 comes first; in the order given, 9
         with pytest.raises(OutOfRangeError) as exc:
-            BinaryMatroid(3, vs)
-        assert str(exc.value) == "vector of dimension 4 in matroid of dimension 3"
+            BinaryMatroid(3, [9, 1, 0])
+        assert str(exc.value) == "key 9 not a nonzero 3-bit value"
+
+    def test_elements_is_the_key_tuple(self):
+        m = complete_matroid(3)
+        assert m.elements is m.keys
 
     def test_difference_and_symmetric_difference(self):
+        """A WorkingSet's remove and toggle are the difference and the
+        symmetric difference with a circuit."""
         m = complete_matroid(2)
-        smaller = m.difference([vec("11")])
-        assert len(smaller) == 2
-        back = smaller.symmetric_difference([vec("11")])
-        assert back == m
+        work = WorkingSet(m)
+        triangle = Circuit(2, m.keys)
+        work.remove(triangle)
+        assert work.keys == []
+        work.toggle(triangle)
+        assert BinaryMatroid(2, work.keys) == m
 
     def test_immutable(self):
         m = complete_matroid(2)
@@ -272,7 +281,8 @@ class TestGreedyBasisAndExpansionMasks:
     @pytest.mark.parametrize("dim,r,size", CASES)
     def test_bound_at_rank_gives_the_full_scan_basis(self, dim, r, size):
         keys = _low_rank_keys(dim, r, size, seed=dim * 100 + r)
-        m = BinaryMatroid.from_keys(dim, keys)
-        full = [v.key for v in max_independent_subset(m)]
+        m = BinaryMatroid(dim, keys)
+        elim = Gf2Eliminator(track_witnesses=False)
+        full = [key for key in keys if elim.insert(key) is None]
         assert greedy_basis(keys, dim) == full
         assert greedy_basis(keys, rank(m)) == full

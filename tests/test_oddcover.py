@@ -6,13 +6,7 @@ from bmcircuits import oddcover
 from bmcircuits.arboricity import arboricity
 from bmcircuits.circuits import Circuit
 from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooLargeError, TooSmallError
-from bmcircuits.gf2core import (
-    BinaryMatroid,
-    Gf2Vector,
-    express_in_basis,
-    max_independent_subset,
-    rank,
-)
+from bmcircuits.gf2core import BinaryMatroid, express_in_basis, greedy_basis, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.formats import check_oddcover
 from bmcircuits.oddcover import (
@@ -26,12 +20,8 @@ from bmcircuits.oddcover import (
 from conftest import PIN_INPUTS, circuit_keys, eulerian_corpus, peel_family_pins
 
 
-def vec(bits):
-    return Gf2Vector.from_bits(bits)
-
-
 def triangle():
-    return BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
+    return BinaryMatroid(2, [0b10, 0b01, 0b11])
 
 
 def check_cover(m, cover):
@@ -43,34 +33,34 @@ def check_cover(m, cover):
 
 class TestCompleteToCircuit:
     def test_pair(self):
-        c = complete_to_circuit([vec("10"), vec("01")])
+        c = complete_to_circuit([0b10, 0b01], 2)
         assert c.key_set == {1, 2, 3}
 
     def test_three_elements(self):
-        c = complete_to_circuit([vec("100"), vec("010"), vec("001")])
+        c = complete_to_circuit([0b100, 0b010, 0b001], 3)
         assert c.size == 4
-        assert vec("111") in c
+        assert 0b111 in c.keys
 
     def test_singleton_too_small(self):
         with pytest.raises(TooSmallError):
-            complete_to_circuit([vec("10")])
+            complete_to_circuit([0b10], 2)
 
     def test_dependent_rejected(self):
         with pytest.raises(OutOfRangeError):
-            complete_to_circuit([vec("10"), vec("01"), vec("11")])
+            complete_to_circuit([0b10, 0b01, 0b11], 2)
 
     def test_dependent_with_new_nonzero_sum_rejected(self):
         # the sum 0011 is nonzero and outside the set, but the set has rank 4
-        dependent = [vec("1000"), vec("0100"), vec("1100"), vec("0010"), vec("0001")]
+        dependent = [0b1000, 0b0100, 0b1100, 0b0010, 0b0001]
         with pytest.raises(OutOfRangeError):
-            complete_to_circuit(dependent)
+            complete_to_circuit(dependent, 4)
 
     def test_keys_with_their_dim(self):
-        assert complete_to_circuit([0b100, 0b010, 0b001], 3).keys == (1, 2, 4, 7)
-        with pytest.raises(OutOfRangeError):  # the sum is the zero key
-            complete_to_circuit([0b10, 0b01, 0b11], 2)
-        with pytest.raises(OutOfRangeError):  # as above: nonzero sum, rank 4
-            complete_to_circuit([0b1000, 0b0100, 0b1100, 0b0010, 0b0001], 4)
+        c = complete_to_circuit([0b100, 0b010, 0b001], 3)
+        assert (c.dim, c.keys) == (3, (1, 2, 4, 7))
+        assert complete_to_circuit([0b100, 0b010, 0b001], 5).dim == 5
+        with pytest.raises(OutOfRangeError):  # a key of 2**dim
+            complete_to_circuit([0b1000, 0b0001], 3)
 
 
 class TestSymdiffReduce:
@@ -85,8 +75,8 @@ class TestSymdiffReduce:
         # one manual step: the completion removes rank(M) elements and the sum
         # lands inside the complete matroid, so 31 drops to exactly 25
         m = complete_matroid(5)
-        c = complete_to_circuit(max_independent_subset(m))
-        after = m.symmetric_difference(c)
+        c = complete_to_circuit(greedy_basis(m.keys, m.dim), m.dim)
+        after = m.key_set ^ c.key_set
         assert len(after) == 25
         cover = symdiff_reduce(m)
         check_cover(m, cover)
@@ -144,7 +134,7 @@ class TestOddcoverViaArboricity:
         # three circuits whose XOR is empty: {e1, e2, e1+e2}, {e1+e2, e3,
         # e1+e2+e3} and {e1, e2, e3, e1+e2+e3} push the reduction greedy
         # past ceil(4a/3) without changing what it covers
-        padding = [Circuit.from_keys(n, keys) for keys in ((1, 2, 3), (3, 4, 7), (1, 2, 4, 7))]
+        padding = [Circuit(n, keys) for keys in ((1, 2, 3), (3, 4, 7), (1, 2, 4, 7))]
         reduced, peeled = [], []
         real_reduce, real_peel = oddcover.symdiff_reduce, oddcover.peel_decompose
 
@@ -172,8 +162,8 @@ class TestOddcoverViaArboricity:
         _, cover = oddcover_via_arboricity(m)
         counts = Counter()
         for c in cover.circuits:
-            for v in c:
-                counts[v.key] += 1
+            for key in c.keys:
+                counts[key] += 1
         for key in range(1, 1 << m.dim):
             assert (counts[key] % 2 == 1) == (key in m.key_set)
 
@@ -203,10 +193,10 @@ class TestDensityLowerBound:
         corpus = eulerian_corpus(24, seed=31, n_range=(4, 9), size_cap=60)
         corpus += [complete_matroid(6), independent_copies(3, 3), random_eulerian(12, 300, 1)]
         for m in corpus:
-            basis = max_independent_subset(m)
+            basis = greedy_basis(m.keys, m.dim)
             counts = [0] * (len(basis) + 1)
-            for v in m.elements:
-                counts[max(express_in_basis(v, basis)) + 1] += 1
+            for key in m.keys:
+                counts[max(express_in_basis(key, basis)) + 1] += 1
             expected = max(
                 -(-sum(counts[: k + 1]) // (k + 1)) for k in range(1, len(basis) + 1)
             )
@@ -228,6 +218,6 @@ class TestOddCoverType:
     def test_rejects_wrong_parity(self):
         from bmcircuits.circuits import Circuit
 
-        tri = Circuit([vec("10"), vec("01"), vec("11")])
+        tri = Circuit(2, [0b10, 0b01, 0b11])
         with pytest.raises(OutOfRangeError):
             OddCover(BinaryMatroid(2), (tri,))

@@ -13,8 +13,7 @@ from bmcircuits.errors import NotEulerianError, TooLargeError
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
-    Gf2Vector,
-    max_independent_subset,
+    greedy_basis,
     rank,
 )
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
@@ -30,31 +29,27 @@ from bmcircuits.oracle import (
 from bmcircuits.oddcover import density_lower_bound
 
 
-def vec(bits):
-    return Gf2Vector.from_bits(bits)
-
-
 def triangle():
-    return BinaryMatroid(2, [vec("10"), vec("01"), vec("11")])
+    return BinaryMatroid(2, [0b10, 0b01, 0b11])
 
 
 def circuits_by_scan(m):
     """Direct oracle: test every subset for sum zero and rank size-1."""
-    elems = list(m.elements)
+    elems = m.keys
     found = set()
     for size in range(3, len(elems) + 1):
         for combo in itertools.combinations(range(len(elems)), size):
-            vs = [elems[i] for i in combo]
+            keys = [elems[i] for i in combo]
             acc = 0
-            for v in vs:
-                acc ^= v.key
+            for key in keys:
+                acc ^= key
             if acc != 0:
                 continue
             elim = Gf2Eliminator(track_witnesses=False)
-            for v in vs:
-                elim.insert(v.key)
+            for key in keys:
+                elim.insert(key)
             if elim.rank == size - 1:
-                found.add(frozenset(v.key for v in vs))
+                found.add(frozenset(keys))
     return found
 
 
@@ -90,7 +85,7 @@ class TestEnumerateCircuits:
     def test_one_spanning_circuit_of_rank_23(self):
         # unit vectors of F_2^23 and their sum: one circuit of 24 elements,
         # out of reach of a walk over the 2^23 independent subsets
-        m = BinaryMatroid.from_keys(23, [1 << i for i in range(23)] + [(1 << 23) - 1])
+        m = BinaryMatroid(23, [1 << i for i in range(23)] + [(1 << 23) - 1])
         assert enumerate_circuits(m).masks == ((1 << 24) - 1,)
 
     def test_every_entry_is_a_circuit(self, small_corpus):
@@ -99,19 +94,18 @@ class TestEnumerateCircuits:
                 continue
             catalog = enumerate_circuits(m)
             for c in catalog.circuits():
-                assert is_circuit(c.elements)
+                assert is_circuit(c.keys)
 
     def test_contains_all_fundamental_circuits(self, small_corpus):
         for m in small_corpus:
             if len(m) > 18:
                 continue
             listed = {frozenset(c.key_set) for c in enumerate_circuits(m).circuits()}
-            basis = max_independent_subset(m)
-            basis_keys = {b.key for b in basis}
-            for v in m.elements:
-                if v.key in basis_keys:
+            basis = greedy_basis(m.keys, m.dim)
+            for key in m.keys:
+                if key in basis:
                     continue
-                fc = fundamental_circuit(v, basis)
+                fc = fundamental_circuit(m.dim, key, basis)
                 assert frozenset(fc.key_set) in listed
 
     def test_size_limit(self):
@@ -123,7 +117,7 @@ class TestComponents:
     def test_independent_copies_split_into_their_blocks(self):
         for k, s in ((1, 2), (3, 2), (8, 2), (2, 3), (3, 3)):
             blocks = {
-                BinaryMatroid.from_keys(k * s, (key << shift for key in range(1, 1 << s)))
+                BinaryMatroid(k * s, (key << shift for key in range(1, 1 << s)))
                 for shift in range(0, k * s, s)
             }
             components = _components(independent_copies(k, s))
@@ -174,7 +168,7 @@ class TestExactC:
 
     def test_not_eulerian(self):
         with pytest.raises(NotEulerianError):
-            exact_c(BinaryMatroid(2, [vec("10")]))
+            exact_c(BinaryMatroid(2, [0b10]))
 
     def test_quotient_bound_respected(self, small_corpus):
         for m in small_corpus:
@@ -258,7 +252,7 @@ class TestExactC2:
         assert len(hardest) == 141
         for s in hardest + random.Random(0).sample(others, 50):
             keys = [i + 1 for i in range(15) if s >> i & 1]
-            assert exact_c2(BinaryMatroid.from_keys(4, keys)) == dist[s]
+            assert exact_c2(BinaryMatroid(4, keys)) == dist[s]
 
     def test_triangle(self):
         assert exact_c2(triangle()) == 1
@@ -278,7 +272,7 @@ class TestExactC2:
 
     def test_restricted_flag(self):
         # dim 6 exceeds the ambient cap but rank 4 allows the span search
-        embedded = BinaryMatroid.from_keys(
+        embedded = BinaryMatroid(
             6, [k << 2 for k in complete_matroid(4).key_set]
         )
         assert c2_search_is_restricted(embedded)

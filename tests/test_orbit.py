@@ -10,10 +10,10 @@ from bmcircuits.errors import (
 )
 from bmcircuits.formats import Decomposition
 from bmcircuits.generators import complete_matroid
-from bmcircuits.gf2core import Gf2Vector, rank
+from bmcircuits.gf2core import rank
 from bmcircuits.orbit import (
+    _rotations,
     build_even_weight_model,
-    cyclic_shift,
     demonstrate_order_failure,
     is_admissible,
     multiplicative_order,
@@ -35,7 +35,7 @@ class TestMultiplicativeOrder:
 class TestEvenWeightModel:
     def test_p3(self):
         m = build_even_weight_model(3)
-        assert sorted(v.bits() for v in m) == ["011", "101", "110"]
+        assert [format(k, "03b") for k in m.keys] == ["011", "101", "110"]
 
     def test_p5_size_and_rank(self):
         m = build_even_weight_model(5)
@@ -46,11 +46,11 @@ class TestEvenWeightModel:
         m = build_even_weight_model(7)
         assert len(m) == 63
         assert rank(m) == 6
-        assert all(v.weight % 2 == 0 for v in m)
+        assert all(k.bit_count() % 2 == 0 for k in m.keys)
 
     def test_layout_puts_key_k_at_index_k_shifted_minus_one(self):
         model = build_even_weight_model(11)
-        assert all(model.elements[(v.key >> 1) - 1] is v for v in model.elements)
+        assert all(model.keys[(k >> 1) - 1] is k for k in model.keys)
 
     def test_not_prime(self):
         with pytest.raises(NotPrimeError):
@@ -60,23 +60,26 @@ class TestEvenWeightModel:
 
 
 class TestCyclicShift:
+    """_rotations(key, p)[j] moves coordinate i to coordinate i + j (mod p)."""
+
     def test_basic_rotation(self):
-        assert cyclic_shift(Gf2Vector.from_bits("10000"), 1).bits() == "01000"
-        assert cyclic_shift(Gf2Vector.from_bits("11000"), 2).bits() == "00110"
+        assert _rotations(0b10000, 5)[1] == 0b01000
+        assert _rotations(0b11000, 5)[2] == 0b00110
 
     def test_identity(self):
-        v = Gf2Vector.from_bits("10110")
-        assert cyclic_shift(v, 0) == v
-        assert cyclic_shift(v, 5) == v
+        key = 0b10110
+        assert _rotations(key, 5)[0] == key
+        for _ in range(5):  # five shifts by one are a shift by 5 = 0 (mod 5)
+            key = _rotations(key, 5)[1]
+        assert key == 0b10110
 
     def test_group_action_laws_exhaustive_p5(self):
         model = build_even_weight_model(5)
-        for v in model:
+        for key in model.keys:
             for j in range(5):
                 for k in range(5):
-                    assert cyclic_shift(cyclic_shift(v, k), j) == cyclic_shift(
-                        v, (j + k) % 5
-                    )
+                    shifted = _rotations(key, 5)[k]
+                    assert _rotations(shifted, 5)[j] == _rotations(key, 5)[(j + k) % 5]
 
 
 class TestOrbitDecompose:
@@ -122,10 +125,10 @@ class TestOrbitDecompose:
     @pytest.mark.parametrize("p", [5, 11])
     def test_orbit_vectors_are_the_models_own(self, p):
         od = orbit_decompose(p)
-        elements = od.source.elements
+        keys = od.source.keys
         for orbit in od.circuits:
-            for v in orbit:
-                assert v == elements[(v.key >> 1) - 1]
+            for key in orbit.keys:
+                assert key is keys[(key >> 1) - 1]
 
     @pytest.mark.parametrize("p", [5, 11, 13])
     def test_compresses_to_auto_on_the_complete_matroid(self, p):
@@ -142,8 +145,8 @@ class TestOrbitDecompose:
         od = orbit_decompose(5)
         for orbit in od.circuits:
             keys = orbit.key_set
-            for v in orbit:
-                assert cyclic_shift(v, 1).key in keys
+            for key in orbit.keys:
+                assert _rotations(key, 5)[1] in keys
 
 
 class TestOrderFailureDemo:
@@ -151,7 +154,7 @@ class TestOrderFailureDemo:
         rep = demonstrate_order_failure()
         assert rep.order == 3
         assert len(rep.orbit) == 7 and rep.orbit == tuple(sorted(rep.orbit))
-        assert Gf2Vector.from_coords(7, (0, 1, 2, 4)).key in rep.orbit
+        assert 0b1110100 in rep.orbit  # coordinates 0, 1, 2 and 4
         assert rep.orbit_is_circuit is False
         sizes = sorted(len(c) for c in rep.parts)
         assert sizes == [3, 4]

@@ -15,8 +15,8 @@ union-find over the whole circuit catalogue, intersection_lower_bound to
 that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
 peel_decompose's circuits; they differ only in their branch and phase
-labels. A BinaryMatroid or Circuit built from int keys is the one built
-from their vectors, and a rejected key list raises what its vectors raise.
+labels. A key list builds a BinaryMatroid or Circuit, or raises, as the
+range, duplicate and circuit rules say.
 """
 
 import math
@@ -52,7 +52,6 @@ from bmcircuits.gf2core import (
     MAX_DIM,
     BinaryMatroid,
     Gf2Eliminator,
-    Gf2Vector,
     _mask_indices,
     express_in_basis,
     greedy_basis,
@@ -94,7 +93,7 @@ def tiny_eulerian_matroids(draw):
     m = random_eulerian(n, size, seed)
     if core:
         fano = {k << (n - 3) for k in range(1, 8)}
-        m = BinaryMatroid.from_keys(n, fano ^ m.key_set)
+        m = BinaryMatroid(n, fano ^ m.key_set)
     assume(len(m) > 0)
     return m
 
@@ -158,9 +157,9 @@ def test_arboricity_equals_exhaustive_max(m):
 def test_infeasible_certificate_is_closed(m):
     for result in infeasible_rounds(m, edmonds_max_bruteforce(m)):
         span = Gf2Eliminator(track_witnesses=False)
-        for v in result.certificate:
-            span.insert(v.key)
-        assert {v.key for v in m if span.contains(v.key)} == result.certificate.key_set
+        for key in result.certificate.keys:
+            span.insert(key)
+        assert {key for key in m.keys if span.contains(key)} == result.certificate.key_set
 
 
 @given(tiny_eulerian_matroids())
@@ -221,13 +220,13 @@ def reference_can_partition(m, k):
                     queue.append(members[j][i])
         return queue
 
-    for x in m.elements:
-        reachable = place(x.key)
+    for x in m.keys:
+        reachable = place(x)
         if reachable is not None:
             span = Gf2Eliminator(track_witnesses=False)
             for key in reachable:
                 span.insert(key)
-            cert = frozenset(v.key for v in m.elements if span.contains(v.key))
+            cert = frozenset(key for key in m.keys if span.contains(key))
             return cert, -(-len(cert) // span.rank)
     return tuple(tuple(sorted(p)) for p in members if p)
 
@@ -247,13 +246,13 @@ def partition_inputs(draw):
     n = draw(st.integers(5 if kind == "core" else 3, 8))
     if kind == "any":
         keys = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))
-        return BinaryMatroid.from_keys(n, keys)
+        return BinaryMatroid(n, keys)
     size = draw(st.integers(3, min(40, (1 << n) - 1)))
     m = random_eulerian(n, size, draw(st.integers(0, 2**32 - 1)))
     if kind == "core":
         c = draw(st.integers(3, 4))
         core = {key << (n - c) for key in range(1, 1 << c)}
-        m = BinaryMatroid.from_keys(n, core ^ m.key_set)
+        m = BinaryMatroid(n, core ^ m.key_set)
     assume(len(m) > 0)
     return m
 
@@ -297,20 +296,20 @@ def near_complete_matroids(draw):
     size = draw(st.integers(3, 7 if k == 5 else 19))
     seed = draw(st.integers(0, 2**32 - 1))
     cut = random_eulerian(k, size, seed).key_set
-    return BinaryMatroid.from_keys(k, complete_matroid(k).key_set - cut)
+    return BinaryMatroid(k, complete_matroid(k).key_set - cut)
 
 
 def reference_basis(m):
     elim = Gf2Eliminator(track_witnesses=False)
-    return [v for v in m.elements if elim.insert(v.key) is None]
+    return [key for key in m.keys if elim.insert(key) is None]
 
 
 def reference_largest_circuit(m):
     basis = reference_basis(m)
     best = None
-    for v in m.elements:  # ties go to the first
-        if v not in basis:
-            c = fundamental_circuit(v, basis)
+    for key in m.keys:  # ties go to the first
+        if key not in basis:
+            c = fundamental_circuit(m.dim, key, basis)
             if best is None or len(c) > len(best):
                 best = c
     return best
@@ -318,13 +317,13 @@ def reference_largest_circuit(m):
 
 def reference_first_circuit(m):
     prefix = []
-    for v in m.elements:
+    for key in m.keys:
         try:
-            support = express_in_basis(v, prefix)
+            support = express_in_basis(key, prefix)
         except NotInSpanError:
-            prefix.append(v)
+            prefix.append(key)
             continue
-        return Circuit([v] + [prefix[i] for i in support])
+        return Circuit(m.dim, [key] + [prefix[i] for i in support])
 
 
 def reference_decompose(m, in_phase1, floor_size=0):
@@ -337,7 +336,7 @@ def reference_decompose(m, in_phase1, floor_size=0):
         if phase1 is None and not (in_phase1(work) and len(c) >= floor_size):
             phase1 = len(circuits)
         circuits.append(c)
-        work = work.difference(c)
+        work = BinaryMatroid(work.dim, work.key_set - c.key_set)
     if phase1 is None:
         phase1 = len(circuits)
     return circuits, phase1, len(circuits) - phase1
@@ -367,20 +366,20 @@ def reference_symdiff(m):
             peeling = True
         if peeling:
             c = reference_first_circuit(work)
-            work = work.difference(c)
+            work = BinaryMatroid(work.dim, work.key_set - c.key_set)
         else:
             basis = reference_basis(work)
             total = 0
-            for v in basis:
-                total ^= v.key
-            c = Circuit(basis + [Gf2Vector(m.dim, total)])
-            work = work.symmetric_difference(c)
+            for key in basis:
+                total ^= key
+            c = Circuit(m.dim, basis + [total])
+            work = BinaryMatroid(work.dim, work.key_set ^ c.key_set)
         cover.append(c)
     return cover
 
 
 def outcome(circuits, phase1, phase2):
-    return [[v.key for v in c] for c in circuits], phase1, phase2
+    return [list(c.keys) for c in circuits], phase1, phase2
 
 
 def decomposition_outcome(d):
@@ -392,8 +391,8 @@ def test_peel_family_matches_reference_loops(m):
     peeled = reference_decompose(m, lambda work: True)
     assert decomposition_outcome(peel_decompose(m)) == outcome(*peeled)
     assert decomposition_outcome(log_greedy_decompose(m)) == outcome(*reference_log_greedy(m))
-    expected = [[v.key for v in c] for c in reference_symdiff(m)]
-    assert [[v.key for v in c] for c in symdiff_reduce(m).circuits] == expected
+    expected = [list(c.keys) for c in reference_symdiff(m)]
+    assert [list(c.keys) for c in symdiff_reduce(m).circuits] == expected
 
 
 @given(near_complete_matroids())
@@ -418,7 +417,7 @@ def scan_decompose(m):
     """Peel with a per-step scan on Gf2Eliminator: each step inserts the keys
     left in order, the independent ones being the first-seen basis, and
     reduces every key over them; a key's witness mask is its expansion."""
-    keys, circuits = [v.key for v in m.elements], []
+    keys, circuits = list(m.keys), []
     while keys:
         elim = Gf2Eliminator()
         for key in keys:
@@ -434,7 +433,7 @@ def scan_decompose(m):
 
 @given(sparse_high_rank_matroids())
 def test_peel_matches_the_scan_and_the_reference_at_high_rank(m):
-    circuits = [[v.key for v in c] for c in peel_decompose(m).circuits]
+    circuits = [list(c.keys) for c in peel_decompose(m).circuits]
     assert circuits == scan_decompose(m)
     assert circuits == outcome(*reference_decompose(m, lambda work: True))[0]
 
@@ -444,7 +443,7 @@ def test_density_bound_is_the_best_basis_prefix(m):
     """Above the exhaustive limit, the bound is the max over the prefixes of
     the first-seen basis of ceil(inside / (length + 1)), where inside counts
     the elements an eliminator finds in the prefix's span."""
-    keys = [v.key for v in m.elements]
+    keys = list(m.keys)
     basis = greedy_basis(keys, m.dim)
     best = 0
     for length in range(1, len(basis) + 1):
@@ -474,14 +473,14 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
         if last_non_basis:
             basis = greedy_basis(work.keys, m.dim)
             last = max(set(work.keys) - set(basis))
-            c = fundamental_circuit(Gf2Vector(m.dim, last), [Gf2Vector(m.dim, k) for k in basis])
+            c = fundamental_circuit(m.dim, last, basis)
         else:
             c = largest_fundamental_circuit(work)
         work.remove(c)
         at, rows = work.rref()
         assert sorted(at[p] for p in rows) == greedy_basis(work.keys, m.dim)
         if work:
-            fresh = WorkingSet(BinaryMatroid.from_keys(m.dim, work.keys))
+            fresh = WorkingSet(BinaryMatroid(m.dim, work.keys))
             assert state_row_sets(work) == state_row_sets(fresh)
 
 
@@ -495,7 +494,7 @@ def check_peel_circuits_everywhere(m):
     for d in [peeled] + labelled:
         assert d.phase1 + d.phase2 == len(d)
         assert d.circuits == peeled.circuits
-    assert [[v.key for v in c] for c in peeled.circuits] == scan_decompose(m)
+    assert [list(c.keys) for c in peeled.circuits] == scan_decompose(m)
 
 
 @given(tiny_eulerian_matroids())
@@ -573,7 +572,7 @@ def reference_exact_c(masks, groups):
 
 def with_triangle(m):
     """The direct sum of m and a triangle on two new trailing coordinates."""
-    return BinaryMatroid.from_keys(m.dim + 2, [k << 2 for k in m.key_set] + [1, 2, 3])
+    return BinaryMatroid(m.dim + 2, [k << 2 for k in m.key_set] + [1, 2, 3])
 
 
 @given(tiny_eulerian_matroids())
@@ -581,7 +580,7 @@ def test_exact_c_matches_catalogue_reference(m):
     for sample in (m, with_triangle(m)):
         masks, groups = reference_components(sample)
         expected = {
-            BinaryMatroid(sample.dim, (v for i, v in enumerate(sample.elements) if g >> i & 1))
+            BinaryMatroid(sample.dim, (k for i, k in enumerate(sample.keys) if g >> i & 1))
             for g in groups
         }
         components = _components(sample)
@@ -593,7 +592,7 @@ def brute_force_circuits(m):
     """Minimal zero-sum subsets by a scan of every subset in size order: a
     zero-sum subset is a circuit iff no circuit found before lies inside it,
     since a smaller zero-sum subset inside it would hold one."""
-    keys = [v.key for v in m.elements]
+    keys = list(m.keys)
     found = []
     for subset in sorted(range(1, 1 << len(keys)), key=int.bit_count):
         acc = 0
@@ -608,7 +607,7 @@ def independent_set_walk(m):
     """The enumeration enumerate_circuits replaced: each circuit C is found
     once as S + {x}, where S is the independent set C minus its largest
     element x and x equals the XOR of S, walking independent sets only."""
-    keys = [v.key for v in m.elements]
+    keys = list(m.keys)
     index_of = {k: i for i, k in enumerate(keys)}
     masks = []
     elim = Gf2Eliminator(track_witnesses=False)
@@ -637,10 +636,10 @@ def tiny_matroids(draw):
     """
     if draw(st.booleans()):
         dropped = draw(st.sets(st.integers(1, 15), min_size=2, max_size=4))
-        return BinaryMatroid.from_keys(4, set(range(1, 16)) - dropped)
+        return BinaryMatroid(4, set(range(1, 16)) - dropped)
     n = draw(st.integers(1, 6))
     keys = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=12))
-    return BinaryMatroid.from_keys(n, keys)
+    return BinaryMatroid(n, keys)
 
 
 @given(tiny_matroids())
@@ -679,7 +678,7 @@ def test_restricted_exact_c2_matches_the_ambient_search(m, images):
     restricted search over its span sees a copy of the ambient space of m."""
     assume(rank(m) == m.dim)
     images = images[:m.dim]
-    assume(rank(BinaryMatroid.from_keys(6, set(images))) == m.dim)
+    assume(rank(BinaryMatroid(6, set(images))) == m.dim)
 
     def image(key):
         out = 0
@@ -688,7 +687,7 @@ def test_restricted_exact_c2_matches_the_ambient_search(m, images):
                 out ^= b
         return out
 
-    embedded = BinaryMatroid.from_keys(6, (image(k) for k in m.key_set))
+    embedded = BinaryMatroid(6, (image(k) for k in m.key_set))
     assert c2_search_is_restricted(embedded)
     assert exact_c2(embedded) == exact_c2(m)
 
@@ -713,22 +712,34 @@ def built_or_raised(build):
         return str(exc)
 
 
+def expected_build(dim, keys, circuit):
+    """The keys of what BinaryMatroid (or Circuit) builds from dim and keys,
+    or the message it raises: the dimension is tested first, then each key
+    in the order given, then duplicates or, for a Circuit, the circuit law
+    on a Gf2Eliminator."""
+    if not 1 <= dim <= MAX_DIM:
+        return f"dimension {dim} not in 1..{MAX_DIM}"
+    bad = [k for k in keys if not 0 < k < 1 << dim]
+    if bad:
+        return f"key {bad[0]} not a nonzero {dim}-bit value"
+    ordered = tuple(sorted(keys))
+    if circuit:
+        elim = Gf2Eliminator(track_witnesses=False)
+        independent = sum(elim.insert(k) is None for k in ordered)
+        law = len(set(ordered)) == len(ordered) > 0 and not reduce(xor, ordered, 0)
+        return ordered if law and independent == len(ordered) - 1 else "not a circuit"
+    dups = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+    return f"duplicate vector {dups[0]:0{dim}b}" if dups else ordered
+
+
 @given(dims_and_key_lists())
-def test_keys_and_their_vectors_build_the_same_objects(dim_keys):
+def test_key_lists_build_or_raise_as_the_rules_say(dim_keys):
     dim, keys = dim_keys
-    for from_keys, from_vectors in [
-        (lambda: BinaryMatroid(dim, keys),
-         lambda: BinaryMatroid(dim, [Gf2Vector(dim, k) for k in keys])),
-        (lambda: Circuit.from_keys(dim, keys),
-         lambda: Circuit([Gf2Vector(dim, k) for k in keys])),
-    ]:
-        a, b = built_or_raised(from_keys), built_or_raised(from_vectors)
-        assert type(a) is type(b)
-        if isinstance(a, str):
-            assert a == b
+    for cls in (BinaryMatroid, Circuit):
+        built = built_or_raised(lambda: cls(dim, keys))
+        expected = expected_build(dim, keys, cls is Circuit)
+        if isinstance(built, str):
+            assert built == expected
         else:
-            assert a == b and hash(a) == hash(b)
-            assert a.keys == b.keys == tuple(sorted(keys))
-            assert a.elements == b.elements
-    assert built_or_raised(lambda: BinaryMatroid.from_keys(dim, keys)) == built_or_raised(
-        lambda: BinaryMatroid(dim, keys))
+            assert built.keys == expected and built.dim == dim
+            assert built == cls(dim, reversed(keys)) and hash(built) == hash(cls(dim, keys))
