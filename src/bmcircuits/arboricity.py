@@ -14,8 +14,13 @@ until a chain moves its members; k above |M| is clamped to |M|. None of
 this changes a partition, a certificate or a tie-break (proofs on
 _PartState, _augment and can_partition).
 
-edmonds_max_bruteforce evaluates that max exhaustively on tiny instances and
-is the module's independent correctness oracle.
+max_quotient computes the exact max over nonempty N of
+ceil(|N| / (rank(N) + offset)) with the same search: by the matroid union
+theorem it is the least q at which q parts place all but at most
+q * offset keys. Offset 1 is the odd-cover bound prop4, offset 0 the
+arboricity. max_quotient_exhaustive (and edmonds_max_bruteforce, its
+offset 0) evaluates that max by a subset scan on tiny instances and is the
+module's independent correctness oracle.
 """
 
 from __future__ import annotations
@@ -217,18 +222,55 @@ def arboricity(m: BinaryMatroid) -> tuple[int, IndependentPartition]:
         k = result.quotient
 
 
-def max_quotient_exhaustive(m: BinaryMatroid, denom_offset: int = 0) -> int:
-    """Exact max over nonempty N of ceil(|N| / (rank(N) + denom_offset)).
-
-    Depth-first scan over all subsets with an incremental eliminator;
-    branches die once even a rank-preserving completion cannot beat the
-    incumbent. Exponential by design, hence the cap of _BRUTEFORCE_LIMIT
-    elements (TooLargeError above it) for every caller.
-    """
+def _require_exact(m: BinaryMatroid) -> None:
     if len(m) == 0:
         raise EmptyMatroidError("no nonempty subsets")
     if len(m) > _BRUTEFORCE_LIMIT:
         raise TooLargeError(f"|M| = {len(m)} exceeds the scan limit {_BRUTEFORCE_LIMIT}")
+
+
+def max_quotient(m: BinaryMatroid, denom_offset: int) -> int:
+    """Exact max over nonempty N of ceil(|N| / (rank(N) + denom_offset)), by
+    matroid union.
+
+    For q >= 1 the max is at most q iff |N| - q * rank(N) <= q * denom_offset
+    for every N. The matroid union theorem (Edmonds, J. Res. NBS 69B, 1965;
+    Nash-Williams, 1966) gives the rank of the union of q copies of M as
+    U_q = min over N of |M| - |N| + q * rank(N), so the max over N of
+    |N| - q * rank(N) is |M| - U_q. The union is a matroid, so inserting
+    m.keys greedily into a fresh _PartState with q parts places U_q of them,
+    and _augment is Edmonds' exact test of whether I + x is independent in
+    it. A failed _augment moves no member, so the placed set stays I, and the
+    expansions it cached are against unchanged parts, so they stay valid.
+    |M| - U_q - q * denom_offset does not grow with q, so the answer is the
+    first feasible q counting up from ceil(|M| / (rank(M) + denom_offset)),
+    the value at N = M; at q = |M| every key is placed. denom_offset 0 gives
+    the arboricity.
+
+    Capped at _BRUTEFORCE_LIMIT elements like max_quotient_exhaustive, so
+    every value it returns is within reach of that cross-check.
+    """
+    _require_exact(m)
+    n = len(m)
+    q = ceil(n / (rank(m) + denom_offset))
+    while True:
+        state = _PartState(min(q, n))
+        placed = sum(_augment(state, x) is None for x in m.keys)
+        if n - placed <= q * denom_offset:
+            return q
+        q += 1
+
+
+def max_quotient_exhaustive(m: BinaryMatroid, denom_offset: int = 0) -> int:
+    """Exact max over nonempty N of ceil(|N| / (rank(N) + denom_offset)), by
+    scanning subsets: the independent oracle for max_quotient.
+
+    Depth-first scan over all subsets with an incremental eliminator;
+    branches die once even a rank-preserving completion cannot beat the
+    incumbent. Exponential by design, hence the cap of _BRUTEFORCE_LIMIT
+    elements (TooLargeError above it), which max_quotient shares.
+    """
+    _require_exact(m)
     keys = m.keys
     n = len(keys)
     elim = Gf2Eliminator(track_witnesses=False)

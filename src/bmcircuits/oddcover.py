@@ -17,7 +17,7 @@ from functools import reduce
 from operator import xor
 from typing import Iterable
 
-from .arboricity import arboricity, max_quotient_exhaustive
+from .arboricity import arboricity, max_quotient
 from .circuits import Circuit, WorkingSet, peel
 from .decompose import peel_decompose
 from .errors import EmptyMatroidError, OutOfRangeError, TooSmallError
@@ -170,17 +170,18 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
 def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
     """Lower bound on the odd-cover size: max of ceil(|N| / (rank(N) + 1)).
 
-    Exact (all nonempty subsets) up to exhaustive_limit elements; above that,
+    Exact (the max over every nonempty N, as a matroid-union rank by
+    arboricity.max_quotient) up to exhaustive_limit elements; above that,
     the max is taken over M itself and the restrictions of M to the spans of
     canonical basis prefixes, which is a valid bound but possibly loose. The
-    exact scan keeps its own cap (arboricity.max_quotient_exhaustive), so an
-    exhaustive_limit above it raises TooLargeError on larger inputs.
+    exact path keeps the cap of the subset scan that cross-checks it, so an
+    exhaustive_limit above that cap raises TooLargeError on larger inputs.
     """
     if len(m) == 0:
         raise EmptyMatroidError("no nonempty subsets")
     require_eulerian(m)
     if len(m) <= exhaustive_limit:
-        return max_quotient_exhaustive(m, denom_offset=1)
+        return max_quotient(m, denom_offset=1)
     rows = column_rref(m.keys, m.dim)
     pivots = sorted(rows)  # the basis in canonical order
     # the span of the first i basis elements holds exactly the elements that

@@ -3,10 +3,11 @@
 Every constructive output must pass its single checker in formats, the
 checkers must reject simple corruptions of a valid artifact. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
-exhaustive max of ceil(|N| / rank(N)); can_partition, on up to 40 elements
-and on mid-size inputs, to the augmenting search without its shortcuts;
-every decomposer and odd-cover builder
-to the exact oracles, the peel family to reference loops that rebuild a
+exhaustive max of ceil(|N| / rank(N)); the matroid-union max_quotient, on
+up to 22 elements, to that subset scan at offsets 0 and 1; can_partition,
+on up to 40 elements and on mid-size inputs, to the augmenting search
+without its shortcuts; every decomposer and odd-cover builder to the exact
+oracles, the peel family to reference loops that rebuild a
 BinaryMatroid per step and to a per-step scan on Gf2Eliminator witnesses
 (sparse high-rank inputs included), the peel state after each removal to
 a fresh build, density_lower_bound above its exhaustive limit to a
@@ -20,6 +21,7 @@ range, duplicate and circuit rules say.
 """
 
 import math
+import random
 from functools import cache, reduce
 from operator import xor
 
@@ -31,6 +33,8 @@ from bmcircuits.arboricity import (
     arboricity,
     can_partition,
     edmonds_max_bruteforce,
+    max_quotient,
+    max_quotient_exhaustive,
 )
 from bmcircuits.circuits import (
     Circuit,
@@ -175,6 +179,39 @@ def test_certificate_quotient_is_a_lower_bound_above_k(m):
 def test_arboricity_cover_within_four_thirds(m):
     a = edmonds_max_bruteforce(m)
     assert len(oddcover_via_arboricity(m)[1].circuits) <= -(-4 * a // 3)
+
+
+# -- max_quotient against the subset scan ------------------------------------
+
+
+@given(st.one_of(tiny_eulerian_matroids(), eulerian_matroids()))
+def test_max_quotient_matches_the_subset_scan(m):
+    assume(len(m) <= 22)
+    for offset in (0, 1):
+        assert max_quotient(m, offset) == max_quotient_exhaustive(m, offset)
+    assert max_quotient(m, 0) == arboricity(m)[0]
+
+
+def test_max_quotient_climbs_to_a_dense_flat_in_a_sparse_set():
+    """Seeded sweep of 11 to 22 elements: complete(3) or complete(4) on the
+    leading coordinates plus random keys of dimension 11-14, so the max sits
+    on the flat and q must climb above ceil(|M| / (rank(M) + offset))."""
+    rng = random.Random(23)
+    climbed = [0, 0]
+    for _ in range(40):
+        n = rng.randint(11, 14)
+        core = rng.choice((3, 4))
+        keys = {k << (n - core) for k in range(1, 1 << core)}
+        size = rng.randint(len(keys) + 4, 22)
+        while len(keys) < size:
+            keys.add(rng.randrange(1, 1 << n))
+        m = BinaryMatroid(n, keys)
+        for offset in (0, 1):
+            q = max_quotient(m, offset)
+            assert q == max_quotient_exhaustive(m, offset)
+            climbed[offset] += q > math.ceil(len(m) / (rank(m) + offset))
+        assert max_quotient(m, 0) == arboricity(m)[0]
+    assert min(climbed) > 0, climbed
 
 
 # -- can_partition against the search before its shortcuts -------------------
