@@ -235,7 +235,7 @@ def _cmd_gen(args) -> int:
     _emit(
         instance=spec.header(),
         algorithm="gen",
-        seed=args.seed,
+        seed=spec.params.get("seed"),  # null for complete and copies: no seed used
         out=args.out,
         wall_time_s=round(elapsed, 6),
         verified=ok,

@@ -64,7 +64,3 @@ class NotDenseEnoughError(BmcError):
 
 class OutOfRangeError(BmcError):
     """Numeric argument outside its documented range."""
-
-
-class InfeasibleError(BmcError):
-    """Operation gave up after the documented number of attempts."""

@@ -10,11 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, OutOfRangeError
+from .errors import OutOfRangeError
 from .gf2core import MAX_DIM, BinaryMatroid
 
 PRNG_ID = "pcg64"
-_REDRAW_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,9 @@ def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
 
     Draws `size` distinct nonzero vectors, then repairs the XOR defect s by
     toggling membership of s, so the result has size - 1, size, or size + 1
-    elements. Deterministic per nonnegative seed. Raises InfeasibleError if
-    the repair keeps failing (only possible at the extreme size bounds).
+    elements. The toggle always yields a valid set: removing s from
+    {a, b, c} would need b = c, and adding s to a set that holds every
+    nonzero key would need s = 0. Deterministic per nonnegative seed.
     """
     if n < 2 or n > MAX_DIM:
         raise OutOfRangeError(f"need 2 <= n <= {MAX_DIM}")
@@ -79,21 +79,12 @@ def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
     if seed < 0:  # PCG64 takes only nonnegative seeds
         raise OutOfRangeError(f"seed {seed} is negative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(_REDRAW_LIMIT):
-        chosen: set[int] = set()
-        while len(chosen) < size:
-            chosen.add(_random_key(rng, n))
-        defect = 0
-        for key in chosen:
-            defect ^= key
-        if defect == 0:
-            return BinaryMatroid(n, chosen)
-        if defect in chosen and len(chosen) > 3:
-            chosen.remove(defect)
-            return BinaryMatroid(n, chosen)
-        if defect not in chosen and len(chosen) < (1 << n) - 1:
-            chosen.add(defect)
-            return BinaryMatroid(n, chosen)
-    raise InfeasibleError(
-        f"no Eulerian repair found for n={n} size={size} after {_REDRAW_LIMIT} redraws"
-    )
+    chosen: set[int] = set()
+    while len(chosen) < size:
+        chosen.add(_random_key(rng, n))
+    defect = 0
+    for key in chosen:
+        defect ^= key
+    if defect:
+        chosen ^= {defect}
+    return BinaryMatroid(n, chosen)

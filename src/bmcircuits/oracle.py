@@ -11,9 +11,10 @@ of its coordinate slices, whose pivots are the first-seen basis and whose
 rows hold every fundamental circuit of that basis. Enumeration lists the
 cycle space of that basis: every XOR of the fundamental circuits of the
 |M| - rank elements outside it, kept by size when it holds no smaller
-circuit. exact_c and intersection_lower_bound work on each
-connected component on its own; exact_c2 enumerates each ambient
-complete matroid once per process. exact_c peels each component first and
+circuit. exact_c and intersection_lower_bound work on each connected
+component on its own; exact_c2 reads one table of odd-cover sizes per
+ambient dimension, built once per process by breadth-first search over the
+subsets of the complete matroid. exact_c peels each component first and
 enumerates it only when the peel count misses the quotient floor
 ceil(|C| / (rank(C) + 1)), which settles the minimum otherwise.
 """
@@ -43,7 +44,6 @@ from .oddcover import density_lower_bound
 
 ENUMERATION_LIMIT = 24
 C2_DIMENSION_LIMIT = 4
-C2_DEPTH_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -233,23 +233,37 @@ def c2_search_is_restricted(m: BinaryMatroid) -> bool:
 
 
 @lru_cache(maxsize=C2_DIMENSION_LIMIT)
-def _ambient_catalog(d: int) -> CircuitCatalog:
-    """The circuits of complete_matroid(d), for d <= C2_DIMENSION_LIMIT. The
-    catalog is immutable, so every exact_c2 call shares one per d."""
-    return enumerate_circuits(complete_matroid(d))
+def _cover_distances(d: int) -> np.ndarray:
+    """Fewest circuits of complete_matroid(d) whose XOR is each subset of it.
+
+    Index bit i stands for key i + 1. A breadth-first search from the empty
+    set, whose moves each XOR in one circuit, reaches exactly the subsets of
+    zero sum: every circuit has zero sum, and every zero-sum subset is a
+    disjoint union of circuits. The table holds the distance of each, and
+    -1 on every subset whose XOR is nonzero: 2^(2^d - 1) int8 entries, 32 KB
+    at d = C2_DIMENSION_LIMIT, built once per d and read-only.
+    """
+    masks = enumerate_circuits(complete_matroid(d)).masks
+    dist = np.full(1 << ((1 << d) - 1), -1, dtype=np.int8)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    step = 0
+    while frontier.size:
+        step += 1
+        for mk in masks:  # one circuit at a time: no |frontier| x |masks| array
+            reached = frontier ^ mk
+            dist[reached[dist[reached] < 0]] = step
+        frontier = np.flatnonzero(dist == step)
+    dist.flags.writeable = False
+    return dist
 
 
 def exact_c2(m: BinaryMatroid) -> int:
-    """Minimum odd-cover size by iterative deepening over XOR states, up to
-    C2_DEPTH_CAP circuits.
+    """Minimum odd-cover size: the entry of M's subset in _cover_distances.
 
-    States are bitmasks over the ambient complete matroid; moves XOR in one
-    ambient circuit. No state needs a memo of failed budgets: the ambient
-    dimension is at most 4, where breadth-first search over the cycle space
-    gives every Eulerian set an odd-cover of at most 3 circuits of at most 5
-    elements, and every set that needs 3 has at least 11 > 2 * 5 elements. So
-    a node with two or more circuits left either fails the size bound or
-    succeeds, and no node exhausts its children.
+    An odd-cover is a set of circuits of the ambient complete matroid whose
+    XOR is M, so its least size is the distance of M's subset of the ambient
+    elements in the table of its dimension.
 
     When the search is restricted to span(M)
     (see c2_search_is_restricted) the result is still an upper bound for the
@@ -270,31 +284,8 @@ def exact_c2(m: BinaryMatroid) -> int:
         keys = [sum((row >> j & 1) << i for i, row in enumerate(rows))
                 for j in range(len(keys))]
         ambient_dim = len(rows)
-    catalog = _ambient_catalog(ambient_dim)
-    masks = catalog.masks
-    mask_set = set(masks)
-    max_size = catalog.max_size()
     # ambient elements are the keys 1..2^d-1 in order, so index = key - 1
-    target = 0
-    for k in keys:
-        target |= 1 << (k - 1)
-
-    def dfs(state: int, remaining: int) -> bool:
-        diff = state ^ target
-        if diff == 0:
-            return True
-        if remaining == 0:
-            return False
-        if ceil(diff.bit_count() / max_size) > remaining:
-            return False
-        if remaining == 1:
-            return diff in mask_set
-        return any(dfs(state ^ mk, remaining - 1) for mk in masks)
-
-    for t in range(C2_DEPTH_CAP + 1):
-        if dfs(0, t):
-            return t
-    raise TooLargeError(f"no odd-cover found within depth {C2_DEPTH_CAP}")
+    return int(_cover_distances(ambient_dim)[sum(1 << (k - 1) for k in keys)])
 
 
 def intersection_lower_bound(m: BinaryMatroid) -> int:

@@ -38,6 +38,17 @@ class TestGen:
              "--seed", "5", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("argv, seed", [
+        (["--kind", "complete", "--n", "3"], None),
+        (["--kind", "copies", "--k", "2", "--s", "2"], None),
+        (["--kind", "random", "--n", "4", "--size", "5"], 5),
+    ], ids=["complete", "copies", "random"])
+    def test_seed_field_is_the_seed_used(self, argv, seed, tmp_path, capsys):
+        out = tmp_path / "x.bm"
+        assert run(["gen", *argv, "--seed", "5", "--out", str(out)]) == 0
+        (rec,) = records(capsys)
+        assert rec["seed"] == seed
+
     def test_missing_args_usage_error(self, tmp_path, capsys):
         assert run(["gen", "--kind", "complete", "--out", str(tmp_path / "x.bm")]) == 1
 

@@ -4,6 +4,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bmcircuits import oracle
@@ -238,21 +239,30 @@ def cycle_space_distances(d):
 class TestExactC2:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_no_failed_budget_is_worth_remembering(self, d):
-        # the facts exact_c2's docstring rests on: c2 <= 3, circuits have at
-        # most 5 elements, and every set with c2 = 3 is over twice that size
+        # facts of the ambient spaces, checked on the reference search; the
+        # table exact_c2 reads does not rest on them: c2 <= 3, circuits have
+        # at most 5 elements, and every set with c2 = 3 is over twice that size
         dist, max_size = cycle_space_distances(d)
         assert len(dist) == 2 ** ((1 << d) - 1 - d)  # every Eulerian subset
         assert max(dist.values()) <= 3 and max_size <= 5
         assert all(s.bit_count() > 2 * max_size for s, c2 in dist.items() if c2 == 3)
 
     def test_matches_breadth_first_search(self):
-        dist, _ = cycle_space_distances(4)
-        hardest = [s for s, c2 in dist.items() if c2 == 3]
-        others = sorted(s for s, c2 in dist.items() if 0 < c2 < 3)
-        assert len(hardest) == 141
-        for s in hardest + random.Random(0).sample(others, 50):
-            keys = [i + 1 for i in range(15) if s >> i & 1]
-            assert exact_c2(BinaryMatroid(4, keys)) == dist[s]
+        # every Eulerian subset of each ambient space, the empty one included
+        for d in (2, 3, 4):
+            dist, _ = cycle_space_distances(d)
+            for s, c2 in dist.items():
+                keys = [i + 1 for i in range((1 << d) - 1) if s >> i & 1]
+                assert exact_c2(BinaryMatroid(d, keys)) == c2
+        assert sum(c2 == 3 for c2 in dist.values()) == 141  # of complete(4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_cover_distances_mark_nonzero_sums(self, d):
+        xors = [0]  # the XOR of each subset, bit i standing for key i + 1
+        for i in range((1 << d) - 1):
+            xors += [x ^ (i + 1) for x in xors]
+        table = oracle._cover_distances(d)
+        assert np.array_equal(table == -1, np.array(xors) != 0)
 
     def test_triangle(self):
         assert exact_c2(triangle()) == 1
@@ -333,3 +343,19 @@ class TestProbeConjectures:
         rep = probe_conjectures(independent_copies(2, 3))
         assert rep.c2 is None
         assert rep.oddcover_status == "SKIPPED"
+
+    def test_leaves_no_cyclic_garbage(self):
+        # every exact search frees what it built on return: none leaves a
+        # reference cycle for the collector (dim 4, sizes 5-12, as the
+        # benchmark's probes)
+        probe_conjectures(complete_matroid(4))  # builds the cached tables
+        sizes = random.Random(0).choices(range(5, 13), k=40)
+        inputs = [random_eulerian(4, size, seed) for seed, size in enumerate(sizes)]
+        gc.collect()
+        gc.disable()
+        try:
+            for m in inputs:
+                probe_conjectures(m)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
