@@ -169,7 +169,7 @@ def build_parser() -> _Parser:
     g.add_argument("--k", type=int)
     g.add_argument("--s", type=int)
     g.add_argument("--size", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)  # random only; 0 when absent
     g.add_argument("--out", required=True)
 
     d = sub.add_parser("decompose", help="decompose a matroid into disjoint circuits")
@@ -209,6 +209,8 @@ def build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     spec: InstanceSpec
+    if args.seed is not None and args.kind != "random":
+        raise UsageError(f"gen --kind {args.kind} takes no --seed")
     if args.kind == "complete":
         if args.n is None:
             raise UsageError("gen --kind complete needs --n")
@@ -222,10 +224,11 @@ def _cmd_gen(args) -> int:
     else:
         if args.n is None or args.size is None:
             raise UsageError("gen --kind random needs --n and --size")
-        m = random_eulerian(args.n, args.size, args.seed)
+        seed = 0 if args.seed is None else args.seed
+        m = random_eulerian(args.n, args.size, seed)
         spec = InstanceSpec(
             "random-eulerian",
-            {"n": args.n, "size": args.size, "seed": args.seed, "prng": PRNG_ID},
+            {"n": args.n, "size": args.size, "seed": seed, "prng": PRNG_ID},
         )
     start = time.perf_counter()
     Path(args.out).write_text(format_bm(m, comments=(f"spec: {spec.header()}",)))

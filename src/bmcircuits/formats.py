@@ -25,7 +25,7 @@ tuples (as IndependentPartition.parts holds too) and Circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .circuits import Circuit, is_circuit
 from .errors import FormatError, OutOfRangeError
@@ -57,11 +57,24 @@ def _parse_key(line: str, dim: int, lineno: int) -> int:
     return key
 
 
+def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
+    """The lines of text.splitlines(), split about chunk characters at a time.
+
+    Each cut falls just after a newline, so no line and no \\r\\n pair is
+    split, and only one chunk's lines are alive at once.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + chunk) + 1 or end
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
 def parse_bm(text: str) -> BinaryMatroid:
     dim = None
     keys: list[int] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,7 +127,7 @@ def parse_bmdec(text: str) -> DecFile:
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
     meta: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             if current:
@@ -159,22 +172,19 @@ def format_bmdec(
     if kind not in DEC_KINDS:
         raise FormatError(f"unknown kind {kind!r}")
     spec = f"0{dim}b"  # the vector line of every key of dimension dim
-    lines = [f"{kind} {len(blocks)}", f"dim {dim}"]
+    head = f"\n# {block_comment}" if block_comment else ""  # the lines before a block's keys
+    parts = [f"{kind} {len(blocks)}\ndim {dim}"]  # one string per block
     for i, block in enumerate(blocks):
         keys = block.keys if isinstance(block, Circuit) else block
-        lines.append("")
-        if block_comment:
-            lines.append(f"# {block_comment}")
         try:
-            lines += [format(k, spec) for k in keys]
+            parts.append("\n".join([head, *[format(k, spec) for k in keys]]))
         except (TypeError, ValueError) as err:  # format(k, "03b") on a str or a float
             raise FormatError(
                 f"block {i} is neither a Circuit nor a collection of int keys"
             ) from err
     if meta:
-        lines.append("")
-        lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
-    return "\n".join(lines) + "\n"
+        parts.append("\n# " + " ".join(f"{k}={v}" for k, v in meta.items()))
+    return "\n".join(parts) + "\n"
 
 
 def _block_keys(block, dim: int) -> Collection[int] | None:

@@ -27,27 +27,31 @@ MAX_DIM = 4096
 class Gf2Eliminator:
     """Incremental Gaussian elimination over GF(2) with dependency witnesses.
 
-    Rows are kept in row-echelon form keyed by pivot bit (the highest set bit
-    of the reduced row). ``insert`` returns None when the vector was
-    independent of everything inserted so far, otherwise a bitmask over
-    insertion indices: the XOR of the vectors at those indices equals the
-    inserted vector. Witness tracking can be disabled for hot search loops
-    that only need ranks.
+    Rows are kept in row-echelon form in a flat list indexed by bit length:
+    entry b holds the reduced row whose highest set bit is bit b - 1, or 0
+    when that pivot is free. Entry 0 is always 0, so a reduction that
+    reaches zero and one that meets a free pivot stop at the same test. The
+    list starts with 65 entries and grows for longer keys. ``insert``
+    returns None when the vector was independent of everything inserted so
+    far, otherwise a bitmask over insertion indices: the XOR of the vectors
+    at those indices equals the inserted vector. The witness masks live in
+    a parallel list, kept only when witnesses are tracked; hot search loops
+    that only need ranks can disable them.
 
     Single-owner mutable builder; not meant to be shared across threads.
     """
 
-    __slots__ = ("_rows", "_stack", "_track", "n_inserted")
+    __slots__ = ("_rows", "_masks", "_stack", "n_inserted")
 
     def __init__(self, track_witnesses: bool = True):
-        self._rows: dict[int, tuple[int, int]] = {}  # pivot -> (row key, mask)
-        self._stack: list[int] = []  # pivots in insertion order, for undo
-        self._track = track_witnesses
+        self._rows = [0] * 65  # bit length -> row key
+        self._masks = [0] * 65 if track_witnesses else None  # bit length -> witness mask
+        self._stack: list[int] = []  # pivot bit lengths in insertion order, for undo
         self.n_inserted = 0
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._stack)
 
     def reduce(self, key: int) -> tuple[int, int]:
         """Reduce key by the current rows; no state change.
@@ -55,16 +59,20 @@ class Gf2Eliminator:
         Returns (residual, mask). residual == 0 means key is in the span and
         mask identifies the inserted vectors whose XOR equals key.
         """
+        rows, masks = self._rows, self._masks
         cur = key
         mask = 0
-        rows = self._rows
-        while cur:
-            row = rows.get(cur.bit_length() - 1)
-            if row is None:
-                break
-            cur ^= row[0]
-            if self._track:
-                mask ^= row[1]
+        try:
+            while True:
+                length = cur.bit_length()
+                row = rows[length]
+                if not row:
+                    break
+                cur ^= row
+                if masks is not None:
+                    mask ^= masks[length]
+        except IndexError:  # a key longer than every row: its top bit is a free pivot
+            pass
         return cur, mask
 
     def contains(self, key: int) -> bool:
@@ -73,25 +81,41 @@ class Gf2Eliminator:
     def insert(self, key: int) -> int | None:
         """Insert a vector; returns None if independent, else the witness mask.
 
-        The reduction is reduce's loop, inlined: this is the hot call.
+        The reduction is reduce's loop, inlined and split by tracking mode:
+        this is the hot call. Each row cleared lowers the bit length, so only
+        the first lookup can fall off the end of the list.
         """
-        rows = self._rows
-        track = self._track
+        rows, masks = self._rows, self._masks
         cur = key
         mask = 0
-        while cur:
-            row = rows.get(cur.bit_length() - 1)
-            if row is None:
-                break
-            cur ^= row[0]
-            if track:
-                mask ^= row[1]
+        try:
+            if masks is None:
+                while True:
+                    row = rows[cur.bit_length()]
+                    if not row:
+                        break
+                    cur ^= row
+            else:
+                while True:
+                    length = cur.bit_length()
+                    row = rows[length]
+                    if not row:
+                        break
+                    cur ^= row
+                    mask ^= masks[length]
+        except IndexError:  # a key longer than every row: grow both lists for it
+            grow = [0] * (key.bit_length() + 1 - len(rows))
+            rows += grow
+            if masks is not None:
+                masks += grow
         idx = self.n_inserted
         self.n_inserted = idx + 1
         if cur:
-            pivot = cur.bit_length() - 1
-            rows[pivot] = (cur, (mask | (1 << idx)) if track else 0)
-            self._stack.append(pivot)
+            length = cur.bit_length()
+            rows[length] = cur
+            if masks is not None:
+                masks[length] = mask | (1 << idx)
+            self._stack.append(length)
             return None
         return mask
 
@@ -103,7 +127,7 @@ class Gf2Eliminator:
         as in depth-first searches that insert on the way down.
         """
         if inserted is None:
-            del self._rows[self._stack.pop()]
+            self._rows[self._stack.pop()] = 0
         self.n_inserted -= 1
 
 

@@ -30,9 +30,10 @@ from .formats import Decomposition
 from .gf2core import BinaryMatroid
 
 #: the model holds 2^(p-1) - 1 int keys as Python objects; orbit_decompose(19)
-#: peaks at about 64 MB resident and `orbit --p 19`, which also writes,
-#: re-reads and re-checks them, at about 93 MB (Python 3.11, ru_maxrss of one
-#: process); the next admissible prime, 29, would need 2^28 of them
+#: peaks at about 64 MB resident and `orbit --p 19`, which also writes them
+#: one block at a time, re-reads them 64 KB at a time and re-checks them, at
+#: about 76 MB (Python 3.11, 2-core Xeon, ru_maxrss of one process); the next
+#: admissible prime, 29, would need 2^28 of them
 MAX_P = 19
 
 
@@ -110,22 +111,30 @@ def _rotation_orbits(p: int, m: BinaryMatroid) -> list[Circuit]:
     a Circuit of the m.keys[(k >> 1) - 1] for its model keys k: the model's
     own keys when m is the model, or their compressions k >> 1 when m is
     complete_matroid(p - 1). The circuits share m's int objects.
-    Representatives are the smallest keys, found by a scan over k >> 1.
-    Ascending k >> 1 is ascending key order in both cases, so Circuit gets
-    each orbit already sorted, and validates its circuit law.
+    Representatives are the smallest keys: visited.find jumps from one to the
+    next unvisited k >> 1. The compressions of the p rotations of k are
+    (doubled >> j) & half for j = 1 .. p, with doubled = k | k << p, and an
+    even-weight key is fixed by its compression. Ascending k >> 1 is ascending
+    key order in both cases, so Circuit gets each orbit already sorted, and
+    validates its circuit law.
     """
     keys = m.keys
+    half = (1 << (p - 1)) - 1
+    shifts = range(1, p + 1)
     visited = bytearray(1 << (p - 1))
+    visited[0] = 1  # no model key compresses to 0
     orbits: list[Circuit] = []
-    for y in range(1, 1 << (p - 1)):
-        if visited[y]:
-            continue
-        distinct = {k >> 1 for k in _rotations(_model_key(y), p)}
+    y = visited.find(0)
+    while y > 0:
+        k = _model_key(y)
+        doubled = k | k << p
+        distinct = {(doubled >> j) & half for j in shifts}
         if len(distinct) != p:
-            raise OutOfRangeError(f"orbit of {_model_key(y):0{p}b} has {len(distinct)} elements")
+            raise OutOfRangeError(f"orbit of {k:0{p}b} has {len(distinct)} elements")
         for x in distinct:
             visited[x] = 1
         orbits.append(Circuit(m.dim, [keys[x - 1] for x in sorted(distinct)]))
+        y = visited.find(0, y)
     return orbits
 
 

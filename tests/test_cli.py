@@ -44,10 +44,23 @@ class TestGen:
         (["--kind", "random", "--n", "4", "--size", "5"], 5),
     ], ids=["complete", "copies", "random"])
     def test_seed_field_is_the_seed_used(self, argv, seed, tmp_path, capsys):
+        # complete and copies take no seed, so --seed is a usage error for them
         out = tmp_path / "x.bm"
-        assert run(["gen", *argv, "--seed", "5", "--out", str(out)]) == 0
-        (rec,) = records(capsys)
-        assert rec["seed"] == seed
+        rc = run(["gen", *argv, "--seed", "5", "--out", str(out)])
+        captured = capsys.readouterr()
+        if seed is None:
+            assert rc == 1 and captured.out == "" and not out.exists()
+            assert captured.err == f"error: gen --kind {argv[1]} takes no --seed\n"
+        else:
+            assert rc == 0 and json.loads(captured.out)["seed"] == seed
+
+    def test_random_seed_defaults_to_zero(self, tmp_path, capsys):
+        a, b = tmp_path / "a.bm", tmp_path / "b.bm"
+        assert run(["gen", "--kind", "random", "--n", "4", "--size", "5", "--out", str(a)]) == 0
+        assert run(["gen", "--kind", "random", "--n", "4", "--size", "5", "--seed", "0",
+                    "--out", str(b)]) == 0
+        assert [rec["seed"] for rec in records(capsys)] == [0, 0]
+        assert a.read_text() == b.read_text()
 
     def test_missing_args_usage_error(self, tmp_path, capsys):
         assert run(["gen", "--kind", "complete", "--out", str(tmp_path / "x.bm")]) == 1

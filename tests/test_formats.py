@@ -149,6 +149,36 @@ class TestBmdecFormat:
         parsed = parse_bmdec("\n".join(padded) + "\n")
         assert parsed == formats.DecFile(kind, dim, tuple(blocks), meta)
 
+    def test_format_gives_these_bytes(self):
+        # an empty block, a block comment on every block, and the meta trailer
+        text = format_bmdec("indsets", 3, [(0b001, 0b110), (), (0b011,)],
+                            meta={"p": 5, "branch": "orbit"}, block_comment="part")
+        assert text.encode() == (
+            b"indsets 3\ndim 3\n"
+            b"\n# part\n001\n110\n"
+            b"\n# part\n"
+            b"\n# part\n011\n"
+            b"\n# p=5 branch=orbit\n"
+        )
+        assert format_bmdec("circuits", 2, [()]) == "circuits 1\ndim 2\n\n"
+        assert format_bmdec("circuits", 2, []) == "circuits 0\ndim 2\n"
+
+    def test_bad_line_past_the_first_chunk_reports_its_line_number(self):
+        blocks = [(k, k ^ 0xFF, 0xFF) for k in range(1, 0x7F)] * 30  # 15 122 lines, 106 KB
+        lines = format_bmdec("circuits", 8, blocks).splitlines()
+        assert len("\n".join(lines[:12000])) > 1 << 16 and lines[12000]
+        lines[12000] = "1010101"  # line 12001, a vector line one character short
+        with pytest.raises(FormatError) as exc:
+            parse_bmdec("\n".join(lines) + "\n")
+        assert exc.value.line == 12001
+
+    @given(st.lists(st.sampled_from(["0", "1", " ", "#", "\n", "\r", "\x0c", "\r\n", "\n\n\n"]),
+                    max_size=40).map("".join),
+           st.integers(1, 6))
+    def test_line_helper_equals_splitlines(self, text, chunk):
+        assert list(formats._lines(text, chunk)) == text.splitlines()
+        assert list(formats._lines(text)) == text.splitlines()
+
     def test_circuit_block_file(self):
         c = Circuit(2, [0b10, 0b01, 0b11])
         text = format_circuit(c)

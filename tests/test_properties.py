@@ -17,7 +17,9 @@ that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
 peel_decompose's circuits; they differ only in their branch and phase
 labels. A key list builds a BinaryMatroid or Circuit, or raises, as the
-range, duplicate and circuit rules say.
+range, duplicate and circuit rules say. Gf2Eliminator, in both tracking
+modes and on keys longer than its presized row list, agrees with
+greedy_basis, with its own witnesses and with its LIFO undo.
 """
 
 import math
@@ -780,3 +782,44 @@ def test_key_lists_build_or_raise_as_the_rules_say(dim_keys):
         else:
             assert built.keys == expected and built.dim == dim
             assert built == cls(dim, reversed(keys)) and hash(built) == hash(cls(dim, keys))
+
+
+@st.composite
+def eliminator_keys(draw):
+    """Keys of bit lengths 1-130, on both sides of the eliminator's 65-entry
+    presize, followed by nonzero XORs of up to four of them, so that
+    dependent inserts (repeats included) occur too; shuffled."""
+    key = st.integers(1, 130).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+    keys = draw(st.lists(key, min_size=1, max_size=10))
+    sums = st.lists(st.sampled_from(keys), min_size=1, max_size=4).map(lambda s: reduce(xor, s))
+    keys += [k for k in draw(st.lists(sums, max_size=10)) if k]
+    return draw(st.permutations(keys))
+
+
+@given(eliminator_keys(), st.booleans())
+def test_eliminator_matches_greedy_basis_and_undoes_lifo(keys, track):
+    elim = Gf2Eliminator(track_witnesses=track)
+
+    def state():
+        return elim.rank, elim.n_inserted, [elim.contains(k) for k in keys]
+
+    before, returned = [], []
+    for key in keys:
+        residual, mask = elim.reduce(key)
+        assert elim.contains(key) == (residual == 0)
+        before.append(state())
+        got = elim.insert(key)
+        assert (got is None) == (elim.rank == before[-1][0] + 1) == (residual != 0)
+        if got is not None:
+            assert got == mask
+            if track:
+                assert reduce(xor, (keys[i] for i in _mask_indices(got)), 0) == key
+            else:
+                assert got == 0
+        returned.append(got)
+    assert elim.rank == len(greedy_basis(sorted(set(keys)), 200))
+    for i in reversed(range(len(keys))):
+        elim.undo(returned[i])
+        assert state() == before[i]
+        assert elim.insert(keys[i]) == returned[i]
+        elim.undo(returned[i])
