@@ -9,7 +9,6 @@ from .arboricity import (
 )
 from .circuits import (
     Circuit,
-    fundamental_circuit,
     guaranteed_circuit_size,
     is_circuit,
     largest_fundamental_circuit,
@@ -27,7 +26,6 @@ from .decompose import (
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
-    express_in_basis,
     is_eulerian,
     rank,
 )

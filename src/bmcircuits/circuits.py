@@ -16,14 +16,9 @@ from bisect import bisect_left
 from functools import reduce
 from math import comb
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import (
-    DegenerateMemberError,
-    EmptyMatroidError,
-    NotEulerianError,
-    OutOfRangeError,
-)
+from .errors import EmptyMatroidError, NotEulerianError, OutOfRangeError
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
@@ -31,7 +26,6 @@ from .gf2core import (
     _mask_indices,
     _sorted_keys,
     column_rref,
-    express_in_basis,
 )
 
 
@@ -103,18 +97,6 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({[format(k, f'0{self.dim}b') for k in self.keys]})"
-
-
-def fundamental_circuit(dim: int, key: int, basis: Sequence[int]) -> Circuit:
-    """The circuit {key} plus the basis keys in key's unique expansion.
-
-    Requires key in span(basis) and key not itself a basis member (that would
-    yield a 2-element set, which is never a circuit here).
-    """
-    if key in basis:
-        raise DegenerateMemberError(f"{key:0{dim}b} is a basis member")
-    indices = express_in_basis(key, basis)  # raises NotInSpanError if outside
-    return Circuit(dim, [key] + [basis[i] for i in indices])
 
 
 def guaranteed_circuit_size(size: int, r: int) -> int:

@@ -15,14 +15,6 @@ class FormatError(BmcError):
         super().__init__(message)
 
 
-class NotInSpanError(BmcError):
-    """Vector is not in the span of the given basis."""
-
-
-class DegenerateMemberError(BmcError):
-    """Element already belongs to the basis; no proper fundamental circuit exists."""
-
-
 class NotEulerianError(BmcError):
     """Operation requires the XOR of all elements to be zero."""
 

@@ -99,13 +99,6 @@ def format_bm(m: BinaryMatroid, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_circuit(c: Circuit) -> str:
-    """Single circuit in .bm form with a '# circuit' marker."""
-    lines = [f"dim {c.dim}", "# circuit"]
-    lines += [format(k, f"0{c.dim}b") for k in c.keys]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class DecFile:
     """Parsed .bmdec content: kind, dimension, blocks of int keys, trailer metadata.

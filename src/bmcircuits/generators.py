@@ -15,6 +15,15 @@ from .gf2core import MAX_DIM, BinaryMatroid
 
 PRNG_ID = "pcg64"
 
+#: the most elements a generated instance may hold, complete_matroid(24)'s;
+#: each generator refuses a larger instance before it builds anything
+MAX_ELEMENTS = (1 << 24) - 1
+
+
+def _require_elements(count: int) -> None:
+    if count > MAX_ELEMENTS:
+        raise OutOfRangeError(f"{count} elements exceed the cap 2^24 - 1")
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -30,8 +39,9 @@ class InstanceSpec:
 
 def complete_matroid(n: int) -> BinaryMatroid:
     """All 2^n - 1 nonzero vectors of F_2^n; Eulerian for n >= 2."""
-    if not 1 <= n <= 24:
-        raise OutOfRangeError(f"complete matroid dimension {n} not in 1..24")
+    top = MAX_ELEMENTS.bit_length()  # 2^n - 1 elements fit the cap up to n = 24
+    if not 1 <= n <= top:
+        raise OutOfRangeError(f"complete matroid dimension {n} not in 1..{top}")
     return BinaryMatroid(n, range(1, 1 << n))
 
 
@@ -44,6 +54,7 @@ def independent_copies(k: int, s: int) -> BinaryMatroid:
         raise OutOfRangeError("k and s must be positive")
     if k * s > MAX_DIM:
         raise OutOfRangeError(f"k*s = {k * s} exceeds the dimension cap {MAX_DIM}")
+    _require_elements(k * ((1 << s) - 1))
     dim = k * s
     keys = []
     for block in range(k):
@@ -70,12 +81,14 @@ def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
     toggling membership of s, so the result has size - 1, size, or size + 1
     elements. The toggle always yields a valid set: removing s from
     {a, b, c} would need b = c, and adding s to a set that holds every
-    nonzero key would need s = 0. Deterministic per nonnegative seed.
+    nonzero key would need s = 0. A size whose result could exceed
+    MAX_ELEMENTS is refused. Deterministic per nonnegative seed.
     """
     if n < 2 or n > MAX_DIM:
         raise OutOfRangeError(f"need 2 <= n <= {MAX_DIM}")
     if not 3 <= size <= (1 << n) - 1:
         raise OutOfRangeError(f"size {size} not in 3..2^{n}-1")
+    _require_elements(min(size + 1, (1 << n) - 1))  # the repair may add one
     if seed < 0:  # PCG64 takes only nonnegative seeds
         raise OutOfRangeError(f"seed {seed} is negative")
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -1,8 +1,8 @@
 """GF(2) vectors as int keys, binary matroids, and Gaussian elimination.
 
-Gf2Eliminator eliminates incrementally, with undo and witnesses;
-column_rref reduces a whole key list at once, and every fundamental circuit
-of its first-seen basis is read from that one form.
+Gf2Eliminator eliminates incrementally, with undo and witnesses, and
+greedy_basis runs on it; column_rref reduces a whole key list at once, and
+every fundamental circuit of its first-seen basis is read from that one form.
 
 Vectors live in F_2^n and are stored as Python ints: coordinate 0 is the most
 significant of the n bits, so sorting by the int value equals sorting by the
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotEulerianError, NotInSpanError, OutOfRangeError
+from .errors import NotEulerianError, OutOfRangeError
 
 MAX_DIM = 4096
 
@@ -233,25 +233,15 @@ def greedy_basis(keys: Sequence[int], bound: int) -> list[int]:
     once the basis has rank-many vectors, every later key is dependent.
     When the basis has as many vectors as its largest key has bits, it spans
     every key below 2**bits, so the scan bisects past those keys.
-
-    This is Gf2Eliminator's elimination without witnesses and without a
-    method call per key.
     """
-    rows: dict[int, int] = {}  # pivot -> reduced key
+    elim = Gf2Eliminator(track_witnesses=False)
     basis: list[int] = []
     i, n = 0, len(keys)
     while i < n and len(basis) < bound:
         key = keys[i]
         i += 1
-        cur = key
-        while cur:
-            row = rows.get(cur.bit_length() - 1)
-            if row is None:
-                break
-            cur ^= row
-        if not cur:
+        if elim.insert(key) is not None:
             continue
-        rows[cur.bit_length() - 1] = cur
         basis.append(key)
         top = key.bit_length()
         if len(basis) == top:
@@ -310,19 +300,3 @@ def _gauss_jordan(rows: Iterable[int]) -> tuple[dict[int, int], int]:
             reduced[low.bit_length() - 1] = row
             pivots |= low
     return reduced, pivots
-
-
-def express_in_basis(key: int, basis: Sequence[int]) -> frozenset[int]:
-    """Indices I into basis (0-based) with key equal to the XOR of basis[i] for i in I.
-
-    The basis must be linearly independent; the index set is then unique.
-    Raises NotInSpanError when key lies outside the span.
-    """
-    elim = Gf2Eliminator()
-    for b in basis:
-        if elim.insert(b) is not None:
-            raise OutOfRangeError("basis is not linearly independent")
-    residual, mask = elim.reduce(key)
-    if residual != 0:
-        raise NotInSpanError(f"key {key:b} is not in the span of the basis")
-    return frozenset(_mask_indices(mask))

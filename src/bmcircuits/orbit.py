@@ -63,10 +63,11 @@ def _is_odd_prime(p: int) -> bool:
 
 
 def _require_capped_prime(p: int) -> None:
-    if not _is_odd_prime(p):
-        raise NotPrimeError(f"{p} is not an odd prime")
+    """The cap first: trial division takes time proportional to sqrt(p)."""
     if p > MAX_P:
         raise OutOfRangeError(f"p = {p} exceeds the cap {MAX_P}")
+    if not _is_odd_prime(p):
+        raise NotPrimeError(f"{p} is not an odd prime")
 
 
 def _require_admissible(p: int) -> None:
@@ -143,8 +144,8 @@ def orbit_decompose(p: int) -> Decomposition:
 
     The source is build_even_weight_model(p); every orbit is labelled
     phase 1 of branch "orbit". Preconditions, checked before anything is
-    built: p is an odd prime (NotPrimeError) no larger than MAX_P
-    (OutOfRangeError), and the multiplicative order of 2 mod p equals
+    built: p is no larger than MAX_P (OutOfRangeError), an odd prime
+    (NotPrimeError), and the multiplicative order of 2 mod p equals
     p - 1 (OrderConditionError).
     """
     _require_admissible(p)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
-from bmcircuits.gf2core import BinaryMatroid
+from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator
 
 # property tests replay the same examples on every run and never time out
 settings.register_profile(
@@ -48,6 +48,16 @@ KEY_BLOCK_FAULTS = {
     # a circuit of keys 1, 8, 9 twice: it cancels in an odd-cover's parity
     "out-of-range circuit twice": lambda b: b + ((1, 8, 9), (1, 8, 9)),
 }
+
+
+def basis_eliminator(basis):
+    """A witness-tracking Gf2Eliminator holding the keys of an independent
+    basis: reduce(key) then returns key's residual and the mask of the basis
+    indices whose keys XOR to key, its expansion when the residual is 0."""
+    elim = Gf2Eliminator()
+    for key in basis:
+        assert elim.insert(key) is None
+    return elim
 
 
 def dense_core():

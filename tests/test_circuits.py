@@ -10,22 +10,18 @@ from hypothesis import strategies as st
 from bmcircuits.circuits import (
     Circuit,
     WorkingSet,
-    fundamental_circuit,
     guaranteed_circuit_size,
     is_circuit,
     largest_fundamental_circuit,
     peel,
 )
-from bmcircuits.errors import (
-    DegenerateMemberError,
-    EmptyMatroidError,
-    NotEulerianError,
-    OutOfRangeError,
-)
-from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, greedy_basis, rank
+from bmcircuits.errors import EmptyMatroidError, NotEulerianError, OutOfRangeError
+from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, _mask_indices, greedy_basis, rank
 from bmcircuits.generators import complete_matroid
 from bmcircuits.oddcover import complete_to_circuit
 from bmcircuits.orbit import build_even_weight_model, orbit_decompose
+
+from conftest import basis_eliminator
 
 
 @st.composite
@@ -120,24 +116,27 @@ class TestCircuitType:
         assert (held - model_bytes) / 315 < 600
 
 
+def fundamental(dim, key, basis):
+    """{key} plus the basis keys in its Gf2Eliminator witness mask."""
+    residual, mask = basis_eliminator(basis).reduce(key)
+    assert residual == 0
+    return Circuit(dim, [key] + [basis[i] for i in _mask_indices(mask)])
+
+
 class TestFundamentalCircuit:
     def test_triangle(self):
-        c = fundamental_circuit(2, 0b11, (0b10, 0b01))
+        c = fundamental(2, 0b11, (0b10, 0b01))
         assert c.key_set == {1, 2, 3}
 
     def test_four_element(self):
-        c = fundamental_circuit(3, 0b111, (0b100, 0b010, 0b001))
+        c = fundamental(3, 0b111, (0b100, 0b010, 0b001))
         assert c.size == 4
 
     def test_all_ones_over_standard_basis(self):
         basis = tuple(1 << (3 - i) for i in range(4))
-        c = fundamental_circuit(4, 0b1111, basis)
+        c = fundamental(4, 0b1111, basis)
         assert c.size == 5
         assert is_circuit(c.keys)
-
-    def test_degenerate_member(self):
-        with pytest.raises(DegenerateMemberError):
-            fundamental_circuit(2, 0b10, (0b10, 0b01))
 
 
 class TestGuaranteedCircuitSize:

@@ -62,6 +62,16 @@ class TestGen:
         assert [rec["seed"] for rec in records(capsys)] == [0, 0]
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "copies", "--k", "1", "--s", "40"],
+        ["--kind", "random", "--n", "40", "--size", "1000000000000"],
+    ], ids=["copies", "random"])
+    def test_instance_over_the_element_cap_exit1(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.bm"
+        assert run(["gen", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and not out.exists()
+
     def test_missing_args_usage_error(self, tmp_path, capsys):
         assert run(["gen", "--kind", "complete", "--out", str(tmp_path / "x.bm")]) == 1
 
@@ -276,6 +286,14 @@ class TestOrbit:
     def test_admissible_prime_over_cap_exit1(self, tmp_path, capsys):
         assert run(["orbit", "--p", "29", "--out", str(tmp_path / "x.bmdec")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_30_digit_p_exit1_at_once(self, tmp_path, capsys):
+        out = tmp_path / "x.bmdec"
+        start = time.perf_counter()
+        assert run(["orbit", "--p", str(10**29 + 57), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and not out.exists()
 
     def test_compress(self, tmp_path, capsys):
         out = tmp_path / "p5c.bmdec"

@@ -14,7 +14,6 @@ from bmcircuits.formats import (
     check_partition,
     format_bm,
     format_bmdec,
-    format_circuit,
     parse_bm,
     parse_bmdec,
 )
@@ -178,12 +177,6 @@ class TestBmdecFormat:
     def test_line_helper_equals_splitlines(self, text, chunk):
         assert list(formats._lines(text, chunk)) == text.splitlines()
         assert list(formats._lines(text)) == text.splitlines()
-
-    def test_circuit_block_file(self):
-        c = Circuit(2, [0b10, 0b01, 0b11])
-        text = format_circuit(c)
-        m = parse_bm(text)
-        assert set(m.key_set) == set(c.key_set)
 
 
 class TestSemanticChecks:

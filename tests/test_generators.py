@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from bmcircuits.errors import OutOfRangeError
 from bmcircuits.gf2core import is_eulerian, rank
 from bmcircuits.generators import (
+    MAX_ELEMENTS,
     InstanceSpec,
     complete_matroid,
     independent_copies,
@@ -91,6 +94,33 @@ class TestRandomEulerian:
             random_eulerian(3, 8, seed=0)
         with pytest.raises(OutOfRangeError, match="seed -1 is negative"):
             random_eulerian(4, 5, seed=-1)
+
+
+class TestElementCap:
+    """Every generator refuses an instance of more than 2^24 - 1 elements
+    before it builds anything. Instances at the cap are never built here."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: complete_matroid(25),
+        lambda: independent_copies(1, 25),
+        lambda: independent_copies(2, 24),
+        lambda: independent_copies(1, 40),
+        lambda: random_eulerian(25, MAX_ELEMENTS + 1, seed=0),
+        lambda: random_eulerian(40, 10**12, seed=0),
+        # the parity repair could add one element to a draw at the cap
+        lambda: random_eulerian(40, MAX_ELEMENTS, seed=0),
+    ], ids=["complete-25", "copies-1x25", "copies-2x24", "copies-1x40",
+            "random-25-cap+1", "random-40-1e12", "random-40-cap"])
+    def test_refused_before_building(self, make):
+        assert MAX_ELEMENTS == 2**24 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRangeError):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestInstanceSpec:

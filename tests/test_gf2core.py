@@ -6,20 +6,21 @@ import random
 import pytest
 
 from bmcircuits.circuits import Circuit, WorkingSet
-from bmcircuits.errors import FormatError, NotInSpanError, OutOfRangeError
+from bmcircuits.errors import FormatError, OutOfRangeError
 from bmcircuits.formats import _parse_key, format_bm, parse_bm
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     _mask_indices,
     column_rref,
-    express_in_basis,
     greedy_basis,
     is_eulerian,
     rank,
 )
 from bmcircuits.generators import complete_matroid
 from bmcircuits.oddcover import complete_to_circuit
+
+from conftest import basis_eliminator
 
 
 class TestGf2Vector:
@@ -140,11 +141,16 @@ class TestMaxIndependentSubset:
 
 
 class TestExpressInBasis:
+    """Expansions in an independent basis: the witness mask of
+    Gf2Eliminator.reduce over the basis."""
+
     def test_simple_sum(self):
-        assert express_in_basis(0b11, (0b10, 0b01)) == {0, 1}
+        residual, mask = basis_eliminator((0b10, 0b01)).reduce(0b11)
+        assert (residual, set(_mask_indices(mask))) == (0, {0, 1})
 
     def test_basis_member(self):
-        assert express_in_basis(0b001, (0b100, 0b010, 0b001)) == {2}
+        residual, mask = basis_eliminator((0b100, 0b010, 0b001)).reduce(0b001)
+        assert (residual, set(_mask_indices(mask))) == (0, {2})
 
     def test_chain_basis_brute_forced(self):
         # oracle: scan all 2^4 index subsets for the one summing to the target
@@ -159,21 +165,17 @@ class TestExpressInBasis:
                 if acc == target:
                     expected = frozenset(combo)
         assert expected is not None
-        assert express_in_basis(target, basis) == expected
-
-    def test_not_in_span(self):
-        with pytest.raises(NotInSpanError):
-            express_in_basis(0b001, (0b100, 0b010))
-
-    def test_dependent_basis_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            express_in_basis(0b100, (0b110, 0b010, 0b100))
+        residual, mask = basis_eliminator(basis).reduce(target)
+        assert (residual, frozenset(_mask_indices(mask))) == (0, expected)
 
     def test_round_trip(self, small_corpus):
         for m in small_corpus:
             basis = greedy_basis(m.keys, m.dim)
+            elim = basis_eliminator(basis)
             for key in m.keys:
-                indices = express_in_basis(key, basis)
+                residual, mask = elim.reduce(key)
+                assert residual == 0
+                indices = list(_mask_indices(mask))
                 acc = 0
                 for i in indices:
                     acc ^= basis[i]

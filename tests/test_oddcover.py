@@ -6,7 +6,7 @@ from bmcircuits import oddcover
 from bmcircuits.arboricity import arboricity
 from bmcircuits.circuits import Circuit
 from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooLargeError, TooSmallError
-from bmcircuits.gf2core import BinaryMatroid, express_in_basis, greedy_basis, rank
+from bmcircuits.gf2core import BinaryMatroid, greedy_basis, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.formats import check_oddcover
 from bmcircuits.oddcover import (
@@ -17,7 +17,7 @@ from bmcircuits.oddcover import (
     symdiff_reduce,
 )
 
-from conftest import PIN_INPUTS, circuit_keys, eulerian_corpus, peel_family_pins
+from conftest import PIN_INPUTS, basis_eliminator, circuit_keys, eulerian_corpus, peel_family_pins
 
 
 def triangle():
@@ -194,9 +194,12 @@ class TestDensityLowerBound:
         corpus += [complete_matroid(6), independent_copies(3, 3), random_eulerian(12, 300, 1)]
         for m in corpus:
             basis = greedy_basis(m.keys, m.dim)
+            elim = basis_eliminator(basis)
             counts = [0] * (len(basis) + 1)
             for key in m.keys:
-                counts[max(express_in_basis(key, basis)) + 1] += 1
+                residual, mask = elim.reduce(key)
+                assert residual == 0
+                counts[mask.bit_length()] += 1  # the last basis index it needs, plus one
             expected = max(
                 -(-sum(counts[: k + 1]) // (k + 1)) for k in range(1, len(basis) + 1)
             )

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from bmcircuits import oracle
-from bmcircuits.circuits import fundamental_circuit, is_circuit
+from bmcircuits.circuits import Circuit, is_circuit
 from bmcircuits.decompose import peel_decompose
 from bmcircuits.errors import NotEulerianError, TooLargeError
 from bmcircuits.gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
+    _mask_indices,
     greedy_basis,
     rank,
 )
@@ -28,6 +29,8 @@ from bmcircuits.oracle import (
     probe_conjectures,
 )
 from bmcircuits.oddcover import density_lower_bound
+
+from conftest import basis_eliminator
 
 
 def triangle():
@@ -103,10 +106,12 @@ class TestEnumerateCircuits:
                 continue
             listed = {frozenset(c.key_set) for c in enumerate_circuits(m).circuits()}
             basis = greedy_basis(m.keys, m.dim)
+            elim = basis_eliminator(basis)
             for key in m.keys:
                 if key in basis:
                     continue
-                fc = fundamental_circuit(m.dim, key, basis)
+                _, mask = elim.reduce(key)
+                fc = Circuit(m.dim, [key] + [basis[i] for i in _mask_indices(mask)])
                 assert frozenset(fc.key_set) in listed
 
     def test_size_limit(self):

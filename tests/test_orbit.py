@@ -108,6 +108,15 @@ class TestOrbitDecompose:
         with pytest.raises(OutOfRangeError):
             orbit_decompose(p)
 
+    def test_huge_p_rejected_by_the_cap_before_any_primality_test(self):
+        # trial division of a 30-digit prime would not return, so the cap comes
+        # first: these 30-digit composites would otherwise raise NotPrimeError
+        for p in (10**29 + 57, 10**29 + 1):
+            with pytest.raises(OutOfRangeError):
+                orbit_decompose(p)
+            with pytest.raises(OutOfRangeError):
+                build_even_weight_model(p)
+
     def test_admissible_primes_up_to_the_cap(self):
         # 7, 17 and 23 fail the order test, 9 is not prime, 29 is over the cap
         assert [p for p in range(-1, 40) if is_admissible(p)] == [3, 5, 11, 13, 19]

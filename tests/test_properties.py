@@ -19,7 +19,7 @@ peel_decompose's circuits; they differ only in their branch and phase
 labels. A key list builds a BinaryMatroid or Circuit, or raises, as the
 range, duplicate and circuit rules say. Gf2Eliminator, in both tracking
 modes and on keys longer than its presized row list, agrees with
-greedy_basis, with its own witnesses and with its LIFO undo.
+column_rref's rank, with its own witnesses and with its LIFO undo.
 """
 
 import math
@@ -38,12 +38,7 @@ from bmcircuits.arboricity import (
     max_quotient,
     max_quotient_exhaustive,
 )
-from bmcircuits.circuits import (
-    Circuit,
-    WorkingSet,
-    fundamental_circuit,
-    largest_fundamental_circuit,
-)
+from bmcircuits.circuits import Circuit, WorkingSet, largest_fundamental_circuit
 from bmcircuits.decompose import (
     DenseParams,
     _meets_pow2,
@@ -52,14 +47,14 @@ from bmcircuits.decompose import (
     log_greedy_decompose,
     peel_decompose,
 )
-from bmcircuits.errors import NotDenseEnoughError, NotInSpanError, OutOfRangeError
+from bmcircuits.errors import NotDenseEnoughError, OutOfRangeError
 from bmcircuits.formats import check_decomposition, check_oddcover, check_partition
 from bmcircuits.gf2core import (
     MAX_DIM,
     BinaryMatroid,
     Gf2Eliminator,
     _mask_indices,
-    express_in_basis,
+    column_rref,
     greedy_basis,
     rank,
 )
@@ -74,7 +69,7 @@ from bmcircuits.oracle import (
     intersection_lower_bound,
 )
 
-from conftest import dense_core
+from conftest import basis_eliminator, dense_core
 
 
 @st.composite
@@ -343,26 +338,34 @@ def reference_basis(m):
     return [key for key in m.keys if elim.insert(key) is None]
 
 
-def reference_largest_circuit(m):
-    basis = reference_basis(m)
-    best = None
-    for key in m.keys:  # ties go to the first
+def fundamental_circuits(dim, keys, basis):
+    """The fundamental circuit of each of the keys outside the basis, in order:
+    the key plus the basis keys in its Gf2Eliminator witness mask."""
+    elim = basis_eliminator(basis)
+    for key in keys:
         if key not in basis:
-            c = fundamental_circuit(m.dim, key, basis)
-            if best is None or len(c) > len(best):
-                best = c
+            residual, mask = elim.reduce(key)
+            assert residual == 0
+            yield Circuit(dim, [key] + [basis[i] for i in _mask_indices(mask)])
+
+
+def reference_largest_circuit(m):
+    best = None
+    for c in fundamental_circuits(m.dim, m.keys, reference_basis(m)):  # ties go to the first
+        if best is None or len(c) > len(best):
+            best = c
     return best
 
 
 def reference_first_circuit(m):
-    prefix = []
+    """The circuit of the first key that depends on the keys before it, from
+    the witness mask its insert returns: every earlier insert was independent,
+    so the mask indexes the keys."""
+    elim = Gf2Eliminator()
     for key in m.keys:
-        try:
-            support = express_in_basis(key, prefix)
-        except NotInSpanError:
-            prefix.append(key)
-            continue
-        return Circuit(m.dim, [key] + [prefix[i] for i in support])
+        mask = elim.insert(key)
+        if mask is not None:
+            return Circuit(m.dim, [key] + [m.keys[i] for i in _mask_indices(mask)])
 
 
 def reference_decompose(m, in_phase1, floor_size=0):
@@ -512,7 +515,7 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
         if last_non_basis:
             basis = greedy_basis(work.keys, m.dim)
             last = max(set(work.keys) - set(basis))
-            c = fundamental_circuit(m.dim, last, basis)
+            c = next(fundamental_circuits(m.dim, [last], basis))
         else:
             c = largest_fundamental_circuit(work)
         work.remove(c)
@@ -817,7 +820,7 @@ def test_eliminator_matches_greedy_basis_and_undoes_lifo(keys, track):
             else:
                 assert got == 0
         returned.append(got)
-    assert elim.rank == len(greedy_basis(sorted(set(keys)), 200))
+    assert elim.rank == len(column_rref(sorted(set(keys)), 200))
     for i in reversed(range(len(keys))):
         elim.undo(returned[i])
         assert state() == before[i]
