@@ -7,6 +7,7 @@ from a 64-bit seed; the algorithm identifier is recorded in file headers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +19,9 @@ PRNG_ID = "pcg64"
 #: the most elements a generated instance may hold, complete_matroid(24)'s;
 #: each generator refuses a larger instance before it builds anything
 MAX_ELEMENTS = (1 << 24) - 1
+
+#: the most keys random_eulerian draws words for in one numpy call
+_BATCH = 1 << 12
 
 
 def _require_elements(count: int) -> None:
@@ -63,15 +67,23 @@ def independent_copies(k: int, s: int) -> BinaryMatroid:
     return BinaryMatroid(dim, keys)
 
 
-def _random_key(rng: np.random.Generator, n: int) -> int:
-    """Uniform nonzero n-bit key, assembled from 64-bit words for large n."""
+def _random_keys(rng: np.random.Generator, n: int, batch: int) -> Iterator[int]:
+    """Uniform nonzero n-bit keys, each from the next (n + 63) // 64 64-bit
+    words of rng, first word most significant; zero keys are skipped.
+
+    The words are drawn batch keys' worth at a time. Full-range uint64 draws
+    are the generator's raw 64-bit outputs, so a batched draw gives the same
+    words in the same order as one call per word.
+    """
+    width = (n + 63) // 64  # words per key
+    top = np.uint64((1 << (n - 64 * (width - 1))) - 1)  # mask of the first word
     while True:
-        key = 0
-        for _ in range((n + 63) // 64):
-            key = (key << 64) | int(rng.integers(0, 1 << 64, dtype=np.uint64))
-        key &= (1 << n) - 1
-        if key:
-            return key
+        drawn = rng.integers(0, 1 << 64, size=(batch, width), dtype=np.uint64)
+        drawn[:, 0] &= top
+        keys = drawn[:, 0].tolist()
+        for column in drawn.T[1:]:
+            keys = [key << 64 | word for key, word in zip(keys, column.tolist())]
+        yield from filter(None, keys)
 
 
 def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
@@ -93,8 +105,9 @@ def random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
         raise OutOfRangeError(f"seed {seed} is negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     chosen: set[int] = set()
+    keys = _random_keys(rng, n, min(size, _BATCH))
     while len(chosen) < size:
-        chosen.add(_random_key(rng, n))
+        chosen.add(next(keys))
     defect = 0
     for key in chosen:
         defect ^= key

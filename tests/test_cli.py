@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bmcircuits import cli
+from bmcircuits import cli, formats
 from bmcircuits.cli import REPORT_FIELDS, run
 from bmcircuits.formats import ARTIFACT_KINDS, DecFile, format_bmdec
 from bmcircuits.circuits import Circuit
@@ -234,6 +234,78 @@ class TestVerifyRejects:
         assert code == 2 and json.loads(captured.out)["verified"] is False
         assert captured.err.startswith("verification failed: ")
         assert "Traceback" not in captured.err
+
+
+class TestWritePathRunsEachLawOnce:
+    """The re-check after a write takes each block that reads back as the
+    Circuit written at its position as that Circuit, so is_circuit does not
+    run again on it; a block that reads back otherwise, and every block
+    verify reads, gets the full circuit law."""
+
+    COMMANDS = {
+        "decompose": ["decompose", "--in", "{tmp}/r8.bm", "--out", "{tmp}/out.bmdec"],
+        "oddcover": ["oddcover", "--in", "{tmp}/r8.bm", "--out", "{tmp}/out.bmdec"],
+        "orbit": ["orbit", "--p", "11", "--out", "{tmp}/out.bmdec"],
+    }
+
+    @pytest.fixture()
+    def laws(self, tmp_path, monkeypatch, capsys):
+        """The key tuples formats.is_circuit is called on from now on."""
+        run(["gen", "--kind", "random", "--n", "8", "--size", "60", "--seed", "4",
+             "--out", str(tmp_path / "r8.bm")])
+        capsys.readouterr()
+        calls = []
+        real = formats.is_circuit
+
+        def counting(keys):
+            calls.append(tuple(keys))
+            return real(keys)
+
+        monkeypatch.setattr(formats, "is_circuit", counting)
+        return calls
+
+    def argv(self, command, tmp_path):
+        return [a.replace("{tmp}", str(tmp_path)) for a in self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_untouched_artifact_runs_no_law_again(self, command, laws, tmp_path, capsys):
+        assert run(self.argv(command, tmp_path)) == 0
+        assert records(capsys)[-1]["verified"] is True
+        assert laws == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_block_changed_before_the_write_gets_the_full_law(
+            self, command, laws, tmp_path, monkeypatch, capsys):
+        real = cli.format_bmdec
+        altered = []
+
+        def altering(kind, dim, blocks, *rest):
+            last = blocks[-1].keys
+            altered.append((last[0] ^ (2 if last[0] == 1 else 1),) + last[1:])
+            return real(kind, dim, [*blocks[:-1], altered[0]], *rest)
+
+        monkeypatch.setattr(cli, "format_bmdec", altering)
+        assert run(self.argv(command, tmp_path)) == 2
+        captured = capsys.readouterr()
+        rec = json.loads(captured.out)
+        assert rec["verified"] is False
+        last = rec["circuits"] - 1
+        assert captured.err == f"verification failed: block {last} is not a circuit\n"
+        assert laws == altered
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_verify_runs_the_law_on_every_block(self, command, laws, tmp_path, capsys):
+        argv = self.argv(command, tmp_path)
+        assert run(argv) == 0
+        laws.clear()
+        source = str(tmp_path / "r8.bm")
+        if command == "orbit":  # the model of p = 11, as a .bm file
+            source = str(tmp_path / "model.bm")
+            Path(source).write_text(cli.format_bm(orbit_decompose(11).source))
+        blocks = cli.parse_bmdec((tmp_path / "out.bmdec").read_text()).blocks
+        mode = "oddcover" if command == "oddcover" else "decomposition"
+        assert run(["verify", "--in", source, "--against", argv[-1], "--mode", mode]) == 0
+        assert laws == list(blocks)
 
 
 class TestOddcoverArboricity:

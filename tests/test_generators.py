@@ -1,9 +1,10 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bmcircuits.errors import OutOfRangeError
-from bmcircuits.gf2core import is_eulerian, rank
+from bmcircuits.gf2core import BinaryMatroid, is_eulerian, rank
 from bmcircuits.generators import (
     MAX_ELEMENTS,
     InstanceSpec,
@@ -94,6 +95,37 @@ class TestRandomEulerian:
             random_eulerian(3, 8, seed=0)
         with pytest.raises(OutOfRangeError, match="seed -1 is negative"):
             random_eulerian(4, 5, seed=-1)
+
+
+def reference_random_eulerian(n: int, size: int, seed: int) -> BinaryMatroid:
+    """random_eulerian with one rng.integers call per 64-bit word, as it drew
+    its keys before the draws were batched."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chosen: set[int] = set()
+    while len(chosen) < size:
+        key = 0
+        for _ in range((n + 63) // 64):
+            key = (key << 64) | int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        key &= (1 << n) - 1
+        if key:
+            chosen.add(key)
+    defect = 0
+    for key in chosen:
+        defect ^= key
+    if defect:
+        chosen ^= {defect}
+    return BinaryMatroid(n, chosen)
+
+
+@pytest.mark.parametrize("n, size", [
+    (2, 3), (5, 3), (5, 17), (5, 30), (10, 1022), (16, 3), (16, 4097), (16, 20000),
+    (64, 3), (64, 5000), (65, 3), (65, 5000), (130, 3), (130, 2000),
+])
+def test_batched_draws_match_the_per_word_draws(n, size):
+    """At size 2^n - 2 (n = 5 and 10) most draws repeat a key and many
+    batches are consumed; sizes over 4096 cross a batch boundary."""
+    for seed in (0, 7):
+        assert random_eulerian(n, size, seed) == reference_random_eulerian(n, size, seed)
 
 
 class TestElementCap:

@@ -1,7 +1,9 @@
 """Hypothesis properties on small random Eulerian matroids.
 
 Every constructive output must pass its single checker in formats, the
-checkers must reject simple corruptions of a valid artifact. On at most
+checkers must reject simple corruptions of a valid artifact, and the CLI's
+re-check of a file it just wrote, which reuses the written Circuits, must
+give the verdict and reason of the check on the parsed keys alone. On at most
 14 elements, arboricity and its infeasibility certificates are tied to the
 exhaustive max of ceil(|N| / rank(N)); the matroid-union max_quotient, on
 up to 22 elements, to that subset scan at offsets 0 and 1; can_partition,
@@ -22,6 +24,8 @@ modes and on keys longer than its presized row list, agrees with
 column_rref's rank, with its own witnesses and with its LIFO undo.
 """
 
+import contextlib
+import io
 import math
 import random
 from functools import cache, reduce
@@ -30,6 +34,7 @@ from operator import xor
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from bmcircuits import cli
 from bmcircuits.arboricity import (
     Infeasible,
     arboricity,
@@ -48,7 +53,13 @@ from bmcircuits.decompose import (
     peel_decompose,
 )
 from bmcircuits.errors import NotDenseEnoughError, OutOfRangeError
-from bmcircuits.formats import check_decomposition, check_oddcover, check_partition
+from bmcircuits.formats import (
+    ARTIFACT_KINDS,
+    check_decomposition,
+    check_oddcover,
+    check_partition,
+    format_bmdec,
+)
 from bmcircuits.gf2core import (
     MAX_DIM,
     BinaryMatroid,
@@ -147,6 +158,48 @@ def test_checkers_reject_corrupted_blocks(m, data):
             swapped = blocks[i][:j] + (alien,) + blocks[i][j + 1:]
             corrupted = blocks[:i] + [swapped] + blocks[i + 1:]
             assert checker(m, m.dim, corrupted) is not None
+
+
+def file_verdict(kind, m, path, written=()):
+    """cli._check_file's verdict on the file at path and the reason it printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _, passed = cli._check_file(kind, m, str(path), written)
+    return passed, err.getvalue()
+
+
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["decomposition", "oddcover"]),
+       st.sampled_from(["untouched", "bit flipped", "swapped", "dropped", "duplicated"]),
+       st.data())
+def test_reusing_written_circuits_keeps_verdict_and_reason(tmp_path_factory, n, seed, kind,
+                                                           mutation, data):
+    size = data.draw(st.integers(3, min(40, (1 << n) - 1)))
+    m = random_eulerian(n, size, seed)
+    build = auto_decompose if kind == "decomposition" else symdiff_reduce
+    written = build(m).circuits
+    blocks = [c.keys for c in written]
+    i = data.draw(st.integers(0, len(blocks) - 1))
+    if mutation == "bit flipped":
+        j = data.draw(st.integers(0, len(blocks[i]) - 1))
+        key = blocks[i][j] ^ 1 << data.draw(st.integers(0, n - 1))
+        assume(key)  # an all-zeros line is a format error before any check
+        blocks[i] = blocks[i][:j] + (key,) + blocks[i][j + 1:]
+    elif mutation == "swapped":
+        assume(len(blocks) > 1)
+        j = data.draw(st.integers(0, len(blocks) - 1).filter(lambda j: j != i))
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+    elif mutation == "dropped":
+        del blocks[i]
+    elif mutation == "duplicated":
+        blocks.insert(i, blocks[i])
+    path = tmp_path_factory.getbasetemp() / "artifact.bmdec"
+    # format_bmdec writes the header count of the blocks it is given
+    path.write_text(format_bmdec(ARTIFACT_KINDS[kind].dec_kind, n, blocks))
+    verdict = file_verdict(kind, m, path, written)
+    assert verdict == file_verdict(kind, m, path)
+    if mutation == "untouched":
+        assert verdict == (True, "")
 
 
 @given(tiny_eulerian_matroids())
