@@ -20,11 +20,24 @@ and written as its int key, the line as a big-endian integer (coordinate 0
 is the most significant bit); parse_bmdec returns each block as a tuple of
 keys. format_bmdec and the checkers take blocks of two kinds: such key
 tuples (as IndependentPartition.parts holds too) and Circuits.
+
+Both parsers read through one line reader, _Lines. Once the dim line is
+read, it takes a run of canonical vector lines (dim characters over 0/1,
+then \n) with one regular-expression match, about 64 KB at most, and turns
+the run into keys with one int(line, 2) per line at C level. Every other
+line (headers, blanks, comments, padded or malformed lines, other line
+breaks) goes through splitlines() and strip() one at a time. A run gives
+the parser the keys, line numbers and errors that the lines one at a time
+would: the proof is in _Lines' docstring. format_bmdec fills one
+str.format template per block, which calls each key's __format__ with the
+spec that format(key, spec) would.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .circuits import Circuit, is_circuit
@@ -37,12 +50,15 @@ _Blocks = Sequence[Circuit | Collection[int]]
 
 def _parse_dim(token_line: str, lineno: int) -> int:
     parts = token_line.split()
-    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdecimal():
         raise FormatError(f"expected 'dim <n>', got {token_line!r}", lineno)
     n = int(parts[1])
     if n < 1:
         raise FormatError("dimension must be positive", lineno)
     return n
+
+
+_ALL_ZEROS = "all-zeros vector is not allowed"
 
 
 def _parse_key(line: str, dim: int, lineno: int) -> int:
@@ -53,42 +69,92 @@ def _parse_key(line: str, dim: int, lineno: int) -> int:
         )
     key = int(line, 2)
     if not key:
-        raise FormatError("all-zeros vector is not allowed", lineno)
+        raise FormatError(_ALL_ZEROS, lineno)
     return key
 
 
-def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
-    """The lines of text.splitlines(), split about chunk characters at a time.
+#: about the most text one run of vector lines covers, so that only one
+#: run's keys are alive at once
+_RUN_CHARS = 1 << 16
 
-    Each cut falls just after a newline, so no line and no \\r\\n pair is
-    split, and only one chunk's lines are alive at once.
+
+class _Lines:
+    """The lines of text.splitlines(), numbered from 1, stripped, and read a
+    run of vector lines at a time once the parser sets dim.
+
+    Iterating yields (lineno, item). item is either one stripped line, or a
+    run: the list of the nonzero keys of consecutive canonical vector lines,
+    the first of them line lineno. A canonical vector line is dim characters
+    over 0/1 followed by \\n; once dim is set, the pattern
+    (?:[01]{dim}\\n){1,cap} is tried at each line start, with cap lines
+    about _RUN_CHARS characters. Where it does not match, the text up to and
+    including the next \\n is split by splitlines() and yielded a line at a
+    time, as a parser without runs would see it.
+
+    A run gives the parser what the line-at-a-time reading would: a run
+    starts at the start of the text or just after a \\n and ends just after
+    one, so no \\r\\n pair is split and each matched line is one line of
+    text.splitlines(), which strip() leaves alone, numbered one each. Each
+    such line is one that _parse_key accepts unless it is all zeros, and
+    gives the key int(line, 2) that _parse_key returns. On an all-zeros
+    line the run is cut: the lines before it are yielded as a run, and then
+    the same FormatError as _parse_key's is raised at its line number, so
+    the parser has met every line before it first, as it would have.
     """
-    start, end = 0, len(text)
-    while start < end:
-        cut = text.find("\n", start + chunk) + 1 or end
-        yield from text[start:cut].splitlines()
-        start = cut
+
+    def __init__(self, text: str):
+        self.text = text
+        self.dim: int | None = None  # set by the parser on its dim line
+
+    def __iter__(self) -> Iterator[tuple[int, str | list[int]]]:
+        text = self.text
+        pos, end, lineno = 0, len(text), 0
+        run = None  # the run pattern's match method, once dim is set
+        while pos < end:
+            if run is None and self.dim is not None:
+                cap = max(1, _RUN_CHARS // (self.dim + 1))
+                run = re.compile(f"(?:[01]{{{self.dim}}}\n){{1,{cap}}}").match
+            found = run and run(text, pos)
+            if found:
+                keys = list(map(int, found.group().split(), repeat(2)))
+                if 0 in keys:
+                    bad = keys.index(0)
+                    if bad:
+                        yield lineno + 1, keys[:bad]
+                    raise FormatError(_ALL_ZEROS, lineno + 1 + bad)
+                yield lineno + 1, keys
+                lineno += len(keys)
+                pos = found.end()
+            else:
+                cut = text.find("\n", pos) + 1 or end
+                for line in text[pos:cut].splitlines():
+                    lineno += 1
+                    yield lineno, line.strip()
+                pos = cut
 
 
 def parse_bm(text: str) -> BinaryMatroid:
     dim = None
-    keys: list[int] = []
     seen: set[int] = set()
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if dim is None:
-            dim = _parse_dim(line, lineno)
-            continue
-        key = _parse_key(line, dim, lineno)
-        if key in seen:
-            raise FormatError(f"duplicate vector {line}", lineno)
-        seen.add(key)
-        keys.append(key)
+    lines = _Lines(text)
+    for lineno, item in lines:
+        if type(item) is str:
+            if not item or item[0] == "#":
+                continue
+            if dim is None:
+                dim = lines.dim = _parse_dim(item, lineno)
+                continue
+            item = [_parse_key(item, dim, lineno)]
+        new = set(item)
+        if len(new) < len(item) or not seen.isdisjoint(new):  # a repeat: find the first
+            for i, key in enumerate(item):
+                if key in seen:
+                    raise FormatError(f"duplicate vector {key:0{dim}b}", lineno + i)
+                seen.add(key)
+        seen |= new
     if dim is None:
         raise FormatError("missing 'dim <n>' header")
-    return BinaryMatroid(dim, keys)
+    return BinaryMatroid(dim, seen)
 
 
 def format_bm(m: BinaryMatroid, comments: tuple[str, ...] = ()) -> str:
@@ -120,30 +186,37 @@ def parse_bmdec(text: str) -> DecFile:
     blocks: list[tuple[int, ...]] = []
     current: list[int] = []
     meta: dict = {}
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                blocks.append(tuple(current))
-                current = []
-        elif line[0] == "#":
-            for token in line[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
-        elif dim is not None:  # a vector line: the only kind after the dim line
-            current.append(_parse_key(line, dim, lineno))
-            if dim > MAX_DIM:  # as BinaryMatroid(dim, keys) would raise
-                raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
-        elif kind is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] not in DEC_KINDS or not parts[1].isdigit():
-                raise FormatError(
-                    f"expected '<kind> <count>' header with kind in {DEC_KINDS}", lineno
-                )
-            kind, count = parts[0], int(parts[1])
-        else:
-            dim = _parse_dim(line, lineno)
+    lines = _Lines(text)
+    for lineno, item in lines:
+        if type(item) is str:
+            if not item:
+                if current:
+                    blocks.append(tuple(current))
+                    current = []
+                continue
+            if item[0] == "#":
+                for token in item[1:].split():
+                    if "=" in token:
+                        key, _, value = token.partition("=")
+                        meta[key] = value
+                continue
+            if dim is None:
+                if kind is None:
+                    parts = item.split()
+                    if (len(parts) != 2 or parts[0] not in DEC_KINDS
+                            or not parts[1].isdecimal()):
+                        raise FormatError(
+                            f"expected '<kind> <count>' header with kind in {DEC_KINDS}",
+                            lineno,
+                        )
+                    kind, count = parts[0], int(parts[1])
+                else:
+                    dim = lines.dim = _parse_dim(item, lineno)
+                continue
+            item = [_parse_key(item, dim, lineno)]  # a vector line: one key
+        if dim > MAX_DIM:  # at the first vector line, as BinaryMatroid(dim, keys) would raise
+            raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
+        current += item
     if current:
         blocks.append(tuple(current))
     if kind is None:
@@ -164,14 +237,18 @@ def format_bmdec(
 ) -> str:
     if kind not in DEC_KINDS:
         raise FormatError(f"unknown kind {kind!r}")
-    spec = f"0{dim}b"  # the vector line of every key of dimension dim
+    line = f"\n{{:0{dim}b}}"  # the vector line of every key of dimension dim
     head = f"\n# {block_comment}" if block_comment else ""  # the lines before a block's keys
+    templates: dict[int, str] = {}  # the lines of a block of n keys, by n
     parts = [f"{kind} {len(blocks)}\ndim {dim}"]  # one string per block
     for i, block in enumerate(blocks):
-        keys = block.keys if isinstance(block, Circuit) else block
         try:
-            parts.append("\n".join([head, *[format(k, spec) for k in keys]]))
-        except (TypeError, ValueError) as err:  # format(k, "03b") on a str or a float
+            keys = tuple(block.keys if isinstance(block, Circuit) else block)
+            n = len(keys)
+            if n not in templates:
+                templates[n] = line * n
+            parts.append(head + templates[n].format(*keys))
+        except (TypeError, ValueError) as err:  # "{:03b}" of a str or a float
             raise FormatError(
                 f"block {i} is neither a Circuit nor a collection of int keys"
             ) from err

@@ -211,6 +211,22 @@ class TestVerifyRejects:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: dimension 5000 not in 1..4096\n"
 
+    @pytest.mark.parametrize("command, text", [
+        ("decompose", "dim \u00b2\n110\n"),
+        ("verify", "circuits \u00b3\ndim 3\n"),
+    ])
+    def test_superscript_number_exit1(self, command, text, c3, tmp_path, capsys):
+        """str.isdigit() takes a superscript digit that int() refuses."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        argv = {"decompose": ["decompose", "--in", str(bad), "--out", str(tmp_path / "x")],
+                "verify": ["verify", "--in", str(c3), "--against", str(bad),
+                           "--mode", "decomposition"]}[command]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: line 1: ")
+        assert "Traceback" not in captured.err
+
     def test_header_only_file_beyond_the_dimension_cap_exit2(self, c3, tmp_path, capsys):
         artifact = tmp_path / "wide.bmdec"
         artifact.write_text("circuits 0\ndim 5000\n")

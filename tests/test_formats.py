@@ -1,11 +1,13 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmcircuits import formats
 from bmcircuits.circuits import Circuit, is_circuit
 from bmcircuits.decompose import peel_decompose
-from bmcircuits.errors import FormatError
+from bmcircuits.errors import FormatError, OutOfRangeError
 from bmcircuits.formats import (
     DEC_KINDS,
     Decomposition,
@@ -17,7 +19,7 @@ from bmcircuits.formats import (
     parse_bm,
     parse_bmdec,
 )
-from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, greedy_basis
+from bmcircuits.gf2core import MAX_DIM, BinaryMatroid, Gf2Eliminator, greedy_basis
 from bmcircuits.generators import complete_matroid, independent_copies
 from bmcircuits.oddcover import OddCover, symdiff_reduce
 from conftest import GOOD_KEY_BLOCKS, KEY_BLOCK_FAULTS
@@ -171,12 +173,233 @@ class TestBmdecFormat:
             parse_bmdec("\n".join(lines) + "\n")
         assert exc.value.line == 12001
 
-    @given(st.lists(st.sampled_from(["0", "1", " ", "#", "\n", "\r", "\x0c", "\r\n", "\n\n\n"]),
-                    max_size=40).map("".join),
-           st.integers(1, 6))
-    def test_line_helper_equals_splitlines(self, text, chunk):
-        assert list(formats._lines(text, chunk)) == text.splitlines()
-        assert list(formats._lines(text)) == text.splitlines()
+
+# -- the line-at-a-time reading the run reader replaced, kept as the reference
+
+def reference_parse_dim(token_line, lineno):
+    parts = token_line.split()
+    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdecimal():
+        raise FormatError(f"expected 'dim <n>', got {token_line!r}", lineno)
+    n = int(parts[1])
+    if n < 1:
+        raise FormatError("dimension must be positive", lineno)
+    return n
+
+
+def reference_parse_key(line, dim, lineno):
+    if len(line) != dim or line.strip("01"):
+        raise FormatError(f"expected a {dim}-character line over 0/1, got {line!r}", lineno)
+    key = int(line, 2)
+    if not key:
+        raise FormatError("all-zeros vector is not allowed", lineno)
+    return key
+
+
+def reference_parse_bm(text):
+    dim = None
+    keys, seen = [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if dim is None:
+            dim = reference_parse_dim(line, lineno)
+            continue
+        key = reference_parse_key(line, dim, lineno)
+        if key in seen:
+            raise FormatError(f"duplicate vector {line}", lineno)
+        seen.add(key)
+        keys.append(key)
+    if dim is None:
+        raise FormatError("missing 'dim <n>' header")
+    return BinaryMatroid(dim, keys)
+
+
+def reference_parse_bmdec(text):
+    kind = count = dim = None
+    blocks, current, meta = [], [], {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            if current:
+                blocks.append(tuple(current))
+                current = []
+        elif line[0] == "#":
+            for token in line[1:].split():
+                if "=" in token:
+                    key, _, value = token.partition("=")
+                    meta[key] = value
+        elif dim is not None:
+            current.append(reference_parse_key(line, dim, lineno))
+            if dim > MAX_DIM:
+                raise OutOfRangeError(f"dimension {dim} not in 1..{MAX_DIM}")
+        elif kind is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] not in DEC_KINDS or not parts[1].isdecimal():
+                raise FormatError(
+                    f"expected '<kind> <count>' header with kind in {DEC_KINDS}", lineno
+                )
+            kind, count = parts[0], int(parts[1])
+        else:
+            dim = reference_parse_dim(line, lineno)
+    if current:
+        blocks.append(tuple(current))
+    if kind is None:
+        raise FormatError("missing '<kind> <count>' header")
+    if dim is None:
+        raise FormatError("missing 'dim <n>' line")
+    if count != len(blocks):
+        raise FormatError(f"header announces {count} blocks, found {len(blocks)}")
+    return formats.DecFile(kind, dim, tuple(blocks), meta)
+
+
+def reference_format_bmdec(kind, dim, blocks, meta=None, block_comment=None):
+    if kind not in DEC_KINDS:
+        raise FormatError(f"unknown kind {kind!r}")
+    spec = f"0{dim}b"
+    head = f"\n# {block_comment}" if block_comment else ""
+    parts = [f"{kind} {len(blocks)}\ndim {dim}"]
+    for i, block in enumerate(blocks):
+        keys = block.keys if isinstance(block, Circuit) else block
+        try:
+            parts.append("\n".join([head, *[format(k, spec) for k in keys]]))
+        except (TypeError, ValueError) as err:
+            raise FormatError(
+                f"block {i} is neither a Circuit nor a collection of int keys"
+            ) from err
+    if meta:
+        parts.append("\n# " + " ".join(f"{k}={v}" for k, v in meta.items()))
+    return "\n".join(parts) + "\n"
+
+
+def outcome(function, *args, **kwargs):
+    """What a call returns, or the type, message and line number of what it raises."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+#: line breaks that str.splitlines() honours; \n most often, so that runs form
+SEPARATORS = ["\n"] * 8 + ["\r\n", "\r", "\x0c", "\x1c", "\u2028"]
+
+#: a valid vector line most often, then each way to spoil one
+VECTOR_SHAPES = ["valid"] * 16 + ["zero", "short", "long", "space", "tab", "underscore",
+                                 "two", "1_01"]
+
+FILLER_LINES = ["", "   ", "\t", "# a comment", "# branch=orbit p=5", "#k=v", "#",
+                "circuits 1", "dim 3"]
+
+
+@st.composite
+def vector_lines(draw, dim, shapes):
+    line = format(draw(st.integers(1, min(1 << dim, 256) - 1)), f"0{dim}b")
+    return {
+        "valid": line, "zero": "0" * dim, "short": line[1:], "long": line + "1",
+        "space": " " + line, "tab": line + "\t", "underscore": line[:-1] + "_",
+        "two": "2" + line[1:], "1_01": "1_01",
+    }[draw(st.sampled_from(shapes))]
+
+
+@st.composite
+def dec_texts(draw):
+    """(dim, text): a .bmdec-like text of blocks of vector lines, with its
+    header lines, fillers and line breaks drawn. Half the texts are clean:
+    valid vector lines, blank and comment fillers, and a sound header most
+    often; in the others any line may be spoiled."""
+    dim = draw(st.sampled_from([1, 2, 3, 3, 4, 4, 5, MAX_DIM + 1]))
+    clean = draw(st.booleans())
+    fillers = FILLER_LINES[:7] if clean else FILLER_LINES
+    line = st.one_of(vector_lines(dim, ["valid"] if clean else VECTOR_SHAPES),
+                     vector_lines(dim, ["valid"]), vector_lines(dim, ["valid"]),
+                     st.sampled_from(fillers))
+    blocks = draw(st.lists(st.lists(line, min_size=1, max_size=8), max_size=5))
+    count = draw(st.sampled_from([len(blocks)] * 6 + [0, 1, "\u00b3"]))
+    kind_line = draw(st.sampled_from([f"circuits {count}"] * 6 + [f"indsets {count}",
+                                      f"clusters {count}", "", "# kind=none"]))
+    dim_line = draw(st.sampled_from([f"dim {dim}"] * 8 + [
+        f"  dim   {dim}", "dim \u00b2", "dim 0", "dim x", f"dim {dim} 1"]))
+    lines = [kind_line, dim_line]
+    for block in blocks:
+        lines += draw(st.lists(st.sampled_from(FILLER_LINES[:7]), max_size=2))
+        lines += [""] + block
+    text = "".join(line + draw(st.sampled_from(SEPARATORS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")  # no line break after the last line
+    return dim, text
+
+
+class TestRunReader:
+    """parse_bm and parse_bmdec read canonical vector lines a run at a time;
+    on any text they must give what the line-at-a-time reference gives: an
+    equal result, or an exception of the same type, message and line number.
+    Runs are also cut to 1-3 lines, so that they end inside a block."""
+
+    @settings(max_examples=300)
+    @given(dec_texts(), st.integers(1, 3))
+    def test_parsers_equal_the_line_at_a_time_reference(self, dim_text, cap):
+        dim, text = dim_text
+        for parse, reference in ((parse_bmdec, reference_parse_bmdec),
+                                 (parse_bm, reference_parse_bm)):
+            expected = outcome(reference, text)
+            assert outcome(parse, text) == expected
+            with mock.patch.object(formats, "_RUN_CHARS", cap * (dim + 1)):
+                assert outcome(parse, text) == expected
+            # without the header that only .bmdec has, parse_bm meets the dim line first
+            bare = text.partition("\n")[2]
+            assert outcome(parse, bare) == outcome(reference, bare)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_format_bmdec_equals_the_per_key_join(self, data):
+        dim = data.draw(st.integers(2, 6), label="dim")
+        pool = peel_decompose(complete_matroid(dim)).circuits
+        keys = st.lists(st.integers(1, (1 << dim) - 1), max_size=5)
+        block = st.one_of(
+            st.sampled_from(pool),
+            keys.map(tuple), keys, keys.map(set), st.just(()),
+            st.tuples(keys, st.sampled_from(["101", 2.5, None]), keys).map(
+                lambda t: (*t[0], t[1], *t[2])),  # a bad item among int keys
+        )
+        blocks = data.draw(st.lists(block, max_size=6), label="blocks")
+        args = ("circuits", dim, blocks)
+        kwargs = {"meta": data.draw(st.sampled_from([None, {}, {"p": 5, "branch": "orbit"}])),
+                  "block_comment": data.draw(st.sampled_from([None, "", "part", "a{0}b}"]))}
+        assert outcome(format_bmdec, *args, **kwargs) == outcome(
+            reference_format_bmdec, *args, **kwargs)
+
+    @pytest.mark.parametrize("parse, text, line", [
+        (parse_bm, "dim \u00b2\n", 1),
+        (parse_bmdec, "circuits \u00b3\ndim 2\n", 1),
+        (parse_bmdec, "# made by hand\ncircuits 0\ndim \u00b2\n", 3),
+    ])
+    def test_superscript_numbers_are_format_errors(self, parse, text, line):
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert exc.value.line == line
+
+    WIDE = "1" * (MAX_DIM + 1)
+
+    @pytest.mark.parametrize("body, error, line", [
+        (WIDE + "\n", OutOfRangeError, None),  # in a run
+        (" " + WIDE + "\n", OutOfRangeError, None),  # a line at a time
+        (WIDE + "\n" + "0" * (MAX_DIM + 1) + "\n", OutOfRangeError, None),
+        ("0" * (MAX_DIM + 1) + "\n" + WIDE + "\n", FormatError, 4),
+        (WIDE[1:] + "\n", FormatError, 4),
+    ])
+    def test_dimension_over_the_cap_fails_at_the_first_vector_line(self, body, error, line):
+        with pytest.raises(error) as exc:
+            parse_bmdec(f"circuits 1\ndim {MAX_DIM + 1}\n\n{body}")
+        assert getattr(exc.value, "line", None) == line
+
+    def test_a_repeat_is_reported_at_its_first_repeat(self):
+        text = "dim 3\n001\n010\n100\n# ok\n011\n 100\n010\n"
+        with pytest.raises(FormatError) as exc:
+            parse_bm(text)
+        assert str(exc.value) == "line 7: duplicate vector 100"
+        with pytest.raises(FormatError) as exc:
+            parse_bm("dim 3\n001\n010\n011\n010\n001\n")
+        assert str(exc.value) == "line 5: duplicate vector 010"
 
 
 class TestSemanticChecks:
