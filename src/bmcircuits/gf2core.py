@@ -4,6 +4,14 @@ Gf2Eliminator eliminates incrementally, with undo and witnesses, and
 greedy_basis runs on it; column_rref reduces a whole key list at once, and
 every fundamental circuit of its first-seen basis is read from that one form.
 
+rank and greedy_basis insert each key's difference from the key scanned
+just before it (0 before the first), one insert per key. The key before
+lies in the span of what was inserted, so a key is in that span iff its
+difference is, and inserting either grows the span to the same subspace:
+the rank, the first-seen basis and each insert's None on an independent
+key are those of inserting the keys themselves. Ascending neighbours share
+their high bits, so a difference reduces through fewer rows.
+
 Vectors live in F_2^n and are stored as Python ints: coordinate 0 is the most
 significant of the n bits, so sorting by the int value equals sorting by the
 bit string. Every algorithm in the package iterates elements in this canonical
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
+from itertools import chain
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
@@ -204,11 +213,19 @@ class BinaryMatroid:
 
 
 def rank(m: BinaryMatroid) -> int:
-    """Size of a largest linearly independent subset; 0 for the empty matroid."""
+    """Size of a largest linearly independent subset; 0 for the empty matroid.
+
+    Inserts each key XOR the key before it (0 before the first). The key
+    before is already in the eliminator's span, so the difference is
+    independent iff the key is, and the rank is the same. Ascending
+    neighbours share their high bits, so the differences reduce through
+    fewer rows.
+    """
     if m._rank_cache is None:
         elim = Gf2Eliminator(track_witnesses=False)
-        for key in m.keys:
-            elim.insert(key)
+        keys = m.keys
+        for diff in map(xor, keys, chain((0,), keys)):
+            elim.insert(diff)
         object.__setattr__(m, "_rank_cache", elim.rank)
     return m._rank_cache
 
@@ -233,14 +250,23 @@ def greedy_basis(keys: Sequence[int], bound: int) -> list[int]:
     once the basis has rank-many vectors, every later key is dependent.
     When the basis has as many vectors as its largest key has bits, it spans
     every key below 2**bits, so the scan bisects past those keys.
+
+    Each scanned key is inserted as key XOR prev, prev being the key scanned
+    before it (0 before the first). prev lies in the eliminator's span, so
+    key is independent of the keys before it iff key ^ prev is, and either
+    insert grows the span to the same subspace: the basis, the stop at
+    ``bound`` and the bisect skip are those of inserting the keys. The
+    differences of ascending neighbours reduce through fewer rows.
     """
     elim = Gf2Eliminator(track_witnesses=False)
     basis: list[int] = []
     i, n = 0, len(keys)
+    prev = 0
     while i < n and len(basis) < bound:
         key = keys[i]
         i += 1
-        if elim.insert(key) is not None:
+        diff, prev = key ^ prev, key
+        if elim.insert(diff) is not None:
             continue
         basis.append(key)
         top = key.bit_length()

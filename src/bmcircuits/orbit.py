@@ -19,7 +19,9 @@ p), is a nonzero even-weight key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
+from operator import or_
 
 from .circuits import Circuit, is_circuit, largest_fundamental_circuit
 from .errors import (
@@ -35,9 +37,9 @@ from .gf2core import BinaryMatroid
 #: the model holds 2^(p-1) - 1 int keys as Python objects; orbit_decompose(19)
 #: peaks at about 64 MB resident and `orbit --p 19`, which also writes them
 #: one block at a time, re-reads them a run of vector lines (at most about
-#: 64 KB) at a time and re-checks them, at about 76 MB in about 0.7 s (median
-#: of five; Python 3.11, 2-core Xeon, ru_maxrss of one process); the next
-#: admissible prime, 29, would need 2^28 of them
+#: 64 KB) at a time and re-checks them, at about 76 MB in about 0.68 s
+#: (median of five; Python 3.11, 2-core Xeon, ru_maxrss of one process); the
+#: next admissible prime, 29, would need 2^28 of them
 MAX_P = 19
 
 
@@ -95,14 +97,23 @@ def _model_key(y: int) -> int:
     return (y << 1) | (y.bit_count() & 1)
 
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def build_even_weight_model(p: int) -> BinaryMatroid:
     """All nonzero even-weight vectors of F_2^p: 2^(p-1) - 1 elements, rank p - 1.
 
     The leading p - 1 bits of a key, k >> 1, run through 1 .. 2^(p-1) - 1 in
     canonical order, so the element with key k sits at index (k >> 1) - 1.
+    The keys are _model_key's, built in bulk: parity[y] is the parity of y,
+    doubled a block at a time (for y < 2^j, y + 2^j has the parity of y
+    flipped), and the key of y is y << 1 | parity[y].
     """
     _require_capped_prime(p)
-    return BinaryMatroid(p, map(_model_key, range(1, 1 << (p - 1))))
+    parity = bytearray(1)
+    while len(parity) < 1 << (p - 1):
+        parity += parity.translate(_FLIP)
+    return BinaryMatroid(p, map(or_, range(2, 1 << p, 2), islice(parity, 1, None)))
 
 
 def _rotations(key: int, p: int) -> list[int]:

@@ -12,6 +12,7 @@ from bmcircuits.formats import Decomposition
 from bmcircuits.generators import complete_matroid
 from bmcircuits.gf2core import rank
 from bmcircuits.orbit import (
+    _model_key,
     _rotations,
     build_even_weight_model,
     demonstrate_order_failure,
@@ -47,6 +48,11 @@ class TestEvenWeightModel:
         assert len(m) == 63
         assert rank(m) == 6
         assert all(k.bit_count() % 2 == 0 for k in m.keys)
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 13, 19])
+    def test_bulk_keys_are_the_model_keys_in_order(self, p):
+        model = build_even_weight_model(p)
+        assert model.keys == tuple(map(_model_key, range(1, 1 << (p - 1))))
 
     def test_layout_puts_key_k_at_index_k_shifted_minus_one(self):
         model = build_even_weight_model(11)

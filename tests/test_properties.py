@@ -21,7 +21,10 @@ peel_decompose's circuits; they differ only in their branch and phase
 labels. A key list builds a BinaryMatroid or Circuit, or raises, as the
 range, duplicate and circuit rules say. Gf2Eliminator, in both tracking
 modes and on keys longer than its presized row list, agrees with
-column_rref's rank, with its own witnesses and with its LIFO undo.
+column_rref's rank, with its own witnesses and with its LIFO undo. rank
+and greedy_basis, which insert the differences of consecutive keys, agree
+with column_rref and with a first-seen scan that inserts the keys
+themselves, one insert per scanned key.
 """
 
 import contextlib
@@ -31,6 +34,7 @@ import random
 from functools import cache, reduce
 from operator import xor
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -71,6 +75,7 @@ from bmcircuits.gf2core import (
 )
 from bmcircuits.generators import complete_matroid, random_eulerian
 from bmcircuits.oddcover import density_lower_bound, oddcover_via_arboricity, symdiff_reduce
+from bmcircuits.orbit import build_even_weight_model
 from bmcircuits.oracle import (
     _components,
     c2_search_is_restricted,
@@ -386,9 +391,15 @@ def near_complete_matroids(draw):
     return BinaryMatroid(k, complete_matroid(k).key_set - cut)
 
 
-def reference_basis(m):
+def reference_basis(keys, bound):
+    """Each key that is independent of every key before it, inserted as
+    itself, until bound keys are taken."""
     elim = Gf2Eliminator(track_witnesses=False)
-    return [key for key in m.keys if elim.insert(key) is None]
+    basis = []
+    for key in keys:
+        if len(basis) < bound and elim.insert(key) is None:
+            basis.append(key)
+    return basis
 
 
 def fundamental_circuits(dim, keys, basis):
@@ -404,7 +415,8 @@ def fundamental_circuits(dim, keys, basis):
 
 def reference_largest_circuit(m):
     best = None
-    for c in fundamental_circuits(m.dim, m.keys, reference_basis(m)):  # ties go to the first
+    basis = reference_basis(m.keys, m.dim)
+    for c in fundamental_circuits(m.dim, m.keys, basis):  # ties go to the first
         if best is None or len(c) > len(best):
             best = c
     return best
@@ -463,7 +475,7 @@ def reference_symdiff(m):
             c = reference_first_circuit(work)
             work = BinaryMatroid(work.dim, work.key_set - c.key_set)
         else:
-            basis = reference_basis(work)
+            basis = reference_basis(work.keys, work.dim)
             total = 0
             for key in basis:
                 total ^= key
@@ -879,3 +891,73 @@ def test_eliminator_matches_greedy_basis_and_undoes_lifo(keys, track):
         assert state() == before[i]
         assert elim.insert(keys[i]) == returned[i]
         elim.undo(returned[i])
+
+
+@st.composite
+def subspace_keys(draw, max_dim=40):
+    """(dim, ascending distinct keys) drawn from the span of at most 8
+    random vectors of F_2^dim, so the rank is often below dim."""
+    dim = draw(st.integers(1, max_dim))
+    gens = draw(st.lists(st.integers(1, (1 << dim) - 1), min_size=1, max_size=min(dim, 8)))
+    picks = draw(st.lists(st.integers(1, (1 << len(gens)) - 1), max_size=60))
+    keys = {reduce(xor, (g for i, g in enumerate(gens) if pick >> i & 1), 0) for pick in picks}
+    return dim, sorted(keys - {0})
+
+
+@st.composite
+def keys_and_bounds(draw):
+    """(ascending keys, bound from 1 to dim). Half the draws hold every key
+    of a low block 1 .. 2^low - 1, so that greedy_basis bisects past the
+    block's top half, and keep the drawn keys above it."""
+    dim, keys = draw(subspace_keys(max_dim=12))
+    if draw(st.booleans()):
+        keys = sorted(set(keys) | set(range(1, 1 << draw(st.integers(1, min(dim, 7))))))
+    return keys, draw(st.integers(1, dim))
+
+
+@given(keys_and_bounds())
+def test_greedy_basis_is_the_first_seen_scan_of_the_keys(keys_bound):
+    keys, bound = keys_bound
+    assert greedy_basis(keys, bound) == reference_basis(keys, bound)
+
+
+@given(subspace_keys())
+def test_rank_is_the_column_rref_rank_below_full_rank(dim_keys):
+    dim, keys = dim_keys
+    assert rank(BinaryMatroid(dim, keys)) == len(column_rref(keys, dim))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_rank_of_the_even_weight_model_is_its_column_rref_rank(p):
+    m = build_even_weight_model(p)
+    assert rank(m) == len(column_rref(m.keys, m.dim)) == p - 1
+
+
+@pytest.mark.parametrize("m", [
+    complete_matroid(3),
+    complete_matroid(8),
+    build_even_weight_model(7),
+    random_eulerian(10, 40, 3),
+    BinaryMatroid(30, [3 << 20, 5 << 20, 6 << 20, 7]),
+    BinaryMatroid(4),
+])
+def test_rank_inserts_once_per_key_and_independent_keys_return_none(monkeypatch, m):
+    """One insert per key, and the insert of key j returns None exactly when
+    key j is independent of the keys before it. The tier-1 mirror of the
+    benchmark's tracer pin: complete(3) gives 7 inserts, 3 of them
+    independent."""
+    basis = set(reference_basis(m.keys, len(m)))
+    returned = []
+    insert = Gf2Eliminator.insert
+
+    def counted(self, key):
+        got = insert(self, key)
+        returned.append(got)
+        return got
+
+    monkeypatch.setattr(Gf2Eliminator, "insert", counted)
+    r = rank(BinaryMatroid(m.dim, m.keys))  # a fresh matroid: no cached rank
+    assert len(returned) == len(m) and returned.count(None) == r
+    assert [got is None for got in returned] == [key in basis for key in m.keys]
+    if m == complete_matroid(3):
+        assert (len(returned), r) == (7, 3)
