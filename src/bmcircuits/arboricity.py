@@ -8,10 +8,10 @@ infeasibility: its quotient ceil(|N| / rank(N)) exceeds k, matching the
 max-side of the min-max formula; arboricity() jumps k straight to it.
 
 The search tests for a free slot only the parts that can have one (a part
-as large as part 0 spans every element placed so far), skips parts whose
-members are all queued, and keeps each part's expansions of spanned keys
-until a chain moves its members; k above |M| is clamped to |M|. None of
-this changes a partition, a certificate or a tie-break (proofs on
+as large as part 0 spans every element placed so far), skips parts with at
+most one member not yet queued, and keeps each part's expansions of spanned
+keys until a chain moves its members; k above |M| is clamped to |M|. None
+of this changes a partition, a certificate or a tie-break (proofs on
 _PartState, _augment and can_partition).
 
 max_quotient computes the exact max over nonempty N of
@@ -110,9 +110,18 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
     x goes to part 0 if part 0 does not span it. Otherwise each dequeued y
     goes to the first open part that does not span it, which is the first
     free part in index order (see _PartState). Failing that, y is expanded
-    against every part in index order, skipping a part whose members are all
-    queued already: it could queue nothing new, so the queue and the parent
-    map are those of expanding it.
+    against every part in index order, skipping a part with at most one
+    member not queued yet. With none, it could queue nothing new. With one,
+    z, compare the search that expands every part: from that part it queues
+    at most z, when y's expansion there holds z. Then z is y XOR members
+    queued before it. That search dequeues each of them before z, and each
+    finds no free slot (else the search ends first) and queues its whole
+    expansion in every part, so z, in their span, finds no free slot and
+    queues nothing new. The skipping search therefore dequeues the other
+    keys in the same order with the same parents (by induction: a skipped z
+    is never queued, so its part keeps one unseen member and is skipped
+    from then on), and the free slot, the chain and the span cl(R) of the
+    queue are those of the full search.
     """
     members, spanned, open_ = state.members, state.spanned, state.open
     first = members[0]
@@ -155,7 +164,7 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
         for j in range(k):
             part = members[j]
             unseen = ~seen[j] & ((1 << len(part)) - 1)
-            if not unseen:
+            if not unseen & (unseen - 1):
                 continue
             mask = spanned[j].get(y)
             if mask is None:  # a part outside open spans y

@@ -37,11 +37,18 @@ def is_circuit(keys: Iterable[int]) -> bool:
     constructor ran this test and the object is immutable. Other keys, such
     as a block parsed from a .bmdec file, are checked in full; a key below 1
     is no vector, so a block that holds one is no circuit.
+
+    Distinct nonzero keys need no test of their own: the rank test refuses
+    the rest. With n >= 3 keys, a zero sum and rank n - 1, the coefficient
+    vectors whose keys sum to zero form a kernel of dimension 1, spanned by
+    all ones. A repeated pair i, j (e_i + e_j) or a zero key i (e_i) would
+    be a second kernel vector, so no such input passes. With n <= 2 keys,
+    distinct nonzero keys never sum to zero, so fewer than 3 is no circuit.
     """
     if isinstance(keys, Circuit):
         return True
     keys = list(keys)
-    if not keys or min(keys) < 1 or len(set(keys)) != len(keys) or reduce(xor, keys):
+    if len(keys) < 3 or min(keys) < 1 or reduce(xor, keys):
         return False
     elim = Gf2Eliminator(track_witnesses=False)
     for key in keys:

@@ -5,12 +5,17 @@ greedy_basis runs on it; column_rref reduces a whole key list at once, and
 every fundamental circuit of its first-seen basis is read from that one form.
 
 rank and greedy_basis insert each key's difference from the key scanned
-just before it (0 before the first), one insert per key. The key before
-lies in the span of what was inserted, so a key is in that span iff its
-difference is, and inserting either grows the span to the same subspace:
-the rank, the first-seen basis and each insert's None on an independent
-key are those of inserting the keys themselves. Ascending neighbours share
-their high bits, so a difference reduces through fewer rows.
+just before it (0 before the first). The key before lies in the span of
+what was inserted, so a key is in that span iff its difference is, and
+inserting either grows the span to the same subspace: the rank, the
+first-seen basis and each insert's None on an independent key are those of
+inserting the keys themselves. Ascending neighbours share their high bits,
+so a difference reduces through fewer rows. rank inserts once per key.
+greedy_basis also skips the keys its span provably holds: once the pivots
+of bits 0 .. low - 1 are all filled, the span holds every vector below
+2**low, and so every key that shares a scanned key's bits above low. Such
+a key joins no first-seen basis (the column rank profile of Dumas, Pernet
+and Sultan, ISSAC 2015), so the basis is unchanged.
 
 Vectors live in F_2^n and are stored as Python ints: coordinate 0 is the most
 significant of the n bits, so sorting by the int value equals sorting by the
@@ -248,30 +253,40 @@ def greedy_basis(keys: Sequence[int], bound: int) -> list[int]:
     so any upper bound on the rank of the keys (the dimension, or the rank
     of a set whose span holds them) returns the same basis as a full scan:
     once the basis has rank-many vectors, every later key is dependent.
-    When the basis has as many vectors as its largest key has bits, it spans
-    every key below 2**bits, so the scan bisects past those keys.
 
     Each scanned key is inserted as key XOR prev, prev being the key scanned
     before it (0 before the first). prev lies in the eliminator's span, so
     key is independent of the keys before it iff key ^ prev is, and either
-    insert grows the span to the same subspace: the basis, the stop at
-    ``bound`` and the bisect skip are those of inserting the keys. The
-    differences of ascending neighbours reduce through fewer rows.
+    insert grows the span to the same subspace: the basis and the stop at
+    ``bound`` are those of inserting the keys. The differences of ascending
+    neighbours reduce through fewer rows.
+
+    The scan skips keys the span already holds. low counts the filled
+    pivots from bit 0 up (rows 1 .. low of the eliminator are nonzero), so
+    the span holds every vector below 2**low. After each scanned key,
+    dependent or not, the span holds that key, and every later key that
+    shares its bits above low is that key XOR a vector below 2**low: it is
+    in the span and joins no basis, so the scan bisects past
+    ((key >> low) + 1) << low. prev stays the last scanned key, which the
+    span holds, so the differences stay valid. Only an independent insert
+    fills a pivot, so low is raised after those alone. Once low reaches the
+    scanned key's bit length, the skip passes every key below 2**low.
     """
     elim = Gf2Eliminator(track_witnesses=False)
+    rows = elim._rows  # grown in place, so this alias stays current
     basis: list[int] = []
     i, n = 0, len(keys)
-    prev = 0
+    prev = low = 0
     while i < n and len(basis) < bound:
         key = keys[i]
         i += 1
         diff, prev = key ^ prev, key
-        if elim.insert(diff) is not None:
-            continue
-        basis.append(key)
-        top = key.bit_length()
-        if len(basis) == top:
-            i = bisect_left(keys, 1 << top, i)
+        if elim.insert(diff) is None:
+            basis.append(key)
+            while low + 1 < len(rows) and rows[low + 1]:
+                low += 1
+        if low:
+            i = bisect_left(keys, ((key >> low) + 1) << low, i)
     return basis
 
 

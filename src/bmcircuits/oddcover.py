@@ -73,6 +73,10 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
     completion lies in the span of the basis, so a step never raises the
     rank, and each step's greedy basis stops at the previous step's rank:
     the basis is still the one a full scan finds, computed once per step.
+    The scan bisects past each run of keys that share their high bits with
+    a scanned key once its span holds every vector of their low bits
+    (gf2core.greedy_basis), so late steps, whose working set is mostly
+    such runs, insert far fewer keys than the set holds.
     Toggling drops the peel state, and the first peel step builds it once.
     """
     require_eulerian(m)

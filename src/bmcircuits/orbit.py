@@ -140,7 +140,7 @@ def _rotation_orbits(p: int, m: BinaryMatroid) -> list[Circuit]:
     all zeros, which is no key, or all ones, whose weight p is odd. A model
     key is neither, and two distinct even-weight keys have distinct
     compressions. Were an orbit to repeat a key all the same, Circuit would
-    refuse it: is_circuit tests that the keys are distinct.
+    refuse it: is_circuit's rank test refuses repeated keys.
     """
     keys = m.keys
     half = (1 << (p - 1)) - 1

@@ -19,12 +19,13 @@ that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
 peel_decompose's circuits; they differ only in their branch and phase
 labels. A key list builds a BinaryMatroid or Circuit, or raises, as the
-range, duplicate and circuit rules say. Gf2Eliminator, in both tracking
-modes and on keys longer than its presized row list, agrees with
-column_rref's rank, with its own witnesses and with its LIFO undo. rank
-and greedy_basis, which insert the differences of consecutive keys, agree
-with column_rref and with a first-seen scan that inserts the keys
-themselves, one insert per scanned key.
+range, duplicate and circuit rules say, and is_circuit is the circuit law
+on any key multiset. Gf2Eliminator, in both tracking modes and on keys
+longer than its presized row list, agrees with column_rref's rank, with its
+own witnesses and with its LIFO undo. rank, which inserts the differences
+of consecutive keys once per key, agrees with column_rref, and greedy_basis,
+which also skips the runs of keys its span holds, with a first-seen scan
+that inserts every key itself.
 """
 
 import contextlib
@@ -47,7 +48,7 @@ from bmcircuits.arboricity import (
     max_quotient,
     max_quotient_exhaustive,
 )
-from bmcircuits.circuits import Circuit, WorkingSet, largest_fundamental_circuit
+from bmcircuits.circuits import Circuit, WorkingSet, is_circuit, largest_fundamental_circuit
 from bmcircuits.decompose import (
     DenseParams,
     _meets_pow2,
@@ -906,12 +907,23 @@ def subspace_keys(draw, max_dim=40):
 
 @st.composite
 def keys_and_bounds(draw):
-    """(ascending keys, bound from 1 to dim). Half the draws hold every key
-    of a low block 1 .. 2^low - 1, so that greedy_basis bisects past the
-    block's top half, and keep the drawn keys above it."""
+    """(ascending keys, bound from 1 to dim). A third of the draws keep the
+    subspace keys. A third add every key of a low block 1 .. 2^low - 1, so
+    that greedy_basis bisects past every key below 2^low once the block is
+    scanned. A third add that block and some prefix blocks, keys
+    (c << low) | r that share their bits above low, so that the scan skips
+    the rest of each prefix block after its first key, mid-scan."""
     dim, keys = draw(subspace_keys(max_dim=12))
-    if draw(st.booleans()):
-        keys = sorted(set(keys) | set(range(1, 1 << draw(st.integers(1, min(dim, 7))))))
+    kind = draw(st.integers(0, 2))
+    if kind:
+        low = draw(st.integers(1, min(dim, 7)))
+        keys = set(keys) | set(range(1, 1 << low))
+        if kind == 2 and low < dim:
+            prefixes = st.lists(st.integers(1, (1 << (dim - low)) - 1), max_size=6)
+            for c in draw(prefixes):
+                block = draw(st.sets(st.integers(0, (1 << low) - 1), min_size=1))
+                keys |= {(c << low) | r for r in block}
+        keys = sorted(keys)
     return keys, draw(st.integers(1, dim))
 
 
@@ -919,6 +931,51 @@ def keys_and_bounds(draw):
 def test_greedy_basis_is_the_first_seen_scan_of_the_keys(keys_bound):
     keys, bound = keys_bound
     assert greedy_basis(keys, bound) == reference_basis(keys, bound)
+
+
+def test_greedy_basis_skips_the_prefix_blocks_its_span_holds(monkeypatch):
+    """Keys 1 .. 15 fill the pivots of bits 0-3, so after the first key of a
+    block of 16 keys that share their bits above bit 3 the span holds the
+    whole block: 4 inserts for the low block, then one for each of 48 .. 63,
+    80 .. 95 and 96 .. 111. A skip that only fires once the basis spans
+    every key below the last one's top bit inserts all 48 block keys."""
+    keys = list(range(1, 16)) + list(range(48, 64)) + list(range(80, 112))
+    inserted = []
+    insert = Gf2Eliminator.insert
+
+    def counted(self, key):
+        inserted.append(key)
+        return insert(self, key)
+
+    monkeypatch.setattr(Gf2Eliminator, "insert", counted)
+    assert greedy_basis(keys, 7) == [1, 2, 4, 8, 48, 80]
+    assert len(inserted) <= 8
+
+
+@st.composite
+def key_multisets(draw):
+    """Up to seven keys of F_2^dim, closed by their XOR half the time so that
+    some sums are zero, then repeats, zeros and negative ints mixed in;
+    shuffled."""
+    dim = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.integers(1, (1 << dim) - 1), max_size=7))
+    if draw(st.booleans()):
+        keys.append(reduce(xor, keys, 0))
+    if keys:
+        keys += draw(st.lists(st.sampled_from(keys), max_size=2))
+    keys += draw(st.lists(st.integers(-3, 0), max_size=2))
+    return dim, draw(st.permutations(keys))
+
+
+@given(key_multisets())
+def test_is_circuit_is_the_circuit_law_on_any_key_multiset(dim_keys):
+    """is_circuit tests only the size, that every key is at least 1, the sum
+    and the rank; the reference also asks for distinct keys, which the rank
+    test implies."""
+    dim, keys = dim_keys
+    law = (len(set(keys)) == len(keys) and all(k >= 1 for k in keys)
+           and reduce(xor, keys, 0) == 0 and len(column_rref(keys, dim)) == len(keys) - 1)
+    assert is_circuit(keys) == law
 
 
 @given(subspace_keys())
