@@ -3,11 +3,10 @@
 A circuit is a minimal nonempty zero-sum subset: XOR of its elements is zero
 and its rank is size - 1. In a simple binary matroid every circuit has at
 least 3 elements. The one circuit search is largest_fundamental_circuit, and
-peel repeats it on a WorkingSet until the set is empty; every decomposition
-and every odd-cover remainder comes from that loop. All functions here are
-pure and safe to call concurrently, except that largest_fundamental_circuit
-builds the peel state of a WorkingSet it is given and peel empties the set,
-which its single owner then reuses.
+peel builds one WorkingSet, the column RREF of a matroid's keys, and repeats
+it on that state until the set is empty; every decomposition and every
+odd-cover remainder comes from that loop. All functions here are pure and
+safe to call concurrently; a WorkingSet is mutable and has a single owner.
 """
 
 from __future__ import annotations
@@ -126,50 +125,35 @@ def guaranteed_circuit_size(size: int, r: int) -> int:
 
 
 class WorkingSet:
-    """The elements a peeling loop has yet to cover, as ascending int keys.
+    """The peel state of an Eulerian matroid: what a peeling loop has left.
 
-    Single-owner and mutable. A circuit leaves the keys by bisect deletion
-    (remove) or is XORed in (toggle), and a Circuit is built from keys once
-    per emitted circuit. ``total``, the XOR of the keys, never changes:
-    circuits sum to zero, and keys change only through remove and toggle.
-
-    The first largest_fundamental_circuit call also builds the peel state
-    (see rref), which remove then keeps current and toggle drops; the next
-    search rebuilds it, so symdiff_reduce, which toggles and then peels,
-    builds it once.
+    Single-owner and mutable; built once, from a matroid, and emptied by
+    remove. Position j is index j of ``at``, the matroid's own ascending key
+    tuple, shared and never copied. ``rows`` is gf2core.column_rref of those
+    keys, restricted to the positions still present: each pivot position
+    maps to its row, an int whose bit j is element j's coefficient on the
+    basis element at the pivot. The pivot is the row's lowest set bit and
+    is set in no other row, so the pivots are the first-seen basis of the
+    keys left. A position still present is set in some row, since its key
+    is nonzero, and a removed one in none. ``left`` counts the positions
+    still present.
     """
 
-    __slots__ = ("dim", "keys", "total", "_at", "_rows")
+    __slots__ = ("dim", "at", "rows", "left")
 
     def __init__(self, m: BinaryMatroid):
+        if reduce(xor, m.keys, 0):
+            raise NotEulerianError("input must be Eulerian")
         self.dim = m.dim
-        self.keys = list(m.keys)
-        self.total = reduce(xor, self.keys, 0)
-        self._rows: dict[int, int] | None = None  # the peel state, with _at; see rref
+        self.at = m.keys
+        self.rows = column_rref(m.keys, m.dim)
+        self.left = len(m.keys)
 
     def __len__(self) -> int:
-        return len(self.keys)
-
-    def rref(self) -> tuple[list[int], dict[int, int]]:
-        """The peel state: positions and the reduced row-echelon form over them.
-
-        Position j is index j of the keys at the first call, and the first
-        list returned maps positions back to keys. The dict is
-        gf2core.column_rref of those keys, restricted to the positions still
-        present: each pivot position maps to its row, an int whose bit j is
-        element j's coefficient on the basis element at the pivot. The
-        pivot is the row's lowest set bit and is set in no other row, so
-        the pivots are the first-seen basis of the keys. A position still
-        present is set in some row, since its key is nonzero, and a removed
-        one in none.
-        """
-        if self._rows is None:
-            self._at = list(self.keys)
-            self._rows = column_rref(self._at, self.dim)
-        return self._at, self._rows
+        return self.left
 
     def remove(self, c: Circuit) -> None:
-        """Delete c's elements, and project the peel state off their positions.
+        """Project the rows off the positions of c's elements.
 
         No row holds another row's pivot, and masking only clears bits. So
         a row that holds no removed position stays as it is, and the rows
@@ -178,12 +162,8 @@ class WorkingSet:
         rows. For a fundamental circuit of position j, the rows hit are those
         that hold j, and a step costs O(|c| * rank) big-int operations.
         """
-        for key in c.keys:
-            del self.keys[bisect_left(self.keys, key)]
-        rows = self._rows
-        if rows is None:
-            return
-        gone = sum(1 << bisect_left(self._at, key) for key in c.keys)
+        rows = self.rows
+        gone = sum(1 << bisect_left(self.at, key) for key in c.keys)
         keep = ~gone
         hit = [p for p, row in rows.items() if row & gone]
         fresh, pivots = _gauss_jordan([rows.pop(p) & keep for p in hit])
@@ -193,27 +173,7 @@ class WorkingSet:
                     row ^= fresh[q]
                 rows[p] = row
         rows.update(fresh)
-
-    def toggle(self, c: Circuit) -> None:
-        """Symmetric difference with c, in place. Positions move, so the
-        peel state is dropped; the next search rebuilds it."""
-        keys = self.keys
-        for key in c.keys:
-            i = bisect_left(keys, key)
-            if i < len(keys) and keys[i] == key:
-                del keys[i]
-            else:
-                keys.insert(i, key)
-        self._rows = None
-
-
-def _working_set(n: BinaryMatroid | WorkingSet) -> WorkingSet:
-    work = n if isinstance(n, WorkingSet) else WorkingSet(n)
-    if not work.keys:
-        raise EmptyMatroidError("empty matroid has no circuits")
-    if work.total:
-        raise NotEulerianError("input must be Eulerian")
-    return work
+        self.left -= len(c.keys)
 
 
 def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
@@ -228,17 +188,20 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     terms; a basis element's has one.
 
     The search reads the working set's reduced row-echelon form (see
-    WorkingSet.rref): element j's fundamental circuit is j plus the pivots
-    of the rows that hold bit j. Vertical bit-sliced counters over the rows
-    (Knuth, TAOCP 4A, 7.1.3) hold every column's count at once: counts[k]
-    has bit j set when bit k of column j's count is. Narrowing from the top
-    counter down leaves the columns of the largest count, and the lowest of
-    them is the first of the largest. A peeling loop passes its WorkingSet,
-    so the elimination runs once per decomposition and each step costs
-    O(rank * log rank) big-int operations here, plus the upkeep in remove.
+    WorkingSet), built here from a matroid: element j's fundamental circuit
+    is j plus the pivots of the rows that hold bit j. Vertical bit-sliced
+    counters over the rows (Knuth, TAOCP 4A, 7.1.3) hold every column's
+    count at once: counts[k] has bit j set when bit k of column j's count
+    is. Narrowing from the top counter down leaves the columns of the
+    largest count, and the lowest of them is the first of the largest.
+    peel passes its WorkingSet, so the elimination runs once per
+    decomposition and each step costs O(rank * log rank) big-int operations
+    here, plus the upkeep in remove.
     """
-    work = _working_set(n)
-    at, rows = work.rref()
+    if not n:
+        raise EmptyMatroidError("empty matroid has no circuits")
+    work = n if isinstance(n, WorkingSet) else WorkingSet(n)
+    at, rows = work.at, work.rows
     counts: list[int] = []
     for carry in rows.values():
         for k, count in enumerate(counts):
@@ -257,14 +220,15 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     return Circuit(work.dim, support + [at[low.bit_length() - 1]])
 
 
-def peel(work: WorkingSet) -> list[Circuit]:
-    """Remove the largest fundamental circuit from work until it is empty.
+def peel(m: BinaryMatroid) -> list[Circuit]:
+    """Remove the largest fundamental circuit from m's WorkingSet until it is empty.
 
-    Each step is largest_fundamental_circuit, which reads the set's peel
-    state, and remove, which updates the rows that held the circuit; the
-    first step builds the state (see WorkingSet.rref). The circuits are
-    disjoint and their union is the set as given, so they decompose it.
+    The state is built once; each step is largest_fundamental_circuit, which
+    reads it, and remove, which updates the rows that held the circuit. The
+    circuits are disjoint and their union is m, so they decompose it.
+    Raises NotEulerianError unless m is Eulerian.
     """
+    work = WorkingSet(m)
     circuits = []
     while work:
         c = largest_fundamental_circuit(work)

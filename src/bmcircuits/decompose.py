@@ -8,12 +8,11 @@ returns the rotation orbits of orbit.py on an admissible complete matroid,
 which meet the quotient bound, and otherwise lets a density test pick the
 labels.
 
-Each run peels its own circuits.WorkingSet, an ascending list of int keys,
-whose first search takes gf2core.column_rref of its keys, the one
-elimination kernel; each removal updates only the rows that hold a removed
-position. The pivots stay the first-seen basis of the elements left, so
-every tie-break is the one a fresh scan of them would find. Separate runs
-may proceed in parallel.
+Each run peels its own circuits.WorkingSet, built once as
+gf2core.column_rref of the matroid's keys, the one elimination kernel; each
+removal updates only the rows that hold a removed position. The pivots stay
+the first-seen basis of the elements left, so every tie-break is the one a
+fresh scan of them would find. Separate runs may proceed in parallel.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .circuits import WorkingSet, peel
+from .circuits import peel
 from .errors import NotDenseEnoughError, OutOfRangeError
 from .formats import Decomposition
 from .gf2core import BinaryMatroid, rank, require_eulerian
@@ -104,7 +103,7 @@ def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda size: True) -> Decompo
     ends at the first step it rejects and never resumes; the predicate only
     labels steps and never changes the circuits.
     """
-    circuits = peel(WorkingSet(m))
+    circuits = peel(m)
     phase1, left = 0, len(m)
     for c in circuits:
         if not in_phase1(left):

@@ -20,7 +20,10 @@ and Sultan, ISSAC 2015), so the basis is unchanged.
 Vectors live in F_2^n and are stored as Python ints: coordinate 0 is the most
 significant of the n bits, so sorting by the int value equals sorting by the
 bit string. Every algorithm in the package iterates elements in this canonical
-ascending order, which makes greedy choices and bases reproducible.
+ascending order, which makes greedy choices and bases reproducible. A
+negative int is no vector: the eliminator refuses one at each insert and
+reduce, and column_rref refuses any key outside 0 .. 2**dim - 1, each with
+OutOfRangeError and one test per call.
 """
 
 from __future__ import annotations
@@ -71,8 +74,11 @@ class Gf2Eliminator:
         """Reduce key by the current rows; no state change.
 
         Returns (residual, mask). residual == 0 means key is in the span and
-        mask identifies the inserted vectors whose XOR equals key.
+        mask identifies the inserted vectors whose XOR equals key. A negative
+        key raises OutOfRangeError (see insert).
         """
+        if key < 0:
+            raise OutOfRangeError(f"key {key} is negative")
         rows, masks = self._rows, self._masks
         cur = key
         mask = 0
@@ -98,7 +104,15 @@ class Gf2Eliminator:
         The reduction is reduce's loop, inlined and split by tracking mode:
         this is the hot call. Each row cleared lowers the bit length, so only
         the first lookup can fall off the end of the list.
+
+        A negative key raises OutOfRangeError, tested once per call: XOR with
+        a row of its own bit length can keep a negative int's bit length
+        (-2 ^ 3 = -3, -3 ^ 3 = -2), so its reduction would never end. A row
+        is a nonnegative key reduced by nonnegative rows, so the rows stay
+        nonnegative and one test at entry covers every step.
         """
+        if key < 0:
+            raise OutOfRangeError(f"key {key} is negative")
         rows, masks = self._rows, self._masks
         cur = key
         mask = 0
@@ -271,6 +285,9 @@ def greedy_basis(keys: Sequence[int], bound: int) -> list[int]:
     span holds, so the differences stay valid. Only an independent insert
     fills a pivot, so low is raised after those alone. Once low reaches the
     scanned key's bit length, the skip passes every key below 2**low.
+
+    A negative key raises OutOfRangeError from the first insert: the keys
+    ascend, so the first key, inserted as itself, is the least.
     """
     elim = Gf2Eliminator(track_witnesses=False)
     rows = elim._rows  # grown in place, so this alias stays current
@@ -307,9 +324,14 @@ def column_rref(keys: Sequence[int], dim: int) -> dict[int, int]:
 
     The slices come from one bit-matrix transpose on numpy bit arrays,
     little-endian on both sides, and are reduced in order by _gauss_jordan.
+    A key that is negative or wider than dim bits raises OutOfRangeError;
+    the least and the greatest key are tested once.
     """
     if not keys:
         return {}
+    low, high = min(keys), max(keys)
+    if low < 0 or high >> dim:
+        raise OutOfRangeError(f"key {low if low < 0 else high} not a {dim}-bit value")
     width = (dim + 7) // 8
     raw = b"".join([key.to_bytes(width, "little") for key in keys])
     bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(keys), width),

@@ -12,13 +12,14 @@ by circuits.peel, the loop every decomposition runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 from typing import Iterable
 
 from .arboricity import arboricity, max_quotient
-from .circuits import Circuit, WorkingSet, peel
+from .circuits import Circuit, peel
 from .decompose import peel_decompose
 from .errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from .formats import check_oddcover
@@ -69,32 +70,38 @@ def symdiff_reduce(m: BinaryMatroid) -> OddCover:
     triangle), circuits.peel removes the rest as largest fundamental
     circuits.
 
-    The working set is a circuits.WorkingSet, toggled in place. The
-    completion lies in the span of the basis, so a step never raises the
+    The working set is an ascending key list, toggled in place by bisect.
+    The completion lies in the span of the basis, so a step never raises the
     rank, and each step's greedy basis stops at the previous step's rank:
     the basis is still the one a full scan finds, computed once per step.
     The scan bisects past each run of keys that share their high bits with
     a scanned key once its span holds every vector of their low bits
     (gf2core.greedy_basis), so late steps, whose working set is mostly
     such runs, insert far fewer keys than the set holds.
-    Toggling drops the peel state, and the first peel step builds it once.
+    What the steps leave is peeled as a matroid of its own, whose peel
+    state is built once.
     """
     require_eulerian(m)
     if len(m) == 0:
         return OddCover(m, ())
     threshold = len(m) / (math.log(len(m)) ** 2)
-    work = WorkingSet(m)
+    keys = list(m.keys)
     cover: list[Circuit] = []
     bound = m.dim
-    while work and len(work) >= threshold:
-        basis = greedy_basis(work.keys, bound)
+    while len(keys) >= threshold:
+        basis = greedy_basis(keys, bound)
         bound = len(basis)
         if bound <= 2:
             break
-        c = Circuit(work.dim, basis + [reduce(xor, basis)])
-        work.toggle(c)
+        c = complete_to_circuit(basis, m.dim)
+        for key in c.keys:
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                del keys[i]
+            else:
+                keys.insert(i, key)
         cover.append(c)
-    cover += peel(work)
+    cover += peel(BinaryMatroid(m.dim, keys))
     return OddCover(m, tuple(cover))
 
 

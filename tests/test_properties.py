@@ -25,18 +25,22 @@ longer than its presized row list, agrees with column_rref's rank, with its
 own witnesses and with its LIFO undo. rank, which inserts the differences
 of consecutive keys once per key, agrees with column_rref, and greedy_basis,
 which also skips the runs of keys its span holds, with a first-seen scan
-that inserts every key itself.
+that inserts every key itself. On any ints (negative, zero, bools, wider
+than the dimension), the eliminator, greedy_basis and column_rref raise a
+BmcError or give a reference's answer, under a SIGALRM deadline, so a hang
+fails rather than stalls the suite.
 """
 
 import contextlib
 import io
 import math
 import random
+import signal
 from functools import cache, reduce
 from operator import xor
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bmcircuits import cli
@@ -57,7 +61,7 @@ from bmcircuits.decompose import (
     log_greedy_decompose,
     peel_decompose,
 )
-from bmcircuits.errors import NotDenseEnoughError, OutOfRangeError
+from bmcircuits.errors import BmcError, NotDenseEnoughError, OutOfRangeError
 from bmcircuits.formats import (
     ARTIFACT_KINDS,
     check_decomposition,
@@ -565,8 +569,7 @@ def test_density_bound_is_the_best_basis_prefix(m):
 
 def state_row_sets(work):
     """The peel state's rows, each as the set of keys it holds."""
-    at, rows = work.rref()
-    return {frozenset(at[j] for j in _mask_indices(row)) for row in rows.values()}
+    return {frozenset(work.at[j] for j in _mask_indices(row)) for row in work.rows.values()}
 
 
 @given(st.one_of(tiny_eulerian_matroids(), near_complete_matroids(),
@@ -576,19 +579,20 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
     the rows are those a fresh build finds, whether the removed circuit is
     the largest fundamental one or that of the last key outside the basis."""
     work = WorkingSet(m)
-    largest_fundamental_circuit(work)  # builds the state
+    left = list(m.keys)
     while work:
         if last_non_basis:
-            basis = greedy_basis(work.keys, m.dim)
-            last = max(set(work.keys) - set(basis))
+            basis = greedy_basis(left, m.dim)
+            last = max(set(left) - set(basis))
             c = next(fundamental_circuits(m.dim, [last], basis))
         else:
             c = largest_fundamental_circuit(work)
         work.remove(c)
-        at, rows = work.rref()
-        assert sorted(at[p] for p in rows) == greedy_basis(work.keys, m.dim)
-        if work:
-            fresh = WorkingSet(BinaryMatroid(m.dim, work.keys))
+        left = sorted(set(left) - c.key_set)
+        assert len(work) == len(left)
+        assert sorted(work.at[p] for p in work.rows) == greedy_basis(left, m.dim)
+        if left:
+            fresh = WorkingSet(BinaryMatroid(m.dim, left))
             assert state_row_sets(work) == state_row_sets(fresh)
 
 
@@ -976,6 +980,107 @@ def test_is_circuit_is_the_circuit_law_on_any_key_multiset(dim_keys):
     law = (len(set(keys)) == len(keys) and all(k >= 1 for k in keys)
            and reduce(xor, keys, 0) == 0 and len(column_rref(keys, dim)) == len(keys) - 1)
     assert is_circuit(keys) == law
+
+
+class Hung(Exception):
+    """A call ran past its deadline."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Hung in the block once it has run for seconds, from a SIGALRM
+    interval timer: a hang fails the test, and no thread or process starts."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def hostile_ints(draw):
+    """(dim, keys): up to eight ints, each negative, zero, a bool, a nonzero
+    dim-bit value or wider than dim bits."""
+    dim = draw(st.integers(1, 8))
+    key = st.one_of(st.integers(-(1 << 70), -1), st.just(0), st.booleans(),
+                    st.integers(1, (1 << dim) - 1), st.integers(1 << dim, 1 << (dim + 70)))
+    return dim, draw(st.lists(key, max_size=8))
+
+
+def span_residual(rows, key):
+    """key reduced by echelon rows held as top bit -> row."""
+    for top in sorted(rows, reverse=True):
+        if key >> top & 1:
+            key ^= rows[top]
+    return key
+
+
+def refused(call):
+    """True when call raises a BmcError; any other exception propagates."""
+    try:
+        call()
+    except BmcError:
+        return True
+    return False
+
+
+@example((2, [-2, 3]))  # once the eliminator held -2, inserting 3 never returned
+@given(hostile_ints())
+def test_exported_eliminations_refuse_or_answer_hostile_ints(dim_keys):
+    """Gf2Eliminator.insert and reduce, greedy_basis and column_rref either
+    raise a BmcError or give the reference's answer on any ints, within a
+    deadline. A refused call leaves the eliminator as it was. The reference
+    reduces by a top-bit table; the witness masks name the inserted keys
+    whose XOR is the key less its residual."""
+    dim, keys = dim_keys
+    with deadline(2.0):
+        elim = Gf2Eliminator()
+        inserted, rows = [], {}
+        for key in keys:
+            before = elim.rank, elim.n_inserted
+            if key < 0:
+                assert refused(lambda: elim.reduce(key)) and refused(lambda: elim.insert(key))
+                assert (elim.rank, elim.n_inserted) == before
+                continue
+            residual, mask = elim.reduce(key)
+            expected = span_residual(rows, key)
+            assert (residual == 0) == (expected == 0)
+            assert reduce(xor, (inserted[i] for i in _mask_indices(mask)), residual) == key
+            got = elim.insert(key)
+            inserted.append(key)
+            if expected:
+                assert got is None
+                rows[expected.bit_length() - 1] = expected
+            else:
+                assert got == mask
+
+        ordered = sorted(keys)
+        if ordered and ordered[0] < 0:
+            assert refused(lambda: greedy_basis(ordered, dim))
+        else:
+            assert greedy_basis(ordered, dim) == reference_basis(ordered, dim)
+
+        if any(not 0 <= k < 1 << dim for k in keys):
+            assert refused(lambda: column_rref(keys, dim))
+        else:
+            echelon = column_rref(keys, dim)
+            first_seen, seen = [], {}
+            for j, key in enumerate(keys):
+                residual = span_residual(seen, key)
+                if residual:
+                    first_seen.append(j)
+                    seen[residual.bit_length() - 1] = residual
+            assert sorted(echelon) == first_seen
+            for p, row in echelon.items():
+                assert row & -row == 1 << p
+                assert all(other >> p & 1 == 0 for q, other in echelon.items() if q != p)
+            for j, key in enumerate(keys):
+                assert reduce(xor, (keys[p] for p, row in echelon.items() if row >> j & 1), 0) == key
 
 
 @given(subspace_keys())
