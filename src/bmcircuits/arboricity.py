@@ -8,11 +8,13 @@ infeasibility: its quotient ceil(|N| / rank(N)) exceeds k, matching the
 max-side of the min-max formula; arboricity() jumps k straight to it.
 
 The search tests for a free slot only the parts that can have one (a part
-as large as part 0 spans every element placed so far), skips parts with at
-most one member not yet queued, and keeps each part's expansions of spanned
-keys until a chain moves its members; k above |M| is clamped to |M|. None
-of this changes a partition, a certificate or a tie-break (proofs on
-_PartState, _augment and can_partition).
+as large as part 0 spans every element placed so far), and tests those spans
+without building a witness mask. Only an expansion reads a mask, so each is
+computed at its first use and kept until a chain moves the part's members.
+A search that expands keeps a live list of the parts with at least two
+members not yet queued and expands only against those. k above |M| is
+clamped to |M|. None of this changes a partition, a certificate or a
+tie-break (proofs on _PartState, _augment and can_partition).
 
 max_quotient computes the exact max over nonempty N of
 ceil(|N| / (rank(N) + offset)) with the same search: by the matroid union
@@ -81,16 +83,19 @@ class _PartState:
     one member and appends one).
 
     spanned[j] maps a key that part j spans to its expansion mask over the
-    part's positions; residuals are never cached. An append keeps it: the old
-    members stay independent at their positions, so each cached expansion is
-    still the unique one. A chain clears it for every part it touches, since
-    remove moves positions.
+    part's positions, or to None until an expansion needs that mask (the
+    free-slot scan tests spans with contains, which builds none); residuals
+    are never cached. An append keeps it: the old members stay independent
+    at their positions, so each cached expansion is still the unique one,
+    and a mask computed later over the grown part is that same expansion,
+    since the key was already in the old span. A chain clears it for every
+    part it touches, since remove moves positions.
     """
 
     def __init__(self, k: int):
         self.members: list[list[int]] = [[] for _ in range(k)]
         self.elims: list[Gf2Eliminator | None] = [None] * k
-        self.spanned: list[dict[int, int]] = [{} for _ in range(k)]
+        self.spanned: list[dict[int, int | None]] = [{} for _ in range(k)]
         self.open: list[int] = []
 
     def elim(self, j: int) -> Gf2Eliminator:
@@ -104,37 +109,44 @@ class _PartState:
 
 def _augment(state: _PartState, x: int) -> list[int] | None:
     """Place key x via a shortest exchange chain. Returns None on success, else
-    the reachable keys. seen[j] masks the queued members of part j;
-    positions only move when a chain is applied, which ends the search.
+    the reachable keys. Member positions only move when a chain is applied,
+    which ends the search.
 
     x goes to part 0 if part 0 does not span it. Otherwise each dequeued y
     goes to the first open part that does not span it, which is the first
-    free part in index order (see _PartState). Failing that, y is expanded
-    against every part in index order, skipping a part with at most one
-    member not queued yet. With none, it could queue nothing new. With one,
-    z, compare the search that expands every part: from that part it queues
-    at most z, when y's expansion there holds z. Then z is y XOR members
-    queued before it. That search dequeues each of them before z, and each
-    finds no free slot (else the search ends first) and queues its whole
-    expansion in every part, so z, in their span, finds no free slot and
-    queues nothing new. The skipping search therefore dequeues the other
-    keys in the same order with the same parents (by induction: a skipped z
-    is never queued, so its part keeps one unseen member and is skipped
-    from then on), and the free slot, the chain and the span cl(R) of the
-    queue are those of the full search.
+    free part in index order (see _PartState). These span tests use
+    contains: no witness mask is built, and a spanned y is recorded in
+    spanned[j] as None. Failing that, y is expanded against the parts in
+    live, in index order, each expansion's mask computed at its first use.
+    live and unseen, the BFS state, are built at the search's first
+    expansion, so a search that ends at x's free slot builds neither.
+    unseen[j] masks the members of part j not queued yet, and live holds
+    the parts with at least two of them. A part leaves live once it has
+    at most one: unseen only shrinks within a search (sizes stay fixed
+    until a chain ends it), so at every dequeue live is exactly the set of
+    parts that the full scan over all k parts would not skip.
+
+    The skip itself: with no unseen member, a part could queue nothing new.
+    With one, z, compare the search that expands every part: from that part
+    it queues at most z, when y's expansion there holds z. Then z is y XOR
+    members queued before it. That search dequeues each of them before z,
+    and each finds no free slot (else the search ends first) and queues its
+    whole expansion in every part, so z, in their span, finds no free slot
+    and queues nothing new. The skipping search therefore dequeues the
+    other keys in the same order with the same parents (by induction: a
+    skipped z is never queued, so its part keeps one unseen member and is
+    skipped from then on), and the free slot, the chain and the span cl(R)
+    of the queue are those of the full search.
     """
     members, spanned, open_ = state.members, state.spanned, state.open
     first = members[0]
-    residual, mask = state.elim(0).reduce(x)
-    if residual:
+    if not state.elim(0).contains(x):
         first.append(x)
         state.elims[0].insert(x)
         state.open = [j for j in range(1, len(members)) if len(members[j]) < len(first)]
         return None
-    spanned[0][x] = mask
-    k = len(members)
     parent: dict[int, tuple[int, int]] = {}
-    seen = [0] * k
+    live: list[int] | None = None
     queue = [x]
     head = 0
     while head < len(queue):
@@ -143,8 +155,7 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
         for j in open_:
             if y in spanned[j]:
                 continue
-            residual, mask = state.elim(j).reduce(y)
-            if residual:
+            if not state.elim(j).contains(y):
                 # free slot found: append keeps insertion index = list position,
                 # then apply the chain back to x, dropping the parts it touches
                 members[j].append(y)
@@ -160,17 +171,21 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
                     spanned[jj] = {}
                     cur = pred
                 return None
-            spanned[j][y] = mask
-        for j in range(k):
-            part = members[j]
-            unseen = ~seen[j] & ((1 << len(part)) - 1)
-            if not unseen & (unseen - 1):
-                continue
+            spanned[j][y] = None
+        if live is None:
+            unseen = [(1 << len(part)) - 1 for part in members]
+            live = [j for j, left in enumerate(unseen) if left & (left - 1)]
+        exhausted = False
+        for j in live:
             mask = spanned[j].get(y)
-            if mask is None:  # a part outside open spans y
+            if mask is None:  # first use: a part outside open, or a mask-free span test
                 mask = spanned[j][y] = state.elim(j).reduce(y)[1]
-            mask &= unseen
-            seen[j] |= mask
+            mask &= unseen[j]
+            if not mask:
+                continue
+            left = unseen[j] = unseen[j] ^ mask
+            exhausted |= not left & (left - 1)
+            part = members[j]
             # inline, not gf2core._mask_indices: the generator cost arboricity 5-8 % (2-core host)
             while mask:
                 low = mask & -mask
@@ -178,6 +193,8 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
                 parent[z] = (y, j)
                 queue.append(z)
                 mask ^= low
+        if exhausted:
+            live = [j for j in live if unseen[j] & (unseen[j] - 1)]
     return queue
 
 
@@ -250,7 +267,8 @@ def max_quotient(m: BinaryMatroid, denom_offset: int) -> int:
     m.keys greedily into a fresh _PartState with q parts places U_q of them,
     and _augment is Edmonds' exact test of whether I + x is independent in
     it. A failed _augment moves no member, so the placed set stays I, and the
-    expansions it cached are against unchanged parts, so they stay valid.
+    spanned keys and expansions it cached are against unchanged parts, so they
+    stay valid.
     |M| - U_q - q * denom_offset does not grow with q, so the answer is the
     first feasible q counting up from ceil(|M| / (rank(M) + denom_offset)),
     the value at N = M; at q = |M| every key is placed. denom_offset 0 gives

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -149,6 +150,20 @@ class TestTieBreaks:
         assert a == 11
         assert partition.parts == DENSE_CORE_PARTS
 
+    def test_parts_and_certificate_at_scale_pinned(self):
+        # a = 143: k = 143 keeps 143 parts in the search, k = 142 fails
+        # with the whole input as its certificate
+        m = random_eulerian(14, 2000, seed=1)
+        parts = can_partition(m, 143).parts
+        assert len(parts) == 143
+        assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+            "83fde79b3ff1b7ca40f9e92d3d236658e87f5ae4586cc101a59cbb902b2c1a17")
+        result = can_partition(m, 142)
+        assert result.quotient == 143 and len(result.certificate) == len(m) == 2001
+        digest = hashlib.sha256(repr((result.certificate.keys, result.quotient)).encode())
+        assert digest.hexdigest() == (
+            "c64dcd37ac780d0b01ddd4c87d05654a4ed721a4d3386f25144b05c0c2b63755")
+
     def test_dense_core_jumps_to_certificate_quotient(self, monkeypatch):
         # the package re-exports arboricity(), which shadows the module name
         module = importlib.import_module("bmcircuits.arboricity")
@@ -162,6 +177,39 @@ class TestTieBreaks:
         a, _ = arboricity(dense_core())
         assert a == 11
         assert tried == [8, 11]
+
+
+def count_reduces(monkeypatch):
+    """Count Gf2Eliminator.reduce calls, the only span tests that build a
+    witness mask."""
+    calls = []
+    reduce = Gf2Eliminator.reduce
+
+    def counted(self, key):
+        calls.append(key)
+        return reduce(self, key)
+
+    monkeypatch.setattr(Gf2Eliminator, "reduce", counted)
+    return calls
+
+
+class TestSearchReadsOnlyWhatItNeeds:
+    @pytest.mark.parametrize("m", [triangle(), dense_core(), complete_matroid(5),
+                                   random_eulerian(12, 500, seed=1)],
+                             ids=["triangle", "dense_core", "complete5", "random12x500"])
+    def test_k_at_the_size_never_builds_a_mask(self, monkeypatch, m):
+        # with i keys placed part i is empty, so every search ends at a free
+        # slot for its own key, tested by contains, and expands nothing
+        calls = count_reduces(monkeypatch)
+        result = can_partition(m, len(m))
+        assert isinstance(result, IndependentPartition)
+        assert calls == []
+
+    def test_infeasible_k_still_expands(self, monkeypatch):
+        calls = count_reduces(monkeypatch)
+        result = can_partition(dense_core(), 8)
+        assert isinstance(result, Infeasible) and result.quotient == 11
+        assert calls
 
 
 class TestEdmondsBruteforce:

@@ -278,11 +278,12 @@ def test_max_quotient_climbs_to_a_dense_flat_in_a_sparse_set():
 
 
 def reference_can_partition(m, k):
-    """can_partition without the open parts, the exhausted-part skip and the
-    spanned cache: each dequeued element is reduced against every part in
-    index order, goes to the first part that does not span it, and is
-    otherwise expanded against each part. Returns the parts as key tuples,
-    or the certificate's key set and its quotient."""
+    """can_partition without the open parts, the mask-free span tests, the
+    exhausted-part skip and its live list, the BFS state built at the first
+    expansion, and the spanned cache: each dequeued element is reduced
+    against every part in index order, goes to the first part that does not
+    span it, and is otherwise expanded against each part. Returns the parts
+    as key tuples, or the certificate's key set and its quotient."""
     members = [[] for _ in range(k)]
     elims = [None] * k
 
@@ -1032,11 +1033,12 @@ def refused(call):
 @example((2, [-2, 3]))  # once the eliminator held -2, inserting 3 never returned
 @given(hostile_ints())
 def test_exported_eliminations_refuse_or_answer_hostile_ints(dim_keys):
-    """Gf2Eliminator.insert and reduce, greedy_basis and column_rref either
-    raise a BmcError or give the reference's answer on any ints, within a
-    deadline. A refused call leaves the eliminator as it was. The reference
-    reduces by a top-bit table; the witness masks name the inserted keys
-    whose XOR is the key less its residual."""
+    """Gf2Eliminator.insert, reduce and contains, greedy_basis and
+    column_rref either raise a BmcError or give the reference's answer on any
+    ints, within a deadline. A refused call leaves the eliminator as it was.
+    The reference reduces by a top-bit table; contains answers whether its
+    residual is zero, and the witness masks name the inserted keys whose XOR
+    is the key less its residual."""
     dim, keys = dim_keys
     with deadline(2.0):
         elim = Gf2Eliminator()
@@ -1045,11 +1047,12 @@ def test_exported_eliminations_refuse_or_answer_hostile_ints(dim_keys):
             before = elim.rank, elim.n_inserted
             if key < 0:
                 assert refused(lambda: elim.reduce(key)) and refused(lambda: elim.insert(key))
+                assert refused(lambda: elim.contains(key))
                 assert (elim.rank, elim.n_inserted) == before
                 continue
             residual, mask = elim.reduce(key)
             expected = span_residual(rows, key)
-            assert (residual == 0) == (expected == 0)
+            assert (residual == 0) == (expected == 0) == elim.contains(key)
             assert reduce(xor, (inserted[i] for i in _mask_indices(mask)), residual) == key
             got = elim.insert(key)
             inserted.append(key)
