@@ -17,7 +17,7 @@ from math import comb
 from operator import xor
 from typing import Iterable
 
-from .errors import EmptyMatroidError, NotEulerianError, OutOfRangeError
+from .errors import EmptyMatroidError, OutOfRangeError
 from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
@@ -25,17 +25,14 @@ from .gf2core import (
     _mask_indices,
     _sorted_keys,
     column_rref,
+    require_eulerian,
 )
 
 
 def is_circuit(keys: Iterable[int]) -> bool:
     """True iff the keys form a circuit: distinct nonzero keys, zero sum and
-    rank = size - 1.
-
-    The keys may be a Circuit, which is one without a further check: its
-    constructor ran this test and the object is immutable. Other keys, such
-    as a block parsed from a .bmdec file, are checked in full; a key below 1
-    is no vector, so a block that holds one is no circuit.
+    rank = size - 1. A key below 1 is no vector, so keys that hold one are
+    no circuit.
 
     Distinct nonzero keys need no test of their own: the rank test refuses
     the rest. With n >= 3 keys, a zero sum and rank n - 1, the coefficient
@@ -44,8 +41,6 @@ def is_circuit(keys: Iterable[int]) -> bool:
     be a second kernel vector, so no such input passes. With n <= 2 keys,
     distinct nonzero keys never sum to zero, so fewer than 3 is no circuit.
     """
-    if isinstance(keys, Circuit):
-        return True
     keys = list(keys)
     if len(keys) < 3 or min(keys) < 1 or reduce(xor, keys):
         return False
@@ -142,8 +137,7 @@ class WorkingSet:
     __slots__ = ("dim", "at", "rows", "left")
 
     def __init__(self, m: BinaryMatroid):
-        if reduce(xor, m.keys, 0):
-            raise NotEulerianError("input must be Eulerian")
+        require_eulerian(m)
         self.dim = m.dim
         self.at = m.keys
         self.rows = column_rref(m.keys, m.dim)

@@ -38,7 +38,7 @@ from .decompose import (
     log_greedy_decompose,
     peel_decompose,
 )
-from .errors import BmcError, OrderConditionError
+from .errors import BmcError
 from .formats import (
     ARTIFACT_KINDS,
     format_bm,
@@ -62,7 +62,12 @@ from .oracle import (
     exact_c2,
     probe_conjectures,
 )
-from .orbit import _require_admissible, demonstrate_order_failure, orbit_decompose
+from .orbit import (
+    _require_admissible,
+    _rotation_orbits,
+    demonstrate_order_failure,
+    orbit_decompose,
+)
 
 REPORT_FIELDS = (
     "instance",
@@ -277,7 +282,7 @@ def _cmd_decompose(args) -> int:
     return _write_checked(
         "decomposition", m, args.out, dec.circuits, elapsed, meta, **meta,
         instance=Path(args.infile).stem, algorithm=f"decompose-{args.method}",
-        prop4=density_lower_bound(m) if len(m) else 0,
+        prop4=density_lower_bound(m),
     )
 
 
@@ -293,7 +298,7 @@ def _cmd_oddcover(args) -> int:
     return _write_checked(
         "oddcover", m, args.out, cover.circuits, elapsed,
         instance=Path(args.infile).stem, algorithm=f"oddcover-{args.method}",
-        prop4=density_lower_bound(m) if len(m) else 0, arboricity=a_value,
+        prop4=density_lower_bound(m), arboricity=a_value,
     )
 
 
@@ -338,7 +343,7 @@ def _cmd_orbit(args) -> int:
     start = time.perf_counter()
     if args.compress:  # the compressed model is complete_matroid(p - 1)
         _require_admissible(args.p)  # OrderConditionError surfaces as input error
-        dec = auto_decompose(complete_matroid(args.p - 1))
+        dec = _rotation_orbits(args.p, complete_matroid(args.p - 1))
     else:
         dec = orbit_decompose(args.p)
     elapsed = time.perf_counter() - start
@@ -365,7 +370,7 @@ def _cmd_oracle(args) -> int:
     fields = _ORACLES[args.what](m)
     elapsed = time.perf_counter() - start
     if args.what == "c":  # a bound reported next to c, not part of its search
-        fields["prop4"] = density_lower_bound(m) if len(m) else 0
+        fields["prop4"] = density_lower_bound(m)
     verified = "VIOLATION" not in (fields.get("conj1"), fields.get("conj2"))
     _emit(**(stats | fields), instance=Path(args.infile).stem,
           algorithm=f"oracle-{args.what}", wall_time_s=round(elapsed, 6), verified=verified)
@@ -404,9 +409,6 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except OrderConditionError as exc:
-        print(f"error: {exc} (computed order {exc.order})", file=sys.stderr)
-        return 1
     except (BmcError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -165,15 +165,16 @@ def auto_decompose(
     """Dispatch. Trivially small inputs are peeled directly. The whole
     complete matroid of dimension p - 1, for an admissible p (see
     orbit.is_admissible), gets the compressed rotation orbits, which meet
-    ceil(|M| / (rank(M) + 1)) exactly. Otherwise the density test picks the
-    dense or the log-greedy labels; both return peel_decompose's circuits."""
+    ceil(|M| / (rank(M) + 1)) exactly. Otherwise dense_decompose labels the
+    circuits, or log_greedy_decompose when its density test fails; both
+    return peel_decompose's circuits."""
     require_eulerian(m)
     if len(m) <= 3:
         return _peel(m, "trivial")
     params = DenseParams.from_epsilon(epsilon)
     if len(m) == (1 << m.dim) - 1 and is_admissible(m.dim + 1):
-        orbits = tuple(_rotation_orbits(m.dim + 1, m))
-        return Decomposition(m, orbits, branch="orbit", phase1=len(orbits))
-    if _meets_pow2(len(m), (1.0 - params.delta) * rank(m)):
+        return _rotation_orbits(m.dim + 1, m)
+    try:
         return dense_decompose(m, params)
-    return log_greedy_decompose(m)
+    except NotDenseEnoughError:
+        return log_greedy_decompose(m)

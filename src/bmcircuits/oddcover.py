@@ -25,6 +25,9 @@ from .errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from .formats import check_oddcover
 from .gf2core import BinaryMatroid, column_rref, greedy_basis, require_eulerian
 
+#: density_lower_bound is exact, by max_quotient, up to this many elements
+_EXACT_LIMIT = 20
+
 
 @dataclass(frozen=True)
 class OddCover:
@@ -178,20 +181,18 @@ def oddcover_via_arboricity(m: BinaryMatroid) -> tuple[int, OddCover]:
     return t, OddCover(m, final)
 
 
-def density_lower_bound(m: BinaryMatroid, exhaustive_limit: int = 20) -> int:
+def density_lower_bound(m: BinaryMatroid) -> int:
     """Lower bound on the odd-cover size: max of ceil(|N| / (rank(N) + 1)).
 
     Exact (the max over every nonempty N, as a matroid-union rank by
-    arboricity.max_quotient) up to exhaustive_limit elements; above that,
-    the max is taken over M itself and the restrictions of M to the spans of
-    canonical basis prefixes, which is a valid bound but possibly loose. The
-    exact path keeps the cap of the subset scan that cross-checks it, so an
-    exhaustive_limit above that cap raises TooLargeError on larger inputs.
+    arboricity.max_quotient) up to _EXACT_LIMIT elements; above that, the
+    max is taken over M itself and the restrictions of M to the spans of
+    canonical basis prefixes, which is a valid bound but possibly loose.
+    The empty matroid has no prefix and gets 0, the size of its empty
+    odd-cover.
     """
-    if len(m) == 0:
-        raise EmptyMatroidError("no nonempty subsets")
     require_eulerian(m)
-    if len(m) <= exhaustive_limit:
+    if 0 < len(m) <= _EXACT_LIMIT:
         return max_quotient(m, denom_offset=1)
     rows = column_rref(m.keys, m.dim)
     pivots = sorted(rows)  # the basis in canonical order

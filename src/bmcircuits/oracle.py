@@ -103,8 +103,8 @@ def enumerate_circuits(m: BinaryMatroid) -> CircuitCatalog:
         if e not in rows:
             cycles = np.concatenate((cycles, cycles ^ f))
     sizes = np.bitwise_count(cycles)
-    found = cycles[(sizes > 0) & (sizes <= min(5, len(rows) + 1))]
-    for s in range(6, len(rows) + 2):
+    found = cycles[:0]
+    for s in range(3, len(rows) + 2):
         candidates = cycles[sizes == s]
         for t in found[np.bitwise_count(found) <= s // 2].tolist():
             candidates = candidates[candidates & t != t]

@@ -7,13 +7,14 @@ rotation partition the model into (2^(p-1) - 1) / p circuits of size p, which
 meets the quotient lower bound exactly. The order condition matters: p = 7
 fails, and demonstrate_order_failure exhibits the breaking orbit.
 
-orbit_decompose returns a formats.Decomposition with branch "orbit", as
-decompose.auto_decompose does for the compressed orbits. Each check runs
-once: Circuit checks each orbit's circuit law, which includes that its p
-keys are distinct, and the Decomposition that the orbits partition the
-model. No size check is needed on top: a rotation orbit of a prime p has 1
-or p elements, and neither fixed point, all zeros or all ones (odd weight
-p), is a nonzero even-weight key.
+_rotation_orbits builds the one formats.Decomposition with branch "orbit":
+orbit_decompose returns it on the model, and decompose.auto_decompose and
+`orbit --compress` on its compression. Each check runs once: Circuit checks
+each orbit's circuit law, which includes that its p keys are distinct, and
+the Decomposition that the orbits partition the model. No size check is
+needed on top: a rotation orbit of a prime p has 1 or p elements, and
+neither fixed point, all zeros or all ones (odd weight p), is a nonzero
+even-weight key.
 """
 
 from __future__ import annotations
@@ -122,8 +123,9 @@ def _rotations(key: int, p: int) -> list[int]:
     return [((key >> j) | (key << (p - j))) & mask if j else key for j in range(p)]
 
 
-def _rotation_orbits(p: int, m: BinaryMatroid) -> list[Circuit]:
-    """The rotation orbits of the even-weight model for an admissible p, each
+def _rotation_orbits(p: int, m: BinaryMatroid) -> Decomposition:
+    """The rotation orbits of the even-weight model for an admissible p, as a
+    Decomposition of m, every orbit phase 1 of branch "orbit". Each orbit is
     a Circuit of the m.keys[(k >> 1) - 1] for its model keys k: the model's
     own keys when m is the model, or their compressions k >> 1 when m is
     complete_matroid(p - 1). The circuits share m's int objects.
@@ -157,7 +159,7 @@ def _rotation_orbits(p: int, m: BinaryMatroid) -> list[Circuit]:
             visited[x] = 1
         orbits.append(Circuit(m.dim, [keys[x - 1] for x in xs]))
         y = visited.find(0, y)
-    return orbits
+    return Decomposition(m, tuple(orbits), branch="orbit", phase1=len(orbits))
 
 
 def orbit_decompose(p: int) -> Decomposition:
@@ -170,9 +172,7 @@ def orbit_decompose(p: int) -> Decomposition:
     p - 1 (OrderConditionError).
     """
     _require_admissible(p)
-    model = build_even_weight_model(p)
-    orbits = tuple(_rotation_orbits(p, model))
-    return Decomposition(model, orbits, branch="orbit", phase1=len(orbits))
+    return _rotation_orbits(p, build_even_weight_model(p))
 
 
 @dataclass(frozen=True)

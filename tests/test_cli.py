@@ -407,6 +407,25 @@ class TestOrbit:
         assert run(["orbit", "--p", "11", "--compress", "--out", str(tmp_path / "c.bmdec")]) == 0
         assert built == [10]
 
+    #: sha256 of each `orbit --p P --compress` artifact as written when the
+    #: command still ran the auto_decompose dispatcher
+    COMPRESSED_SHA256 = {
+        3: "8f81385aa0b7ede1747fb85294d633cdce1c92402958472a0972daf12e28ca94",
+        5: "1aa09c3eb260e3824467be2ca44b2acbcfde294a3f92730d52a9602f57dc43ff",
+        11: "c61c07c07ac7a50ee90d36f9101297e081d83276b8029e051178de8c4fb72e55",
+        13: "8c7c0a457c9788ce6c19607fa43bba2d3b9f658933934ae396f3156ec1410362",
+    }
+
+    @pytest.mark.parametrize("p", sorted(COMPRESSED_SHA256))
+    def test_compress_runs_no_dispatcher_and_keeps_its_bytes(self, p, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit --compress ran auto_decompose")
+
+        monkeypatch.setattr(cli, "auto_decompose", refuse)
+        out = tmp_path / "c.bmdec"
+        assert run(["orbit", "--p", str(p), "--compress", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.COMPRESSED_SHA256[p]
+
 
 class TestKeyOnlyCommands:
     """Every command reads, builds, checks and writes int keys: gen, orbit

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from bmcircuits import oddcover
-from bmcircuits.arboricity import arboricity
+from bmcircuits.arboricity import arboricity, max_quotient
 from bmcircuits.circuits import Circuit
-from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooLargeError, TooSmallError
+from bmcircuits.errors import EmptyMatroidError, OutOfRangeError, TooSmallError
 from bmcircuits.gf2core import BinaryMatroid, greedy_basis, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
 from bmcircuits.formats import check_oddcover
@@ -179,20 +179,23 @@ class TestDensityLowerBound:
     def test_complete_dim4_exhaustive(self):
         assert density_lower_bound(complete_matroid(4)) == 3
 
+    def test_empty_is_zero(self):
+        assert density_lower_bound(BinaryMatroid(3)) == 0
+
     def test_heuristic_path_is_still_a_bound(self):
-        # force the heuristic by setting the exhaustive limit below |M|
-        m = complete_matroid(4)
-        exact = density_lower_bound(m, exhaustive_limit=20)
-        heur = density_lower_bound(m, exhaustive_limit=4)
+        # 21 elements, one above the exact limit and within max_quotient's cap
+        m = independent_copies(7, 2)
+        exact = max_quotient(m, denom_offset=1)
+        heur = density_lower_bound(m)
         assert heur <= exact
         assert heur >= math.ceil(len(m) / (rank(m) + 1))
 
     def test_prefix_bound_matches_per_element_expansion(self):
-        # reference: the bound above the exhaustive limit with one basis
-        # expansion per element
+        # reference: the bound above the exact limit of 20 elements with one
+        # basis expansion per element
         corpus = eulerian_corpus(24, seed=31, n_range=(4, 9), size_cap=60)
         corpus += [complete_matroid(6), independent_copies(3, 3), random_eulerian(12, 300, 1)]
-        for m in corpus:
+        for m in (m for m in corpus if len(m) > 20):
             basis = greedy_basis(m.keys, m.dim)
             elim = basis_eliminator(basis)
             counts = [0] * (len(basis) + 1)
@@ -203,16 +206,11 @@ class TestDensityLowerBound:
             expected = max(
                 -(-sum(counts[: k + 1]) // (k + 1)) for k in range(1, len(basis) + 1)
             )
-            assert density_lower_bound(m, exhaustive_limit=0) == expected
-
-    def test_exhaustive_limit_cannot_lift_the_scan_cap(self):
-        # 27 elements, above the 22-element cap of the exact subset scan
-        with pytest.raises(TooLargeError):
-            density_lower_bound(independent_copies(9, 2), exhaustive_limit=30)
+            assert density_lower_bound(m) == expected
 
     def test_bounds_both_cover_builders(self, small_corpus):
         for m in small_corpus:
-            lb = density_lower_bound(m, exhaustive_limit=16)
+            lb = density_lower_bound(m)
             assert lb <= len(symdiff_reduce(m).circuits)
             assert lb <= len(oddcover_via_arboricity(m)[1].circuits)
 

@@ -181,7 +181,7 @@ class TestExactC:
             if len(m) > 16:
                 continue
             c = exact_c(m)
-            assert c >= density_lower_bound(m, exhaustive_limit=16)
+            assert c >= density_lower_bound(m)
             assert c >= quotient_floor(m)
 
     @pytest.mark.parametrize("args", list(SEARCHED))

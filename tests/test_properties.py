@@ -12,8 +12,8 @@ without its shortcuts; every decomposer and odd-cover builder to the exact
 oracles, the peel family to reference loops that rebuild a
 BinaryMatroid per step and to a per-step scan on Gf2Eliminator witnesses
 (sparse high-rank inputs included), the peel state after each removal to
-a fresh build, density_lower_bound above its exhaustive limit to a
-per-prefix span count, exact_c and its component split to a
+a fresh build, density_lower_bound above its exact limit of 20 elements
+to a per-prefix span count, exact_c and its component split to a
 union-find over the whole circuit catalogue, intersection_lower_bound to
 that catalogue's largest circuit, and the restricted exact_c2 to the
 ambient search on an injective copy. Every decomposer returns
@@ -551,11 +551,26 @@ def test_peel_matches_the_scan_and_the_reference_at_high_rank(m):
     assert circuits == outcome(*reference_decompose(m, lambda work: True))[0]
 
 
-@given(st.one_of(eulerian_matroids(), sparse_high_rank_matroids()))
+@st.composite
+def matroids_above_the_exact_limit(draw):
+    """At least 21 elements, so density_lower_bound takes its basis-prefix
+    path: dense ones of dimension 5 to 8, and sparse ones with fewer
+    elements than coordinates."""
+    if draw(st.booleans()):
+        n = draw(st.integers(5, 8))
+        size = draw(st.integers(22, min(60, (1 << n) - 1)))
+    else:
+        size = draw(st.integers(22, 32))
+        n = draw(st.integers(size + 1, 40))
+    return random_eulerian(n, size, draw(st.integers(0, 2**32 - 1)))
+
+
+@given(matroids_above_the_exact_limit())
 def test_density_bound_is_the_best_basis_prefix(m):
-    """Above the exhaustive limit, the bound is the max over the prefixes of
-    the first-seen basis of ceil(inside / (length + 1)), where inside counts
-    the elements an eliminator finds in the prefix's span."""
+    """Above 20 elements, the bound is the max over the prefixes of the
+    first-seen basis of ceil(inside / (length + 1)), where inside counts the
+    elements an eliminator finds in the prefix's span."""
+    assert len(m) > 20
     keys = list(m.keys)
     basis = greedy_basis(keys, m.dim)
     best = 0
@@ -565,7 +580,7 @@ def test_density_bound_is_the_best_basis_prefix(m):
             elim.insert(b)
         inside = sum(elim.contains(key) for key in keys)
         best = max(best, math.ceil(inside / (length + 1)))
-    assert density_lower_bound(m, exhaustive_limit=0) == best
+    assert density_lower_bound(m) == best
 
 
 def state_row_sets(work):
