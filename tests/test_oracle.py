@@ -177,9 +177,9 @@ class TestExactC:
             exact_c(BinaryMatroid(2, [0b10]))
 
     def test_quotient_bound_respected(self, small_corpus):
-        for m in small_corpus:
-            if len(m) > 16:
-                continue
+        # the exact bound up to 16 elements, the basis-prefix bound on 21 and 24
+        above = [independent_copies(7, 2), random_eulerian(9, 23, 0)]
+        for m in [m for m in small_corpus if len(m) <= 16] + above:
             c = exact_c(m)
             assert c >= density_lower_bound(m)
             assert c >= quotient_floor(m)
