@@ -18,9 +18,7 @@ from .decompose import (
     DenseParams,
     auto_decompose,
     binary_entropy,
-    dense_decompose,
     entropy_bound_holds,
-    log_greedy_decompose,
     peel_decompose,
 )
 from .gf2core import (

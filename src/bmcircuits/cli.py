@@ -31,13 +31,7 @@ from pathlib import Path
 
 from .arboricity import arboricity
 from .circuits import Circuit
-from .decompose import (
-    DenseParams,
-    auto_decompose,
-    dense_decompose,
-    log_greedy_decompose,
-    peel_decompose,
-)
+from .decompose import auto_decompose, peel_decompose
 from .errors import BmcError
 from .formats import (
     ARTIFACT_KINDS,
@@ -169,8 +163,6 @@ def _write_checked(kind: str, m: BinaryMatroid, out: str, blocks, elapsed: float
 # lambdas look each name up when called, so bmbench's re-bound (traced) ones run
 _DECOMPOSERS = {
     "auto": lambda m, eps: auto_decompose(m, eps),
-    "dense": lambda m, eps: dense_decompose(m, DenseParams.from_epsilon(eps)),
-    "log": lambda m, eps: log_greedy_decompose(m),
     "peel": lambda m, eps: peel_decompose(m),
 }
 

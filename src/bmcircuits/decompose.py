@@ -1,12 +1,12 @@
 """Circuit decompositions of Eulerian binary matroids.
 
-peel_decompose, log_greedy_decompose and dense_decompose all return the
-circuits of circuits.peel, which removes the largest fundamental circuit
-until nothing is left; they differ in precondition and in the branch and
-phase labels that record which size guarantee applies. auto_decompose
-returns the rotation orbits of orbit.py on an admissible complete matroid,
-which meet the quotient bound, and otherwise lets a density test pick the
-labels.
+peel_decompose and auto_decompose return the circuits of circuits.peel,
+which removes the largest fundamental circuit until nothing is left.
+peel_decompose labels every step phase 1. auto_decompose is the one
+dispatcher that picks labels: it returns the rotation orbits of orbit.py on
+an admissible complete matroid, which meet the quotient bound, and otherwise
+labels the peel trivial, dense or sparse, by the size guarantee that applies
+to the input.
 
 Each run peels its own circuits.WorkingSet, built once as
 gf2core.column_rref of the matroid's keys, the one elimination kernel; each
@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Union
 
 from .circuits import peel
-from .errors import NotDenseEnoughError, OutOfRangeError
+from .errors import OutOfRangeError
 from .formats import Decomposition
-from .gf2core import BinaryMatroid, rank, require_eulerian
+from .gf2core import BinaryMatroid, rank
 from .orbit import _rotation_orbits, is_admissible
 
 #: log-comparison slack; ties resolve toward staying in the dense phase
@@ -114,27 +114,31 @@ def _peel(m: BinaryMatroid, branch: str, in_phase1=lambda size: True) -> Decompo
 
 
 def peel_decompose(m: BinaryMatroid) -> Decomposition:
-    """Peel largest fundamental circuits, every step labelled phase 1."""
-    require_eulerian(m)
+    """Peel largest fundamental circuits, every step labelled phase 1.
+    Raises NotEulerianError unless m is Eulerian (circuits.WorkingSet)."""
     return _peel(m, "peel")
 
 
-def log_greedy_decompose(m: BinaryMatroid) -> Decomposition:
-    """peel_decompose's circuits, labelled phase 1 while the working set
-    still has at least |M| / ln^2 |M| elements. Every circuit of a simple
-    binary matroid has at least 3 elements, so phase 2 has at most a third
-    as many circuits as elements."""
-    require_eulerian(m)
-    return _peel(m, "sparse", lambda size: size >= len(m) / math.log(len(m)) ** 2)
+def auto_decompose(
+    m: BinaryMatroid, epsilon: Union[Fraction, float, str] = Fraction(1, 2)
+) -> Decomposition:
+    """peel_decompose's circuits, labelled with the regime that applies to m,
+    or the rotation orbits where they meet the quotient bound.
 
+    DenseParams comes first, so a bad epsilon is refused on every input.
+    Then one branch:
 
-def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
-    """peel_decompose's circuits, labelled phase 1 while the working set is
-    larger than 2^((1 - 2*delta) * r). Phase 2 has at most a third as many
-    circuits as elements, as in log_greedy_decompose.
+    - ``trivial``: at most 3 elements, all phase 1.
+    - ``orbit``: the whole complete matroid of dimension p - 1 for an
+      admissible p (orbit.is_admissible); the compressed rotation orbits
+      meet ceil(|M| / (rank(M) + 1)) exactly.
+    - ``dense``: |M| >= 2^((1 - delta) * r), r = rank(M). Phase 1 lasts
+      while at least 2^((1 - 2*delta) * r) elements are left.
+    - ``sparse``: every other input. Phase 1 lasts while at least
+      |M| / ln^2 |M| elements are left.
 
-    Every phase-1 circuit has more than ceil(alpha * r) elements, so the
-    label needs no size test. 1 - 2*delta = H(alpha), so phase 1 has
+    Every dense phase-1 circuit has more than ceil(alpha * r) elements, so
+    the label needs no size test. 1 - 2*delta = H(alpha), so phase 1 has
     |work| >= 2^(H(alpha) * r - 2^-30). largest_fundamental_circuit returns
     at least guaranteed_circuit_size(|work|, rank(work)) elements, which is
     at least guaranteed_circuit_size(|work|, r), as rank(work) <= r. With
@@ -143,38 +147,18 @@ def dense_decompose(m: BinaryMatroid, params: DenseParams) -> Decomposition:
     2^-30 is less than one element, so |work| exceeds sum_{1<=i<=k} C(r, i)
     and the circuit has at least k + 2 > ceil(alpha * r) elements.
 
-    Requires |M| >= 2^((1 - delta) * rank(M)). Raises NotDenseEnoughError
-    when that fails; callers should fall back to log_greedy_decompose. A
-    nonempty Eulerian M holds a circuit, so r >= 2.
+    Every circuit of a simple binary matroid has at least 3 elements, so
+    phase 2 of either regime has at most a third as many circuits as
+    elements. Raises NotEulerianError unless m is Eulerian.
     """
-    require_eulerian(m)
-    if len(m) == 0:
-        return _peel(m, "dense")
-    r = rank(m)
-    if not _meets_pow2(len(m), (1.0 - params.delta) * r):
-        raise NotDenseEnoughError(
-            f"|M| = {len(m)} below 2^((1-delta)*r) for r = {r}, delta = {params.delta:.6g}"
-        )
-    phase1_exp = (1.0 - 2.0 * params.delta) * r
-    return _peel(m, "dense", lambda size: _meets_pow2(size, phase1_exp))
-
-
-def auto_decompose(
-    m: BinaryMatroid, epsilon: Union[Fraction, float, str] = Fraction(1, 2)
-) -> Decomposition:
-    """Dispatch. Trivially small inputs are peeled directly. The whole
-    complete matroid of dimension p - 1, for an admissible p (see
-    orbit.is_admissible), gets the compressed rotation orbits, which meet
-    ceil(|M| / (rank(M) + 1)) exactly. Otherwise dense_decompose labels the
-    circuits, or log_greedy_decompose when its density test fails; both
-    return peel_decompose's circuits."""
-    require_eulerian(m)
+    params = DenseParams.from_epsilon(epsilon)
     if len(m) <= 3:
         return _peel(m, "trivial")
-    params = DenseParams.from_epsilon(epsilon)
     if len(m) == (1 << m.dim) - 1 and is_admissible(m.dim + 1):
         return _rotation_orbits(m.dim + 1, m)
-    try:
-        return dense_decompose(m, params)
-    except NotDenseEnoughError:
-        return log_greedy_decompose(m)
+    r = rank(m)
+    if _meets_pow2(len(m), (1.0 - params.delta) * r):
+        phase1_exp = (1.0 - 2.0 * params.delta) * r
+        return _peel(m, "dense", lambda size: _meets_pow2(size, phase1_exp))
+    threshold = len(m) / math.log(len(m)) ** 2
+    return _peel(m, "sparse", lambda size: size >= threshold)

@@ -50,9 +50,5 @@ class OrderConditionError(BmcError):
         )
 
 
-class NotDenseEnoughError(BmcError):
-    """Matroid fails the density precondition of the dense decomposer."""
-
-
 class OutOfRangeError(BmcError):
     """Numeric argument outside its documented range."""

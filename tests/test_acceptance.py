@@ -17,15 +17,8 @@ from bmcircuits.circuits import (
     is_circuit,
     largest_fundamental_circuit,
 )
-from bmcircuits.decompose import (
-    DenseParams,
-    auto_decompose,
-    dense_decompose,
-    entropy_bound_holds,
-    log_greedy_decompose,
-    peel_decompose,
-)
-from bmcircuits.errors import NotDenseEnoughError, OrderConditionError, TooLargeError
+from bmcircuits.decompose import auto_decompose, entropy_bound_holds, peel_decompose
+from bmcircuits.errors import OrderConditionError, TooLargeError
 from bmcircuits.formats import format_bm, format_bmdec, parse_bm, parse_bmdec
 from bmcircuits.gf2core import BinaryMatroid, rank
 from bmcircuits.generators import complete_matroid, independent_copies, random_eulerian
@@ -44,7 +37,7 @@ from bmcircuits.orbit import (
     orbit_decompose,
 )
 
-from conftest import eulerian_corpus
+from conftest import DENSE_EPSILON, check_auto_against_references, eulerian_corpus
 
 
 def report(number, ok, detail):
@@ -147,12 +140,9 @@ def test_criterion_6_decomposition_validity_suite(corpus_200):
     failures = 0
     runs = 0
     for m in corpus_200:
-        methods = [peel_decompose(m), log_greedy_decompose(m), auto_decompose(m)]
-        try:
-            methods.append(dense_decompose(m, DenseParams.from_epsilon(Fraction(1, 2))))
-        except NotDenseEnoughError:
-            pass
-        for dec in methods:
+        if len(m) < (1 << m.dim) - 1:  # a complete one may take the orbit branch
+            check_auto_against_references(m, DENSE_EPSILON)
+        for dec in (peel_decompose(m), auto_decompose(m), auto_decompose(m, DENSE_EPSILON)):
             runs += 1
             if not decomposition_is_valid(m, dec):
                 failures += 1
@@ -210,7 +200,7 @@ def test_criterion_10_oracle_dominance():
     ]
     for m in instances:
         c = exact_c(m)
-        for dec in (peel_decompose(m), log_greedy_decompose(m), auto_decompose(m)):
+        for dec in (peel_decompose(m), auto_decompose(m), auto_decompose(m, DENSE_EPSILON)):
             assert len(dec.circuits) >= c
         try:
             c2 = exact_c2(m)

@@ -121,10 +121,17 @@ class TestDecomposeVerify:
                     "--mode", "decomposition"]) == 0
 
     def test_all_methods(self, instance, tmp_path, capsys):
-        for method in ("auto", "log", "peel"):
+        for method in ("auto", "peel"):
             out = tmp_path / f"{method}.bmdec"
             assert run(["decompose", "--in", str(instance), "--method", method,
                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        for method in ("dense", "log"):  # auto_decompose picks the labels
+            assert run(["decompose", "--in", str(instance), "--method", method,
+                        "--out", str(tmp_path / "x.bmdec")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err
 
     def test_verify_detects_tampering(self, instance, tmp_path, capsys):
         out = tmp_path / "m.bmdec"
@@ -162,10 +169,14 @@ class TestDecomposeVerify:
 
     @pytest.mark.parametrize("eps", ["abc", "inf", "nan", "1/0", "", "0", "-1"])
     def test_bad_eps_exit1_without_traceback(self, eps, instance, tmp_path, capsys):
-        assert run(["decompose", "--in", str(instance), "--eps", eps,
-                    "--out", str(tmp_path / "x.bmdec")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        triangle = tmp_path / "c2.bm"  # trivial branch: the epsilon is checked first
+        run(["gen", "--kind", "complete", "--n", "2", "--out", str(triangle)])
+        capsys.readouterr()
+        for m in (instance, triangle):
+            assert run(["decompose", "--in", str(m), "--eps", eps,
+                        "--out", str(tmp_path / "x.bmdec")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["decompose", "oddcover", "oracle"])
     def test_exhaustive_limit_is_not_an_option(self, command, tmp_path, capsys):
@@ -186,10 +197,16 @@ class TestDecomposeVerify:
         assert rec["circuits"] == rec["quotient_bound"] == 93
 
     def test_dense_on_sparse_input_exit1(self, tmp_path, capsys):
+        # auto_decompose owns the density test, so dense and log are no methods
         m = tmp_path / "m.bm"
         run(["gen", "--kind", "copies", "--k", "5", "--s", "2", "--out", str(m)])
-        assert run(["decompose", "--in", str(m), "--method", "dense",
-                    "--out", str(tmp_path / "x.bmdec")]) == 1
+        capsys.readouterr()
+        for method in ("dense", "log"):
+            assert run(["decompose", "--in", str(m), "--method", method,
+                        "--out", str(tmp_path / "x.bmdec")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "Traceback" not in err and not (tmp_path / "x.bmdec").exists()
 
 
 class TestVerifyRejects:

@@ -6,15 +6,14 @@ import pytest
 from bmcircuits.decompose import (
     Decomposition,
     DenseParams,
+    _meets_pow2,
     _peel,
     auto_decompose,
     binary_entropy,
-    dense_decompose,
     entropy_bound_holds,
-    log_greedy_decompose,
     peel_decompose,
 )
-from bmcircuits.errors import NotDenseEnoughError, NotEulerianError, OutOfRangeError
+from bmcircuits.errors import NotEulerianError, OutOfRangeError
 from bmcircuits.gf2core import BinaryMatroid, rank
 from bmcircuits.generators import complete_matroid, independent_copies
 from bmcircuits.oracle import enumerate_circuits
@@ -119,49 +118,56 @@ class TestPeelLoop:
 
 
 class TestLogGreedy:
+    """The sparse regime: phase 1 while at least |M| / ln^2 |M| elements are left."""
+
     def test_five_blocks_forced_triangles(self):
         m = independent_copies(5, 2)
         # every circuit of this matroid is one of the 5 block triangles
         assert len(enumerate_circuits(m).masks) == 5
-        d = log_greedy_decompose(m)
+        d = auto_decompose(m)
         check_valid(m, d)
+        assert d.branch == "sparse"
         assert len(d.circuits) == 5
 
     def test_triangle(self):
-        assert len(log_greedy_decompose(triangle()).circuits) == 1
+        d = auto_decompose(triangle())
+        assert (d.branch, len(d.circuits)) == ("trivial", 1)
 
     def test_complete_dim8_ceiling(self):
         m = complete_matroid(8)
-        d = log_greedy_decompose(m)
+        d = peel_decompose(m)
         check_valid(m, d)
         assert len(d.circuits) <= 2 * 255 * 3 / 8
 
     def test_reports_phases(self):
-        d = log_greedy_decompose(complete_matroid(5))
+        d = auto_decompose(complete_matroid(5))
         assert d.phase1 + d.phase2 == len(d.circuits)
         assert d.branch == "sparse"
 
 
 class TestDense:
-    def test_complete_dim10_phase1_sizes(self):
-        m = complete_matroid(10)
+    @pytest.mark.parametrize("n, floor_size, smallest", [(9, 4, 10), (11, 5, 12)],
+                             ids=["complete_9", "complete_11"])
+    def test_phase1_circuits_exceed_the_floor(self, n, floor_size, smallest):
+        m = complete_matroid(n)
         params = DenseParams.from_epsilon(Fraction(1, 2))
-        d = dense_decompose(m, params)
+        d = auto_decompose(m)
         check_valid(m, d)
-        floor_size = math.ceil(params.alpha * 10)
-        assert floor_size == 5
-        for c in d.circuits[: d.phase1]:
-            assert len(c) >= floor_size
+        assert d.branch == "dense" and d.phase1 > 0
+        assert math.ceil(params.alpha * n) == floor_size
+        assert min(len(c) for c in d.circuits[: d.phase1]) == smallest
 
     def test_triangle_not_dense_enough(self):
-        # 3 < 2^((1-delta)*2) for the epsilon = 1/2 delta
-        with pytest.raises(NotDenseEnoughError):
-            dense_decompose(triangle(), DenseParams.from_epsilon(Fraction(1, 2)))
+        # 3 < 2^((1-delta)*2) for the epsilon = 1/2 delta, and the dispatcher
+        # labels the triangle trivial before any density test
+        params = DenseParams.from_epsilon(Fraction(1, 2))
+        assert not _meets_pow2(3, (1 - params.delta) * 2)
+        assert auto_decompose(triangle()).branch == "trivial"
 
     def test_complete_dim12_validity_and_finite_ceiling(self):
         m = complete_matroid(12)
         params = DenseParams.from_epsilon(Fraction(1, 2))
-        d = dense_decompose(m, params)
+        d = peel_decompose(m)
         check_valid(m, d)
         # honest finite accounting: phase 1 uses at most |M|/(alpha r) circuits,
         # phase 2 at most one circuit per 3 remaining elements
@@ -204,6 +210,10 @@ class TestAuto:
         assert d.branch == "sparse"
         assert len(d.circuits) == 5
 
+    def test_bad_epsilon_refused_on_a_trivial_input(self):
+        with pytest.raises(OutOfRangeError):
+            auto_decompose(complete_matroid(2), 0)
+
     def test_empty_trivial(self):
         d = auto_decompose(BinaryMatroid(3))
         assert d.branch == "trivial"
@@ -240,12 +250,23 @@ class TestDecompositionType:
             Decomposition(m, (Circuit(2, triangle().keys),))
 
 
-DECOMPOSERS = {
-    "peel": peel_decompose,
-    "log_greedy": log_greedy_decompose,
-    "dense": lambda m: dense_decompose(m, DenseParams.from_epsilon(Fraction(1, 2))),
-    "auto": auto_decompose,
+DECOMPOSERS = {"peel": peel_decompose, "auto": auto_decompose}
+
+
+#: one non-Eulerian input per route of auto_decompose to circuits.WorkingSet
+NON_EULERIAN = {
+    "trivial": lambda: BinaryMatroid(2, [0b10]),
+    "sparse": lambda: BinaryMatroid(10, independent_copies(5, 2).key_set - {1}),
+    # 126 elements: not complete, and dense-sized, so the density test runs first
+    "dense": lambda: BinaryMatroid(7, complete_matroid(7).key_set - {1}),
 }
+
+
+@pytest.mark.parametrize("route", sorted(NON_EULERIAN))
+@pytest.mark.parametrize("routine", sorted(DECOMPOSERS))
+def test_non_eulerian_input_refused(routine, route):
+    with pytest.raises(NotEulerianError):
+        DECOMPOSERS[routine](NON_EULERIAN[route]())
 
 
 class TestTieBreaks:
@@ -257,10 +278,6 @@ class TestTieBreaks:
     def test_pinned(self, name, routine):
         m = PIN_INPUTS[name]()
         pin = peel_family_pins()[name][routine]
-        if pin is None:
-            with pytest.raises(NotDenseEnoughError):
-                DECOMPOSERS[routine](m)
-            return
         d = DECOMPOSERS[routine](m)
         assert (d.branch, d.phase1, d.phase2) == (pin["branch"], pin["phase1"], pin["phase2"])
         assert circuit_keys(d.circuits) == pin["circuits"]

@@ -53,15 +53,8 @@ from bmcircuits.arboricity import (
     max_quotient_exhaustive,
 )
 from bmcircuits.circuits import Circuit, WorkingSet, is_circuit, largest_fundamental_circuit
-from bmcircuits.decompose import (
-    DenseParams,
-    _meets_pow2,
-    auto_decompose,
-    dense_decompose,
-    log_greedy_decompose,
-    peel_decompose,
-)
-from bmcircuits.errors import BmcError, NotDenseEnoughError, OutOfRangeError
+from bmcircuits.decompose import DenseParams, auto_decompose, peel_decompose
+from bmcircuits.errors import BmcError, OutOfRangeError
 from bmcircuits.formats import (
     ARTIFACT_KINDS,
     check_decomposition,
@@ -90,7 +83,17 @@ from bmcircuits.oracle import (
     intersection_lower_bound,
 )
 
-from conftest import basis_eliminator, dense_core
+from conftest import (
+    DENSE_EPSILON,
+    check_auto_against_references,
+    dense_core,
+    decomposition_outcome,
+    fundamental_circuits,
+    outcome,
+    reference_basis,
+    reference_decompose,
+    reference_dense,
+)
 
 
 @st.composite
@@ -135,7 +138,6 @@ def artifacts(m):
     _, cover = oddcover_via_arboricity(m)
     return [
         (check_decomposition, peel_decompose(m).circuits),
-        (check_decomposition, log_greedy_decompose(m).circuits),
         (check_decomposition, auto_decompose(m).circuits),
         (check_oddcover, symdiff_reduce(m).circuits),
         (check_oddcover, cover.circuits),
@@ -382,50 +384,15 @@ def test_can_partition_matches_the_reference_search_mid_size():
 # Each reference step rebuilds the working set as a BinaryMatroid, takes the
 # first-seen basis over all of it, and expands every element on its own.
 
-#: epsilon = 4 gives delta ~ 0.094, so tiny near-complete matroids are dense
-DENSE_EPSILON = 4
-
-
 @st.composite
 def near_complete_matroids(draw):
     """A complete matroid of rank 5 or 6 minus a small random Eulerian set:
-    dense enough for dense_decompose at DENSE_EPSILON."""
+    auto_decompose labels most of them dense at DENSE_EPSILON."""
     k = draw(st.integers(5, 6))
     size = draw(st.integers(3, 7 if k == 5 else 19))
     seed = draw(st.integers(0, 2**32 - 1))
     cut = random_eulerian(k, size, seed).key_set
     return BinaryMatroid(k, complete_matroid(k).key_set - cut)
-
-
-def reference_basis(keys, bound):
-    """Each key that is independent of every key before it, inserted as
-    itself, until bound keys are taken."""
-    elim = Gf2Eliminator(track_witnesses=False)
-    basis = []
-    for key in keys:
-        if len(basis) < bound and elim.insert(key) is None:
-            basis.append(key)
-    return basis
-
-
-def fundamental_circuits(dim, keys, basis):
-    """The fundamental circuit of each of the keys outside the basis, in order:
-    the key plus the basis keys in its Gf2Eliminator witness mask."""
-    elim = basis_eliminator(basis)
-    for key in keys:
-        if key not in basis:
-            residual, mask = elim.reduce(key)
-            assert residual == 0
-            yield Circuit(dim, [key] + [basis[i] for i in _mask_indices(mask)])
-
-
-def reference_largest_circuit(m):
-    best = None
-    basis = reference_basis(m.keys, m.dim)
-    for c in fundamental_circuits(m.dim, m.keys, basis):  # ties go to the first
-        if best is None or len(c) > len(best):
-            best = c
-    return best
 
 
 def reference_first_circuit(m):
@@ -437,38 +404,6 @@ def reference_first_circuit(m):
         mask = elim.insert(key)
         if mask is not None:
             return Circuit(m.dim, [key] + [m.keys[i] for i in _mask_indices(mask)])
-
-
-def reference_decompose(m, in_phase1, floor_size=0):
-    """(circuits, phase1, phase2) of: peel largest fundamental circuits until
-    nothing is left; phase 1 ends at the first step where in_phase1(work)
-    fails or the circuit falls short of floor_size."""
-    work, circuits, phase1 = m, [], None
-    while len(work):
-        c = reference_largest_circuit(work)
-        if phase1 is None and not (in_phase1(work) and len(c) >= floor_size):
-            phase1 = len(circuits)
-        circuits.append(c)
-        work = BinaryMatroid(work.dim, work.key_set - c.key_set)
-    if phase1 is None:
-        phase1 = len(circuits)
-    return circuits, phase1, len(circuits) - phase1
-
-
-def reference_log_greedy(m):
-    threshold = len(m) / math.log(len(m)) ** 2
-    return reference_decompose(m, lambda work: len(work) >= threshold)
-
-
-def reference_dense(m, params):
-    """None where dense_decompose must refuse m."""
-    r = rank(m)
-    if r < 2 or not _meets_pow2(len(m), (1.0 - params.delta) * r):
-        return None
-    exponent = (1.0 - 2.0 * params.delta) * r
-    return reference_decompose(
-        m, lambda work: _meets_pow2(len(work), exponent), math.ceil(params.alpha * r)
-    )
 
 
 def reference_symdiff(m):
@@ -491,30 +426,28 @@ def reference_symdiff(m):
     return cover
 
 
-def outcome(circuits, phase1, phase2):
-    return [list(c.keys) for c in circuits], phase1, phase2
-
-
-def decomposition_outcome(d):
-    return outcome(d.circuits, d.phase1, d.phase2)
-
-
 @given(tiny_eulerian_matroids())
 def test_peel_family_matches_reference_loops(m):
     peeled = reference_decompose(m, lambda work: True)
     assert decomposition_outcome(peel_decompose(m)) == outcome(*peeled)
-    assert decomposition_outcome(log_greedy_decompose(m)) == outcome(*reference_log_greedy(m))
+    check_auto_against_references(m)
     expected = [list(c.keys) for c in reference_symdiff(m)]
     assert [list(c.keys) for c in symdiff_reduce(m).circuits] == expected
 
 
 @given(near_complete_matroids())
 def test_dense_matches_reference_loop(m):
-    params = DenseParams.from_epsilon(DENSE_EPSILON)
-    expected = reference_dense(m, params)
-    assume(expected is not None)
-    assert decomposition_outcome(dense_decompose(m, params)) == outcome(*expected)
-    assert decomposition_outcome(auto_decompose(m, DENSE_EPSILON)) == outcome(*expected)
+    assume(reference_dense(m, DenseParams.from_epsilon(DENSE_EPSILON)) is not None)
+    check_auto_against_references(m, DENSE_EPSILON)
+
+
+@given(near_complete_matroids())
+def test_dense_phase1_circuits_exceed_the_floor(m):
+    # the size proof in auto_decompose's docstring, so the label needs no size test
+    d = auto_decompose(m, DENSE_EPSILON)
+    assume(d.branch == "dense")
+    floor_size = math.ceil(DenseParams.from_epsilon(DENSE_EPSILON).alpha * rank(m))
+    assert all(len(c) > floor_size for c in d.circuits[: d.phase1])
 
 
 @st.composite
@@ -614,15 +547,11 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
 
 def check_peel_circuits_everywhere(m):
     peeled = peel_decompose(m)
-    labelled = [log_greedy_decompose(m), auto_decompose(m), auto_decompose(m, DENSE_EPSILON)]
-    try:
-        labelled.append(dense_decompose(m, DenseParams.from_epsilon(DENSE_EPSILON)))
-    except NotDenseEnoughError:
-        pass
-    for d in [peeled] + labelled:
+    for d in (peeled, auto_decompose(m), auto_decompose(m, DENSE_EPSILON)):
         assert d.phase1 + d.phase2 == len(d)
         assert d.circuits == peeled.circuits
     assert [list(c.keys) for c in peeled.circuits] == scan_decompose(m)
+    check_auto_against_references(m, DENSE_EPSILON)
 
 
 @given(tiny_eulerian_matroids())
@@ -637,26 +566,14 @@ def test_every_decomposer_returns_the_peel_circuits_near_complete(m):
 
 @given(tiny_eulerian_matroids())
 def test_dense_refuses_where_reference_refuses(m):
-    params = DenseParams.from_epsilon(DENSE_EPSILON)
-    expected = reference_dense(m, params)
-    if expected is None:
-        try:
-            dense_decompose(m, params)
-        except NotDenseEnoughError:
-            return
-        raise AssertionError("dense_decompose accepted a sparse matroid")
-    assert decomposition_outcome(dense_decompose(m, params)) == outcome(*expected)
+    check_auto_against_references(m, DENSE_EPSILON)
 
 
 @given(tiny_eulerian_matroids())
 def test_exact_c_bounds_every_decomposition(m):
     c = exact_c(m)
-    sizes = [len(peel_decompose(m)), len(log_greedy_decompose(m)), len(auto_decompose(m)),
-             len(auto_decompose(m, DENSE_EPSILON))]
-    try:
-        sizes.append(len(dense_decompose(m, DenseParams.from_epsilon(DENSE_EPSILON))))
-    except NotDenseEnoughError:
-        pass
+    check_auto_against_references(m, DENSE_EPSILON)
+    sizes = [len(peel_decompose(m)), len(auto_decompose(m)), len(auto_decompose(m, DENSE_EPSILON))]
     assert all(c <= size for size in sizes)
 
 
