@@ -8,13 +8,18 @@ infeasibility: its quotient ceil(|N| / rank(N)) exceeds k, matching the
 max-side of the min-max formula; arboricity() jumps k straight to it.
 
 The search tests for a free slot only the parts that can have one (a part
-as large as part 0 spans every element placed so far), and tests those spans
-without building a witness mask. Only an expansion reads a mask, so each is
-computed at its first use and kept until a chain moves the part's members.
-A search that expands keeps a live list of the parts with at least two
-members not yet queued and expands only against those. k above |M| is
-clamped to |M|. None of this changes a partition, a certificate or a
-tie-break (proofs on _PartState, _augment and can_partition).
+as large as part 0 spans every element placed so far), x's own slot before
+any breadth-first state is built, and skips part 0's test for a key below
+2**low once part 0 fills every pivot below bit low. It runs each span test
+in place over the part eliminator's row list, with no method call and no
+witness mask, and records a spanned key so that it is tested once per part;
+a chain keeps those marks, since it keeps each part's span. Only an
+expansion reads a mask (Gf2Eliminator.reduce), so each is computed at its
+first use and kept until a chain moves the part's members. A search that
+expands keeps a live list of the parts with at least two members not yet
+queued and expands only against those. k above |M| is clamped to |M|. None
+of this changes a partition, a certificate or a tie-break (proofs on
+_PartState, _augment and can_partition).
 
 max_quotient computes the exact max over nonempty N of
 ceil(|N| / (rank(N) + offset)) with the same search: by the matroid union
@@ -82,14 +87,24 @@ class _PartState:
     rebuilt when part 0 grows; a chain never changes sizes (each step removes
     one member and appends one).
 
+    low counts the filled pivots of part 0 from bit 0 up (rows 1 .. low of
+    its eliminator are nonzero), so part 0 spans every key below 2**low, as
+    in greedy_basis. The pivot bits of an echelon form are the leading bits
+    of the vectors in its span, a property of the span alone, so low stays
+    true when a chain keeps part 0's span and its eliminator is rebuilt, and
+    it is raised only after an append to part 0.
+
     spanned[j] maps a key that part j spans to its expansion mask over the
     part's positions, or to None until an expansion needs that mask (the
-    free-slot scan tests spans with contains, which builds none); residuals
-    are never cached. An append keeps it: the old members stay independent
-    at their positions, so each cached expansion is still the unique one,
-    and a mask computed later over the grown part is that same expansion,
-    since the key was already in the old span. A chain clears it for every
-    part it touches, since remove moves positions.
+    free-slot scans test spans in place and build none); residuals are never
+    cached. An append keeps it: the old members stay independent at their
+    positions, so each cached expansion is still the unique one, and a mask
+    computed later over the grown part is that same expansion, since the key
+    was already in the old span. A chain keeps every key of spanned[j]
+    spanned too: its steps keep each part's span (above), and the part that
+    takes its free-slot key grows as by an append. Only the masks go stale,
+    since remove moves positions, so a chain resets the masks of each part
+    it touches to None and keeps the keys.
     """
 
     def __init__(self, k: int):
@@ -97,6 +112,7 @@ class _PartState:
         self.elims: list[Gf2Eliminator | None] = [None] * k
         self.spanned: list[dict[int, int | None]] = [{} for _ in range(k)]
         self.open: list[int] = []
+        self.low = 0
 
     def elim(self, j: int) -> Gf2Eliminator:
         if self.elims[j] is None:
@@ -112,19 +128,28 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
     the reachable keys. Member positions only move when a chain is applied,
     which ends the search.
 
-    x goes to part 0 if part 0 does not span it. Otherwise each dequeued y
-    goes to the first open part that does not span it, which is the first
-    free part in index order (see _PartState). These span tests use
-    contains: no witness mask is built, and a spanned y is recorded in
-    spanned[j] as None. Failing that, y is expanded against the parts in
-    live, in index order, each expansion's mask computed at its first use.
-    live and unseen, the BFS state, are built at the search's first
-    expansion, so a search that ends at x's free slot builds neither.
-    unseen[j] masks the members of part j not queued yet, and live holds
-    the parts with at least two of them. A part leaves live once it has
-    at most one: unseen only shrinks within a search (sizes stay fixed
-    until a chain ends it), so at every dequeue live is exactly the set of
-    parts that the full scan over all k parts would not skip.
+    x's own scan runs first: part 0, unless x < 2**state.low (then part 0
+    spans x without a test; see _PartState), then the open parts, in index
+    order. x goes to the first of them that does not span it, which is the
+    first free part (see _PartState). This is the full search's scan of its
+    first dequeue, and it reads no BFS state, so parent, queue, unseen and
+    live are built after it: a search that ends at x's free slot builds
+    none. It reads no span marks either: keys are queued only once placed,
+    so no part has recorded x. Each later dequeued y goes to the first open
+    part that does not span it, skipping the parts that recorded it.
+
+    Every span test reduces the key over the part eliminator's row list in
+    place: the loop of Gf2Eliminator.contains without its method call or
+    its negative-key test (every key here is a key of a BinaryMatroid), and
+    no witness mask. A spanned key is recorded in spanned[j] as None.
+
+    Failing a free slot, y is expanded against the parts in live, in index
+    order, each expansion's mask computed by Gf2Eliminator.reduce at its
+    first use. unseen[j] masks the members of part j not queued yet, and
+    live holds the parts with at least two of them. A part leaves live once
+    it has at most one: unseen only shrinks within a search (sizes stay
+    fixed until a chain ends it), so at every dequeue live is exactly the
+    set of parts that the full scan over all k parts would not skip.
 
     The skip itself: with no unseen member, a part could queue nothing new.
     With one, z, compare the search that expands every part: from that part
@@ -138,48 +163,43 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
     skipped from then on), and the free slot, the chain and the span cl(R)
     of the queue are those of the full search.
     """
-    members, spanned, open_ = state.members, state.spanned, state.open
+    members, elims, spanned, open_ = state.members, state.elims, state.spanned, state.open
     first = members[0]
-    if not state.elim(0).contains(x):
-        first.append(x)
-        state.elims[0].insert(x)
-        state.open = [j for j in range(1, len(members)) if len(members[j]) < len(first)]
-        return None
+    for j in ([0, *open_] if x >> state.low else open_):
+        rows = (elims[j] or state.elim(j))._rows
+        cur = x
+        try:
+            while True:
+                row = rows[cur.bit_length()]
+                if not row:
+                    break
+                cur ^= row
+        except IndexError:  # a key longer than every row: its top bit is a free pivot
+            pass
+        if cur:
+            members[j].append(x)
+            elims[j].insert(x)
+            if not j:
+                filled = state.low
+                while filled + 1 < len(rows) and rows[filled + 1]:
+                    filled += 1
+                state.low = filled
+                state.open = [i for i in range(1, len(members)) if len(members[i]) < len(first)]
+            elif len(members[j]) == len(first):
+                open_.remove(j)
+            return None
+        spanned[j][x] = None
     parent: dict[int, tuple[int, int]] = {}
-    live: list[int] | None = None
     queue = [x]
-    head = 0
-    while head < len(queue):
-        y = queue[head]
-        head += 1
-        for j in open_:
-            if y in spanned[j]:
-                continue
-            if not state.elim(j).contains(y):
-                # free slot found: append keeps insertion index = list position,
-                # then apply the chain back to x, dropping the parts it touches
-                members[j].append(y)
-                state.elims[j].insert(y)
-                if len(members[j]) == len(first):
-                    open_.remove(j)
-                cur = y
-                while cur in parent:
-                    pred, jj = parent[cur]
-                    members[jj].remove(cur)
-                    members[jj].append(pred)
-                    state.elims[jj] = None
-                    spanned[jj] = {}
-                    cur = pred
-                return None
-            spanned[j][y] = None
-        if live is None:
-            unseen = [(1 << len(part)) - 1 for part in members]
-            live = [j for j, left in enumerate(unseen) if left & (left - 1)]
+    unseen = [(1 << len(part)) - 1 for part in members]
+    live = [j for j, left in enumerate(unseen) if left & (left - 1)]
+    y, head = x, 1
+    while True:
         exhausted = False
         for j in live:
             mask = spanned[j].get(y)
             if mask is None:  # first use: a part outside open, or a mask-free span test
-                mask = spanned[j][y] = state.elim(j).reduce(y)[1]
+                mask = spanned[j][y] = (elims[j] or state.elim(j)).reduce(y)[1]
             mask &= unseen[j]
             if not mask:
                 continue
@@ -195,7 +215,41 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
                 mask ^= low
         if exhausted:
             live = [j for j in live if unseen[j] & (unseen[j] - 1)]
-    return queue
+        if head == len(queue):
+            return queue
+        y = queue[head]
+        head += 1
+        for j in open_:
+            marks = spanned[j]
+            if y in marks:
+                continue
+            rows = (elims[j] or state.elim(j))._rows
+            cur = y
+            try:
+                while True:
+                    row = rows[cur.bit_length()]
+                    if not row:
+                        break
+                    cur ^= row
+            except IndexError:  # as in x's scan
+                pass
+            if cur:
+                # free slot found: append keeps insertion index = list position,
+                # then apply the chain back to x; each part it touches keeps its
+                # span and its span marks, and drops its eliminator and masks
+                members[j].append(y)
+                elims[j].insert(y)
+                if len(members[j]) == len(first):
+                    open_.remove(j)
+                while y != x:
+                    pred, jj = parent[y]
+                    members[jj].remove(y)
+                    members[jj].append(pred)
+                    elims[jj] = None
+                    spanned[jj] = dict.fromkeys(spanned[jj])
+                    y = pred
+                return None
+            marks[y] = None
 
 
 def can_partition(

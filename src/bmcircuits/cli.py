@@ -167,11 +167,16 @@ _DECOMPOSERS = {
 }
 
 
-def _fraction(text: str) -> Fraction:
+def _epsilon(text: str) -> Fraction:
+    """--eps as a positive fraction, refused here for every --method (peel
+    reads none)."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"epsilon must be positive: {text!r}")
+    return value
 
 
 @functools.cache
@@ -193,7 +198,7 @@ def build_parser() -> _Parser:
     d = sub.add_parser("decompose", help="decompose a matroid into disjoint circuits")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--method", default="auto", choices=list(_DECOMPOSERS))
-    d.add_argument("--eps", type=_fraction, default="1/2")
+    d.add_argument("--eps", type=_epsilon, default="1/2")
     d.add_argument("--out", required=True)
 
     o = sub.add_parser("oddcover", help="build a circuit odd-cover")

@@ -199,7 +199,7 @@ class TestSearchReadsOnlyWhatItNeeds:
                              ids=["triangle", "dense_core", "complete5", "random12x500"])
     def test_k_at_the_size_never_builds_a_mask(self, monkeypatch, m):
         # with i keys placed part i is empty, so every search ends at a free
-        # slot for its own key, tested by contains, and expands nothing
+        # slot for its own key, tested in place, and expands nothing
         calls = count_reduces(monkeypatch)
         result = can_partition(m, len(m))
         assert isinstance(result, IndependentPartition)

@@ -173,10 +173,11 @@ class TestDecomposeVerify:
         run(["gen", "--kind", "complete", "--n", "2", "--out", str(triangle)])
         capsys.readouterr()
         for m in (instance, triangle):
-            assert run(["decompose", "--in", str(m), "--eps", eps,
-                        "--out", str(tmp_path / "x.bmdec")]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1
+            for method in ("auto", "peel"):  # peel reads no epsilon, but refuses a bad one
+                assert run(["decompose", "--in", str(m), "--method", method, "--eps", eps,
+                            "--out", str(tmp_path / "x.bmdec")]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["decompose", "oddcover", "oracle"])
     def test_exhaustive_limit_is_not_an_option(self, command, tmp_path, capsys):

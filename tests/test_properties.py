@@ -32,6 +32,7 @@ fails rather than stalls the suite.
 """
 
 import contextlib
+import importlib
 import io
 import math
 import random
@@ -280,12 +281,13 @@ def test_max_quotient_climbs_to_a_dense_flat_in_a_sparse_set():
 
 
 def reference_can_partition(m, k):
-    """can_partition without the open parts, the mask-free span tests, the
-    exhausted-part skip and its live list, the BFS state built at the first
-    expansion, and the spanned cache: each dequeued element is reduced
-    against every part in index order, goes to the first part that does not
-    span it, and is otherwise expanded against each part. Returns the parts
-    as key tuples, or the certificate's key set and its quotient."""
+    """can_partition without the open parts, x's scan before the BFS state,
+    the part-0 skip, the in-place span tests, the exhausted-part skip and
+    its live list, and the spanned cache with the span marks that chains
+    keep: each dequeued element is reduced against every part in index
+    order, goes to the first part that does not span it, and is otherwise
+    expanded against each part. Returns the parts as key tuples, or the
+    certificate's key set and its quotient."""
     members = [[] for _ in range(k)]
     elims = [None] * k
 
@@ -369,14 +371,40 @@ def test_can_partition_matches_the_reference_search(m):
     check_partition_matches_reference(m, [*range(1, a + 1), len(m) + 3])
 
 
-def test_can_partition_matches_the_reference_search_mid_size():
-    """Deep searches: their chains run through parts with cached expansions."""
+def test_can_partition_matches_the_reference_search_mid_size(monkeypatch):
+    """Deep searches: their chains run through parts with cached expansions
+    and kept span marks. On the full-rank inputs part 0 ends with every
+    pivot filled, so the part-0 skip fires; on the shifted rank-deficient
+    ones bits 0-3 are no pivot, so it never does."""
+    # the package re-exports arboricity(), which shadows the module name
+    module = importlib.import_module("bmcircuits.arboricity")
+    state_cls = module._PartState
+    states = []
+
+    def recording(k):
+        states.append(state_cls(k))
+        return states[-1]
+
+    monkeypatch.setattr(module, "_PartState", recording)
+
+    def part0_lows(m, ks):
+        states.clear()
+        check_partition_matches_reference(m, ks)
+        return {state.low for state in states}
+
     dense = dense_core()
     check_partition_matches_reference(dense, range(1, arboricity(dense)[0] + 1))
     for seed in (1, 2):
         m = random_eulerian(12, 500, seed)
         a = arboricity(m)[0]
         check_partition_matches_reference(m, (math.ceil(len(m) / rank(m)), a - 1, a))
+        full = random_eulerian(14, 450, seed)
+        assert rank(full) == 14
+        ks = range(math.ceil(len(full) / 14), arboricity(full)[0] + 1)
+        assert part0_lows(full, ks) == {14}
+        shifted = BinaryMatroid(14, {key << 4 for key in random_eulerian(10, 300, seed).keys})
+        ks = range(math.ceil(len(shifted) / rank(shifted)), arboricity(shifted)[0] + 1)
+        assert part0_lows(shifted, ks) == {0}
 
 
 # -- the peel family against reference loops ---------------------------------
