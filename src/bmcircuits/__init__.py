@@ -5,7 +5,7 @@ from .arboricity import (
     Infeasible,
     arboricity,
     can_partition,
-    edmonds_max_bruteforce,
+    max_quotient_exhaustive,
 )
 from .circuits import (
     Circuit,
@@ -18,7 +18,6 @@ from .decompose import (
     DenseParams,
     auto_decompose,
     binary_entropy,
-    entropy_bound_holds,
     peel_decompose,
 )
 from .gf2core import (

@@ -10,24 +10,24 @@ max-side of the min-max formula; arboricity() jumps k straight to it.
 The search tests for a free slot only the parts that can have one (a part
 as large as part 0 spans every element placed so far), x's own slot before
 any breadth-first state is built, and skips part 0's test for a key below
-2**low once part 0 fills every pivot below bit low. It runs each span test
-in place over the part eliminator's row list, with no method call and no
-witness mask, and records a spanned key so that it is tested once per part;
-a chain keeps those marks, since it keeps each part's span. Only an
-expansion reads a mask (Gf2Eliminator.reduce), so each is computed at its
-first use and kept until a chain moves the part's members. A search that
-expands keeps a live list of the parts with at least two members not yet
-queued and expands only against those. k above |M| is clamped to |M|. None
-of this changes a partition, a certificate or a tie-break (proofs on
-_PartState, _augment and can_partition).
+2**low once part 0 fills every pivot below bit low. Each span test is
+reduce's loop without the mask, run in place over the part's rows, and a
+spanned key is recorded so that it is tested once per part; a chain keeps
+those marks, since it keeps each part's span. Only an expansion reads a
+mask (Gf2Eliminator.reduce), so each is computed at its first use and kept
+until a chain moves the part's members. A search that expands keeps a live
+list of the parts with at least two members not yet queued and expands
+only against those. k above |M| is clamped to |M|. None of this changes a
+partition, a certificate or a tie-break (proofs on _PartState, _augment
+and can_partition).
 
 max_quotient computes the exact max over nonempty N of
 ceil(|N| / (rank(N) + offset)) with the same search: by the matroid union
 theorem it is the least q at which q parts place all but at most
 q * offset keys. Offset 1 is the odd-cover bound prop4, offset 0 the
-arboricity. max_quotient_exhaustive (and edmonds_max_bruteforce, its
-offset 0) evaluates that max by a subset scan on tiny instances and is the
-module's independent correctness oracle.
+arboricity. max_quotient_exhaustive (offset 0 by default) evaluates that
+max by a subset scan on tiny instances and is the module's independent
+correctness oracle.
 """
 
 from __future__ import annotations
@@ -138,10 +138,9 @@ def _augment(state: _PartState, x: int) -> list[int] | None:
     so no part has recorded x. Each later dequeued y goes to the first open
     part that does not span it, skipping the parts that recorded it.
 
-    Every span test reduces the key over the part eliminator's row list in
-    place: the loop of Gf2Eliminator.contains without its method call or
-    its negative-key test (every key here is a key of a BinaryMatroid), and
-    no witness mask. A spanned key is recorded in spanned[j] as None.
+    Every span test is reduce's loop without the mask or the negative-key
+    test (every key here is a BinaryMatroid key), run in place over the
+    part's rows. A spanned key is recorded in spanned[j] as None.
 
     Failing a free slot, y is expanded against the parts in live, in index
     order, each expansion's mask computed by Gf2Eliminator.reduce at its
@@ -259,7 +258,8 @@ def can_partition(
 
     Elements are inserted in canonical order; each insertion runs one
     breadth-first augmenting search over the exchange structure. On failure
-    the certificate is cl(R) ∩ M for the reachable set R.
+    the certificate is cl(R) ∩ M for the reachable set R, read by reduce
+    without witnesses.
 
     k is clamped to max(|M|, 1), which changes no result: the nonempty parts
     are always a prefix (an element goes to the first free part, and an empty
@@ -277,7 +277,7 @@ def can_partition(
             span = Gf2Eliminator(track_witnesses=False)
             for key in reachable:
                 span.insert(key)
-            cert = BinaryMatroid(m.dim, [key for key in m.keys if span.contains(key)])
+            cert = BinaryMatroid(m.dim, [key for key in m.keys if not span.reduce(key)[0]])
             quotient = ceil(len(cert) / span.rank)
             if quotient <= k:  # would contradict the exchange argument
                 raise OutOfRangeError("augmentation failed without a certificate")
@@ -377,8 +377,3 @@ def max_quotient_exhaustive(m: BinaryMatroid, denom_offset: int = 0) -> int:
 
     dfs(0, 0)
     return best
-
-
-def edmonds_max_bruteforce(m: BinaryMatroid) -> int:
-    """Exhaustive arboricity value: max over nonempty N of ceil(|N|/rank(N))."""
-    return max_quotient_exhaustive(m, denom_offset=0)

@@ -79,10 +79,6 @@ class Circuit:
         """The keys as a set, built on each call."""
         return frozenset(self.keys)
 
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
     def __len__(self) -> int:
         return len(self.keys)
 

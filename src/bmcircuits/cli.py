@@ -26,12 +26,13 @@ import functools
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from .arboricity import arboricity
 from .circuits import Circuit
-from .decompose import auto_decompose, peel_decompose
+from .decompose import DenseParams, auto_decompose, peel_decompose
 from .errors import BmcError
 from .formats import (
     ARTIFACT_KINDS,
@@ -168,15 +169,12 @@ _DECOMPOSERS = {
 
 
 def _epsilon(text: str) -> Fraction:
-    """--eps as a positive fraction, refused here for every --method (peel
-    reads none)."""
+    """--eps as DenseParams.from_epsilon accepts it, refused here for every
+    --method (peel reads none); its OutOfRangeError exits 1 through run."""
     try:
-        value = Fraction(text)
+        return DenseParams.from_epsilon(Fraction(text)).epsilon
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a finite fraction: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"epsilon must be positive: {text!r}")
-    return value
 
 
 @functools.cache
@@ -356,7 +354,7 @@ _ORACLES = {
     "c": lambda m: {"c": exact_c(m)},
     "c2": lambda m: {"c2_restricted": c2_search_is_restricted(m), "c2": exact_c2(m)},
     "circuits": lambda m: {"circuits": len(enumerate_circuits(m).masks)},
-    "conjectures": lambda m: probe_conjectures(m).to_dict(),
+    "conjectures": lambda m: asdict(probe_conjectures(m)),
 }
 
 

@@ -42,30 +42,6 @@ def binary_entropy(a: Union[Fraction, float, int]) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def entropy_bound_holds(r: int, a: Union[Fraction, float, int]) -> bool:
-    """Exact check that sum_{i=0}^{floor(a*r)} C(r, i) <= 2^(H(a) * r).
-
-    For rational a = p/q the right side is (q^q / (p^p (q-p)^(q-p)))^(r/q),
-    so the comparison cross-multiplies to pure big-integer arithmetic. Used
-    as a self-test: it must return True for every r >= 1 and a in [0, 1/2].
-    """
-    if r < 1:
-        raise OutOfRangeError("r must be positive")
-    frac = Fraction(a)
-    if not 0 <= frac <= Fraction(1, 2):
-        raise OutOfRangeError(f"a = {a} not in [0, 1/2]")
-    if frac.denominator > 4096:
-        raise OutOfRangeError("pass a small rational (denominator <= 4096)")
-    p, q = frac.numerator, frac.denominator
-    k = (p * r) // q
-    lhs = sum(math.comb(r, i) for i in range(k + 1))
-    if p == 0:
-        return lhs <= 1
-    # lhs <= (q^q / (p^p (q-p)^(q-p)))^(r/q)  iff  lhs^q * (p^p (q-p)^(q-p))^r <= q^(q*r)
-    denom_base = p**p * (q - p) ** (q - p)
-    return lhs**q * denom_base**r <= q ** (q * r)
-
-
 @dataclass(frozen=True)
 class DenseParams:
     """Parameters of the dense-regime greedy.
@@ -143,9 +119,9 @@ def auto_decompose(
     at least guaranteed_circuit_size(|work|, rank(work)) elements, which is
     at least guaranteed_circuit_size(|work|, r), as rank(work) <= r. With
     k = floor(alpha * r), sum_{i<=k} C(r, i) <= 2^(H(alpha) * r)
-    (entropy_bound_holds), and for |work| below about 1.5e9 the slack of
-    2^-30 is less than one element, so |work| exceeds sum_{1<=i<=k} C(r, i)
-    and the circuit has at least k + 2 > ceil(alpha * r) elements.
+    (TestEntropyBound in tests/test_decompose.py); for |work| below about
+    1.5e9 the slack of 2^-30 is under one element, so |work| exceeds
+    sum_{1<=i<=k} C(r, i): the circuit has at least k + 2 > ceil(alpha * r).
 
     Every circuit of a simple binary matroid has at least 3 elements, so
     phase 2 of either regime has at most a third as many circuits as

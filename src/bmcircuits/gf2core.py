@@ -21,9 +21,13 @@ Vectors live in F_2^n and are stored as Python ints: coordinate 0 is the most
 significant of the n bits, so sorting by the int value equals sorting by the
 bit string. Every algorithm in the package iterates elements in this canonical
 ascending order, which makes greedy choices and bases reproducible. A
-negative int is no vector: the eliminator refuses one at each insert,
-reduce and contains, and column_rref refuses any key outside
-0 .. 2**dim - 1, each with OutOfRangeError and one test per call.
+negative int is no vector: the eliminator refuses one at each insert and
+reduce, and column_rref refuses any key outside 0 .. 2**dim - 1, each with
+OutOfRangeError and one test per call.
+
+A span test is reduce's loop without the mask: reduce(key)[0] == 0 on an
+eliminator that tracks no witnesses, or that loop run in place over its
+rows where a hot loop cannot afford the call (the arboricity search).
 """
 
 from __future__ import annotations
@@ -94,26 +98,6 @@ class Gf2Eliminator:
         except IndexError:  # a key longer than every row: its top bit is a free pivot
             pass
         return cur, mask
-
-    def contains(self, key: int) -> bool:
-        """True iff key is in the span; no state change.
-
-        reduce's loop without the witness mask, for span tests that never
-        read one. A negative key raises OutOfRangeError (see insert).
-        """
-        if key < 0:
-            raise OutOfRangeError(f"key {key} is negative")
-        rows = self._rows
-        cur = key
-        try:
-            while True:
-                row = rows[cur.bit_length()]
-                if not row:
-                    break
-                cur ^= row
-        except IndexError:  # a key longer than every row: its top bit is a free pivot
-            pass
-        return not cur
 
     def insert(self, key: int) -> int | None:
         """Insert a vector; returns None if independent, else the witness mask.

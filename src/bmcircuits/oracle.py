@@ -315,34 +315,21 @@ class ConjectureReport:
     Statuses are CONSISTENT, VIOLATION, SKIPPED (oracle out of range), or
     INCONCLUSIVE (restricted c2 exceeded the bound; the true value may not).
     A VIOLATION is never asserted impossible; it is surfaced for inspection.
+    conj1 tests c <= conj1_bound = ceil((2^rank - 1) / (rank + 1)), conj2
+    c2 <= a; each field has its oracle record name, so cli emits asdict.
     """
 
     n: int
     size: int
     rank: int
     c: int
-    complete_quotient_bound: int
-    decomposition_status: str
+    conj1_bound: int
+    conj1: str
     c2: int | None
     c2_restricted: bool | None
     a: int
-    oddcover_status: str
+    conj2: str
     prop4: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "size": self.size,
-            "rank": self.rank,
-            "c": self.c,
-            "conj1_bound": self.complete_quotient_bound,
-            "conj1": self.decomposition_status,
-            "c2": self.c2,
-            "c2_restricted": self.c2_restricted,
-            "a": self.a,
-            "conj2": self.oddcover_status,
-            "prop4": self.prop4,
-        }
 
 
 def probe_conjectures(m: BinaryMatroid) -> ConjectureReport:
@@ -376,11 +363,11 @@ def probe_conjectures(m: BinaryMatroid) -> ConjectureReport:
         size=len(m),
         rank=r,
         c=c_value,
-        complete_quotient_bound=bound1,
-        decomposition_status=status1,
+        conj1_bound=bound1,
+        conj1=status1,
         c2=c2_value,
         c2_restricted=restricted,
         a=a_value,
-        oddcover_status=status2,
+        conj2=status2,
         prop4=density_lower_bound(m),
     )

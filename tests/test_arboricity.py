@@ -10,7 +10,7 @@ from bmcircuits.arboricity import (
     Infeasible,
     arboricity,
     can_partition,
-    edmonds_max_bruteforce,
+    max_quotient_exhaustive,
 )
 from bmcircuits.errors import EmptyMatroidError, TooLargeError
 from bmcircuits.gf2core import BinaryMatroid, Gf2Eliminator, rank
@@ -180,8 +180,9 @@ class TestTieBreaks:
 
 
 def count_reduces(monkeypatch):
-    """Count Gf2Eliminator.reduce calls, the only span tests that build a
-    witness mask."""
+    """Count Gf2Eliminator.reduce calls: the search's expansions, the only
+    span tests that build a witness mask, and the certificate's membership
+    tests."""
     calls = []
     reduce = Gf2Eliminator.reduce
 
@@ -211,28 +212,36 @@ class TestSearchReadsOnlyWhatItNeeds:
         assert isinstance(result, Infeasible) and result.quotient == 11
         assert calls
 
+    def test_infeasible_k_reduces_every_key_for_the_certificate(self, monkeypatch):
+        # cl(R) ∩ M is read off one reduce per key of M, in key order, after
+        # the search's expansions
+        m = dense_core()
+        calls = count_reduces(monkeypatch)
+        assert isinstance(can_partition(m, 8), Infeasible)
+        assert len(calls) >= len(m) and calls[-len(m):] == list(m.keys)
+
 
 class TestEdmondsBruteforce:
     def test_triangle(self):
-        assert edmonds_max_bruteforce(triangle()) == 2
+        assert max_quotient_exhaustive(triangle()) == 2
 
     def test_complete_dim3_matches_direct_scan(self):
-        assert edmonds_max_bruteforce(complete_matroid(3)) == quotient_scan(
+        assert max_quotient_exhaustive(complete_matroid(3)) == quotient_scan(
             complete_matroid(3)
         )
 
     def test_complete_dim4(self):
-        assert edmonds_max_bruteforce(complete_matroid(4)) == 4
+        assert max_quotient_exhaustive(complete_matroid(4)) == 4
 
     def test_two_disjoint_triangles(self):
-        assert edmonds_max_bruteforce(independent_copies(2, 2)) == 2
+        assert max_quotient_exhaustive(independent_copies(2, 2)) == 2
 
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
-            edmonds_max_bruteforce(complete_matroid(5))
+            max_quotient_exhaustive(complete_matroid(5))
 
     def test_min_max_equality_on_corpus(self):
         for m in eulerian_corpus(25, seed=23, n_range=(3, 9), size_cap=18):
             a, partition = arboricity(m)
-            assert a == edmonds_max_bruteforce(m)
+            assert a == max_quotient_exhaustive(m)
             assert len(partition.parts) == a

@@ -130,12 +130,12 @@ class TestFundamentalCircuit:
 
     def test_four_element(self):
         c = fundamental(3, 0b111, (0b100, 0b010, 0b001))
-        assert c.size == 4
+        assert len(c) == 4
 
     def test_all_ones_over_standard_basis(self):
         basis = tuple(1 << (3 - i) for i in range(4))
         c = fundamental(4, 0b1111, basis)
-        assert c.size == 5
+        assert len(c) == 5
         assert is_circuit(c.keys)
 
 
@@ -173,7 +173,7 @@ class TestLargestFundamentalCircuit:
 
     def test_complete_dim4(self):
         c = largest_fundamental_circuit(complete_matroid(4))
-        assert c.size == 5
+        assert len(c) == 5
         assert 0b1111 in c.keys
 
     def test_requires_eulerian(self):
@@ -185,7 +185,7 @@ class TestLargestFundamentalCircuit:
             c = largest_fundamental_circuit(m)
             assert c.key_set <= m.key_set
             assert is_circuit(c.keys)
-            assert c.size >= guaranteed_circuit_size(len(m), rank(m))
+            assert len(c) >= guaranteed_circuit_size(len(m), rank(m))
 
 
 class TestWorkingSet:
@@ -200,7 +200,7 @@ class TestWorkingSet:
         and removing them from a working set empties its state."""
         for m in small_corpus:
             circuits = peel(m)
-            assert sum(c.size for c in circuits) == len(m)
+            assert sum(len(c) for c in circuits) == len(m)
             assert set().union(*(c.key_set for c in circuits)) == m.key_set
             work = WorkingSet(m)
             for c in circuits:

@@ -167,7 +167,9 @@ class TestDecomposeVerify:
         assert run(["decompose", "--in", str(instance), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("eps", ["abc", "inf", "nan", "1/0", "", "0", "-1"])
+    # 1/10^18 is positive, but alpha is 1/2 as a float, so H(alpha) = 1 and delta = 0
+    @pytest.mark.parametrize("eps", ["abc", "inf", "nan", "1/0", "", "0", "-1",
+                                     "1/1000000000000000000"])
     def test_bad_eps_exit1_without_traceback(self, eps, instance, tmp_path, capsys):
         triangle = tmp_path / "c2.bm"  # trivial branch: the epsilon is checked first
         run(["gen", "--kind", "complete", "--n", "2", "--out", str(triangle)])

@@ -10,7 +10,6 @@ from bmcircuits.decompose import (
     _peel,
     auto_decompose,
     binary_entropy,
-    entropy_bound_holds,
     peel_decompose,
 )
 from bmcircuits.errors import NotEulerianError, OutOfRangeError
@@ -56,6 +55,31 @@ class TestBinaryEntropy:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             binary_entropy(1.5)
+
+
+def entropy_bound_holds(r: int, a: Fraction | float | int) -> bool:
+    """Exact check that sum_{i=0}^{floor(a*r)} C(r, i) <= 2^(H(a) * r), the
+    entropy bound behind auto_decompose's dense label.
+
+    For rational a = p/q the right side is (q^q / (p^p (q-p)^(q-p)))^(r/q),
+    so the comparison cross-multiplies to pure big-integer arithmetic. It
+    must return True for every r >= 1 and a in [0, 1/2].
+    """
+    if r < 1:
+        raise OutOfRangeError("r must be positive")
+    frac = Fraction(a)
+    if not 0 <= frac <= Fraction(1, 2):
+        raise OutOfRangeError(f"a = {a} not in [0, 1/2]")
+    if frac.denominator > 4096:
+        raise OutOfRangeError("pass a small rational (denominator <= 4096)")
+    p, q = frac.numerator, frac.denominator
+    k = (p * r) // q
+    lhs = sum(math.comb(r, i) for i in range(k + 1))
+    if p == 0:
+        return lhs <= 1
+    # lhs <= (q^q / (p^p (q-p)^(q-p)))^(r/q)  iff  lhs^q * (p^p (q-p)^(q-p))^r <= q^(q*r)
+    denom_base = p**p * (q - p) ** (q - p)
+    return lhs**q * denom_base**r <= q ** (q * r)
 
 
 class TestEntropyBound:

@@ -192,7 +192,7 @@ class TestEliminatorUndo:
         e.undo(dependent)
         assert e.rank == 2
         e.undo(second)
-        assert e.rank == 1 and not e.contains(0b10)
+        assert e.rank == 1 and e.reduce(0b10)[0] != 0
         # the freed insertion index is reused
         assert e.insert(0b11) is None
         assert e.insert(0b10) == 0b11

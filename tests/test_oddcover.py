@@ -38,7 +38,7 @@ class TestCompleteToCircuit:
 
     def test_three_elements(self):
         c = complete_to_circuit([0b100, 0b010, 0b001], 3)
-        assert c.size == 4
+        assert len(c) == 4
         assert 0b111 in c.keys
 
     def test_singleton_too_small(self):

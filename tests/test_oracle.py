@@ -329,25 +329,25 @@ class TestProbeConjectures:
     def test_triangle(self):
         rep = probe_conjectures(triangle())
         assert rep.c == 1
-        assert rep.complete_quotient_bound == 1
-        assert rep.decomposition_status == "CONSISTENT"
+        assert rep.conj1_bound == 1
+        assert rep.conj1 == "CONSISTENT"
         assert rep.c2 == 1 and rep.a == 2
-        assert rep.oddcover_status == "CONSISTENT"
+        assert rep.conj2 == "CONSISTENT"
 
     def test_complete_dim4(self):
         rep = probe_conjectures(complete_matroid(4))
-        assert rep.c == 3 and rep.complete_quotient_bound == 3
-        assert rep.decomposition_status == "CONSISTENT"
+        assert rep.c == 3 and rep.conj1_bound == 3
+        assert rep.conj1 == "CONSISTENT"
 
     def test_two_copies_dim2(self):
         rep = probe_conjectures(independent_copies(2, 2))
         assert rep.c2 == 2 and rep.a == 2
-        assert rep.oddcover_status == "CONSISTENT"
+        assert rep.conj2 == "CONSISTENT"
 
     def test_skips_oversized_c2(self):
         rep = probe_conjectures(independent_copies(2, 3))
         assert rep.c2 is None
-        assert rep.oddcover_status == "SKIPPED"
+        assert rep.conj2 == "SKIPPED"
 
     def test_leaves_no_cyclic_garbage(self):
         # every exact search frees what it built on return: none leaves a

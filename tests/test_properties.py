@@ -49,7 +49,6 @@ from bmcircuits.arboricity import (
     Infeasible,
     arboricity,
     can_partition,
-    edmonds_max_bruteforce,
     max_quotient,
     max_quotient_exhaustive,
 )
@@ -107,7 +106,7 @@ def eulerian_matroids(draw):
 
 @st.composite
 def tiny_eulerian_matroids(draw):
-    """At most 14 elements, within reach of edmonds_max_bruteforce.
+    """At most 14 elements, within reach of max_quotient_exhaustive.
 
     Half the draws add a complete core on the leading 3 coordinates (an
     Eulerian Fano plane, quotient 3), so that arboricity sees infeasible k.
@@ -217,21 +216,21 @@ def test_reusing_written_circuits_keeps_verdict_and_reason(tmp_path_factory, n, 
 
 @given(tiny_eulerian_matroids())
 def test_arboricity_equals_exhaustive_max(m):
-    assert arboricity(m)[0] == edmonds_max_bruteforce(m)
+    assert arboricity(m)[0] == max_quotient_exhaustive(m)
 
 
 @given(tiny_eulerian_matroids())
 def test_infeasible_certificate_is_closed(m):
-    for result in infeasible_rounds(m, edmonds_max_bruteforce(m)):
+    for result in infeasible_rounds(m, max_quotient_exhaustive(m)):
         span = Gf2Eliminator(track_witnesses=False)
         for key in result.certificate.keys:
             span.insert(key)
-        assert {key for key in m.keys if span.contains(key)} == result.certificate.key_set
+        assert {key for key in m.keys if span.reduce(key)[0] == 0} == result.certificate.key_set
 
 
 @given(tiny_eulerian_matroids())
 def test_certificate_quotient_is_a_lower_bound_above_k(m):
-    a = edmonds_max_bruteforce(m)
+    a = max_quotient_exhaustive(m)
     for result in infeasible_rounds(m, a):
         cert = result.certificate
         assert result.quotient == -(-len(cert) // rank(cert))
@@ -240,7 +239,7 @@ def test_certificate_quotient_is_a_lower_bound_above_k(m):
 
 @given(tiny_eulerian_matroids())
 def test_arboricity_cover_within_four_thirds(m):
-    a = edmonds_max_bruteforce(m)
+    a = max_quotient_exhaustive(m)
     assert len(oddcover_via_arboricity(m)[1].circuits) <= -(-4 * a // 3)
 
 
@@ -328,7 +327,7 @@ def reference_can_partition(m, k):
             span = Gf2Eliminator(track_witnesses=False)
             for key in reachable:
                 span.insert(key)
-            cert = frozenset(key for key in m.keys if span.contains(key))
+            cert = frozenset(key for key in m.keys if span.reduce(key)[0] == 0)
             return cert, -(-len(cert) // span.rank)
     return tuple(tuple(sorted(p)) for p in members if p)
 
@@ -539,7 +538,7 @@ def test_density_bound_is_the_best_basis_prefix(m):
         elim = Gf2Eliminator(track_witnesses=False)
         for b in basis[:length]:
             elim.insert(b)
-        inside = sum(elim.contains(key) for key in keys)
+        inside = sum(elim.reduce(key)[0] == 0 for key in keys)
         best = max(best, math.ceil(inside / (length + 1)))
     assert density_lower_bound(m) == best
 
@@ -835,12 +834,11 @@ def test_eliminator_matches_greedy_basis_and_undoes_lifo(keys, track):
     elim = Gf2Eliminator(track_witnesses=track)
 
     def state():
-        return elim.rank, elim.n_inserted, [elim.contains(k) for k in keys]
+        return elim.rank, elim.n_inserted, [elim.reduce(k)[0] == 0 for k in keys]
 
     before, returned = [], []
     for key in keys:
         residual, mask = elim.reduce(key)
-        assert elim.contains(key) == (residual == 0)
         before.append(state())
         got = elim.insert(key)
         assert (got is None) == (elim.rank == before[-1][0] + 1) == (residual != 0)
@@ -993,11 +991,11 @@ def refused(call):
 @example((2, [-2, 3]))  # once the eliminator held -2, inserting 3 never returned
 @given(hostile_ints())
 def test_exported_eliminations_refuse_or_answer_hostile_ints(dim_keys):
-    """Gf2Eliminator.insert, reduce and contains, greedy_basis and
-    column_rref either raise a BmcError or give the reference's answer on any
-    ints, within a deadline. A refused call leaves the eliminator as it was.
-    The reference reduces by a top-bit table; contains answers whether its
-    residual is zero, and the witness masks name the inserted keys whose XOR
+    """Gf2Eliminator.insert and reduce, greedy_basis and column_rref either
+    raise a BmcError or give the reference's answer on any ints, within a
+    deadline. A refused call leaves the eliminator as it was. The reference
+    reduces by a top-bit table; reduce's residual is zero exactly when the
+    reference's is, and the witness masks name the inserted keys whose XOR
     is the key less its residual."""
     dim, keys = dim_keys
     with deadline(2.0):
@@ -1007,12 +1005,11 @@ def test_exported_eliminations_refuse_or_answer_hostile_ints(dim_keys):
             before = elim.rank, elim.n_inserted
             if key < 0:
                 assert refused(lambda: elim.reduce(key)) and refused(lambda: elim.insert(key))
-                assert refused(lambda: elim.contains(key))
                 assert (elim.rank, elim.n_inserted) == before
                 continue
             residual, mask = elim.reduce(key)
             expected = span_residual(rows, key)
-            assert (residual == 0) == (expected == 0) == elim.contains(key)
+            assert (residual == 0) == (expected == 0)
             assert reduce(xor, (inserted[i] for i in _mask_indices(mask)), residual) == key
             got = elim.insert(key)
             inserted.append(key)
