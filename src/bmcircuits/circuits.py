@@ -5,16 +5,30 @@ and its rank is size - 1. In a simple binary matroid every circuit has at
 least 3 elements. The one circuit search is largest_fundamental_circuit, and
 peel builds one WorkingSet, the column RREF of a matroid's keys, and repeats
 it on that state until the set is empty; every decomposition and every
-odd-cover remainder comes from that loop. All functions here are pure and
-safe to call concurrently; a WorkingSet is mutable and has a single owner.
+odd-cover remainder comes from that loop.
+
+Each peel step reads each row once in the search and touches only the rows
+that hold the circuit in remove. The search records the circuit with its
+position j outside the basis and the pivots of the rows that hold j, which
+are the circuit's other positions, so removing that circuit finds none of
+them again; a pivot is set in its own row only, so each of those rows loses
+exactly its lowest bit and bit j. Once three quarters of the positions are
+gone, the state is rebuilt over the keys left, and later rows are shorter;
+the reduced echelon form is unique, so the rows, and every circuit found
+after, are the same as without it.
+
+All functions here are pure and safe to call concurrently, except that the
+search records its result on a WorkingSet it is given; a WorkingSet is
+mutable and has a single owner.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
+from itertools import compress
 from math import comb
-from operator import xor
+from operator import or_, xor
 from typing import Iterable
 
 from .errors import EmptyMatroidError, OutOfRangeError
@@ -22,7 +36,6 @@ from .gf2core import (
     BinaryMatroid,
     Gf2Eliminator,
     _gauss_jordan,
-    _mask_indices,
     _sorted_keys,
     column_rref,
     require_eulerian,
@@ -119,18 +132,21 @@ class WorkingSet:
     """The peel state of an Eulerian matroid: what a peeling loop has left.
 
     Single-owner and mutable; built once, from a matroid, and emptied by
-    remove. Position j is index j of ``at``, the matroid's own ascending key
-    tuple, shared and never copied. ``rows`` is gf2core.column_rref of those
-    keys, restricted to the positions still present: each pivot position
-    maps to its row, an int whose bit j is element j's coefficient on the
-    basis element at the pivot. The pivot is the row's lowest set bit and
-    is set in no other row, so the pivots are the first-seen basis of the
-    keys left. A position still present is set in some row, since its key
-    is nonzero, and a removed one in none. ``left`` counts the positions
-    still present.
+    remove. Position j is index j of ``at``, an ascending key tuple that
+    starts as the matroid's own, shared and never copied, until the first
+    compaction (see remove). ``rows`` is gf2core.column_rref of those keys,
+    restricted to the positions still present: each pivot position maps to
+    its row, an int whose bit j is element j's coefficient on the basis
+    element at the pivot. The pivot is the row's lowest set bit and is set
+    in no other row, so the pivots are the first-seen basis of the keys
+    left. A position still present is set in some row, since its key is
+    nonzero, and a removed one in none. ``left`` counts the positions still
+    present. ``_found`` is what the last largest_fundamental_circuit on this
+    state saw, (circuit, bit of its position outside the basis, pivots of
+    the rows that hold that bit), or None; remove reads and clears it.
     """
 
-    __slots__ = ("dim", "at", "rows", "left")
+    __slots__ = ("dim", "at", "rows", "left", "_found")
 
     def __init__(self, m: BinaryMatroid):
         require_eulerian(m)
@@ -138,32 +154,84 @@ class WorkingSet:
         self.at = m.keys
         self.rows = column_rref(m.keys, m.dim)
         self.left = len(m.keys)
+        self._found: tuple[Circuit, int, list[int]] | None = None
 
     def __len__(self) -> int:
         return self.left
 
-    def remove(self, c: Circuit) -> None:
-        """Project the rows off the positions of c's elements.
+    def _locate(self, c: Circuit) -> tuple[int, list[int]]:
+        """The bit of c's position outside the basis and c's pivot positions,
+        when c is that position's fundamental circuit.
 
-        No row holds another row's pivot, and masking only clears bits. So
-        a row that holds no removed position stays as it is, and the rows
-        that do, once masked, hold no pivot of a kept row: they are reduced
-        among themselves, and each new pivot is then cleared from the kept
-        rows. For a fundamental circuit of position j, the rows hit are those
-        that hold j, and a step costs O(|c| * rank) big-int operations.
+        Every key must be present, exactly one position must be outside the
+        pivots, and every pivot row among the positions must hold that one,
+        j. Then c is j plus some of the pivots in j's expansion, and since c
+        sums to zero (the circuit law) and the expansion over a basis is
+        unique, it is all of them: c is j's fundamental circuit. Anything
+        else, including a circuit already removed, raises OutOfRangeError.
         """
+        at, rows = self.at, self.rows
+        low, hit = 0, []
+        for key in c.keys:
+            p = bisect_left(at, key)
+            if p == len(at) or at[p] != key:
+                raise OutOfRangeError("circuit holds a key outside the working set")
+            if p in rows:
+                hit.append(p)
+            elif low:
+                raise OutOfRangeError("not a fundamental circuit of the working set")
+            else:
+                low = 1 << p
+        if any(not rows[p] & low for p in hit):
+            raise OutOfRangeError("not a fundamental circuit of the working set")
+        return low, hit
+
+    def remove(self, c: Circuit) -> None:
+        """Project the rows off the positions of c, a fundamental circuit of
+        the current basis; any other circuit raises OutOfRangeError and
+        leaves the state as it was.
+
+        c is the circuit of the position j outside the basis, with bit low,
+        and its pivots are those of the rows that hold j: the last search
+        recorded both when it returned c itself, and _locate finds them for
+        any other object. A row that does not hold j holds no removed
+        position, since no row holds another row's pivot, so it stays as it
+        is. A row that does holds its own pivot as its lowest bit, j, and no
+        other removed position, so its projection is (row & (row - 1)) ^ low.
+        Those projections hold no pivot of a kept row: they are reduced among
+        themselves, and each new pivot is then cleared from the kept rows. A
+        step costs O(|c| * rank) big-int operations.
+
+        Once three quarters of the positions are gone, ``at`` becomes the
+        ascending keys still present (the positions the rows' OR holds) and
+        the rows are rebuilt by column_rref. They come out as the projected
+        ones, renumbered: the kept rows span the projection of the row space
+        onto the live positions, a reduced echelon form with lowest-bit
+        pivots is unique, and renumbering the positions in their order keeps
+        every pivot. So the searches that follow find the same circuits on
+        shorter rows.
+        """
+        found, self._found = self._found, None
+        if found is not None and found[0] is c:
+            _, low, hit = found
+        else:
+            low, hit = self._locate(c)
         rows = self.rows
-        gone = sum(1 << bisect_left(self.at, key) for key in c.keys)
-        keep = ~gone
-        hit = [p for p, row in rows.items() if row & gone]
-        fresh, pivots = _gauss_jordan([rows.pop(p) & keep for p in hit])
+        fresh, pivots = _gauss_jordan([(row & (row - 1)) ^ low for row in map(rows.pop, hit)])
         for p, row in rows.items():
-            if row & pivots:
-                for q in _mask_indices(row & pivots):
-                    row ^= fresh[q]
+            mask = row & pivots
+            if mask:
+                while mask:  # inline, not _mask_indices, as in _gauss_jordan
+                    bit = mask & -mask
+                    row ^= fresh[bit.bit_length() - 1]
+                    mask ^= bit
                 rows[p] = row
         rows.update(fresh)
         self.left -= len(c.keys)
+        if 0 < self.left * 4 <= len(self.at):
+            live = reduce(or_, rows.values())
+            self.at = tuple(compress(self.at, map(int, bin(live)[:1:-1])))
+            self.rows = column_rref(self.at, self.dim)
 
 
 def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
@@ -185,8 +253,11 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
     is. Narrowing from the top counter down leaves the columns of the
     largest count, and the lowest of them is the first of the largest.
     peel passes its WorkingSet, so the elimination runs once per
-    decomposition and each step costs O(rank * log rank) big-int operations
-    here, plus the upkeep in remove.
+    decomposition (and at each compaction, on the keys left) and each step
+    costs O(rank * log rank) big-int operations here, plus the upkeep in
+    remove. The circuit, j's bit and the pivots
+    that hold it go to the working set's ``_found``, so remove of this very
+    circuit reads its positions instead of finding them again.
     """
     if not n:
         raise EmptyMatroidError("empty matroid has no circuits")
@@ -206,15 +277,18 @@ def largest_fundamental_circuit(n: BinaryMatroid | WorkingSet) -> Circuit:
         if best & count:
             best &= count
     low = best & -best
-    support = [at[p] for p, row in rows.items() if row & low]
-    return Circuit(work.dim, support + [at[low.bit_length() - 1]])
+    hit = [p for p, row in rows.items() if row & low]
+    c = Circuit(work.dim, [at[p] for p in hit] + [at[low.bit_length() - 1]])
+    work._found = (c, low, hit)
+    return c
 
 
 def peel(m: BinaryMatroid) -> list[Circuit]:
     """Remove the largest fundamental circuit from m's WorkingSet until it is empty.
 
     The state is built once; each step is largest_fundamental_circuit, which
-    reads it, and remove, which updates the rows that held the circuit. The
+    reads it and records where the circuit lies, and remove, which updates
+    the rows that held the circuit and compacts the state as it empties. The
     circuits are disjoint and their union is m, so they decompose it.
     Raises NotEulerianError unless m is Eulerian.
     """

@@ -26,7 +26,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -354,7 +353,8 @@ _ORACLES = {
     "c": lambda m: {"c": exact_c(m)},
     "c2": lambda m: {"c2_restricted": c2_search_is_restricted(m), "c2": exact_c2(m)},
     "circuits": lambda m: {"circuits": len(enumerate_circuits(m).masks)},
-    "conjectures": lambda m: asdict(probe_conjectures(m)),
+    # vars, not dataclasses.asdict: the fields are scalars, and asdict's deep copies cost 30x
+    "conjectures": lambda m: dict(vars(probe_conjectures(m))),
 }
 
 

@@ -8,11 +8,17 @@ an admissible complete matroid, which meet the quotient bound, and otherwise
 labels the peel trivial, dense or sparse, by the size guarantee that applies
 to the input.
 
-Each run peels its own circuits.WorkingSet, built once as
-gf2core.column_rref of the matroid's keys, the one elimination kernel; each
-removal updates only the rows that hold a removed position. The pivots stay
-the first-seen basis of the elements left, so every tie-break is the one a
-fresh scan of them would find. Separate runs may proceed in parallel.
+Each run peels its own circuits.WorkingSet, built as gf2core.column_rref
+of the matroid's keys, the one elimination kernel; each removal updates
+only the rows that hold a removed position, read from the search that found
+the circuit: a fundamental circuit's pivot rows hold its one position
+outside the basis and no pivot but their own, so each loses its lowest bit
+and that one. Once three quarters of the elements are gone, the state is
+rebuilt over the keys left; a reduced echelon form with lowest-bit pivots
+is unique, and renumbering the positions in their order keeps every pivot,
+so the rows are the same ones, shorter. The pivots stay the first-seen
+basis of the elements left, so every tie-break is the one a fresh scan of
+them would find. Separate runs may proceed in parallel.
 """
 
 from __future__ import annotations

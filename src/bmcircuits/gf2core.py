@@ -354,8 +354,11 @@ def _gauss_jordan(rows: Iterable[int]) -> tuple[dict[int, int], int]:
     reduced: dict[int, int] = {}
     pivots = 0
     for row in rows:
-        for q in _mask_indices(row & pivots):
-            row ^= reduced[q]
+        mask = row & pivots
+        while mask:  # inline, not _mask_indices: this runs for every row of every peel step
+            low = mask & -mask
+            row ^= reduced[low.bit_length() - 1]
+            mask ^= low
         if row:
             low = row & -row
             for q, other in reduced.items():

@@ -316,7 +316,8 @@ class ConjectureReport:
     INCONCLUSIVE (restricted c2 exceeded the bound; the true value may not).
     A VIOLATION is never asserted impossible; it is surfaced for inspection.
     conj1 tests c <= conj1_bound = ceil((2^rank - 1) / (rank + 1)), conj2
-    c2 <= a; each field has its oracle record name, so cli emits asdict.
+    c2 <= a; each field has its oracle record name, so cli emits its vars,
+    which hold the fields in their order.
     """
 
     n: int

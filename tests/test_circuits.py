@@ -209,6 +209,40 @@ class TestWorkingSet:
             with pytest.raises(EmptyMatroidError):
                 largest_fundamental_circuit(work)
 
+    def test_a_circuit_no_longer_present_is_refused_and_changes_nothing(self):
+        m = complete_matroid(3)
+        work = WorkingSet(m)
+        c = Circuit(3, [1, 2, 3])
+        work.remove(c)
+        rows = dict(work.rows)
+        assert len(work) == 4
+        for _ in range(2):
+            with pytest.raises(OutOfRangeError):
+                work.remove(c)
+            assert len(work) == 4 and work.rows == rows and work
+
+    def test_only_a_fundamental_circuit_of_the_current_basis_is_removed(self):
+        # {3, 4, 7} and {1, 6, 7} are circuits of complete(3), but each holds
+        # two keys outside the first-seen basis {1, 2, 4}
+        work = WorkingSet(complete_matroid(3))
+        for keys in ([3, 4, 7], [1, 6, 7]):
+            with pytest.raises(OutOfRangeError):
+                work.remove(Circuit(3, keys))
+        assert len(work) == 7 and work.rows == WorkingSet(complete_matroid(3)).rows
+
+    def test_compaction_keeps_the_keys_left_and_a_fresh_state(self):
+        """Once three quarters of the positions are gone, the positions are
+        renumbered over the keys left and the rows are a fresh build's."""
+        m = complete_matroid(7)
+        work = WorkingSet(m)
+        left = set(m.keys)
+        while work.left * 4 > len(m):
+            c = largest_fundamental_circuit(work)
+            work.remove(c)
+            left -= c.key_set
+        assert work.at == tuple(sorted(left)) and len(work.at) < len(m)
+        assert work.rows == WorkingSet(BinaryMatroid(7, left)).rows
+
     def test_non_eulerian_working_set_rejected(self):
         m = BinaryMatroid(3, [0b100, 0b010, 0b110, 0b001])
         with pytest.raises(NotEulerianError):

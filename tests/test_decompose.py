@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -201,6 +202,15 @@ class TestDense:
 
 
 class TestAuto:
+    def test_complete_dim13_pinned(self):
+        # 628 circuits of the dense peel; at this size the working set is
+        # compacted, and the circuits are those of the full-width rows
+        d = auto_decompose(complete_matroid(13))
+        assert (d.branch, len(d.circuits)) == ("dense", 628)
+        digest = hashlib.sha256(repr([c.keys for c in d.circuits]).encode())
+        assert digest.hexdigest() == (
+            "efa91183f2f5b4d249e3c08b2c31339e21a8d8c69688c3aec7014ee7571545d8")
+
     def test_complete_dim10_orbit_branch(self):
         d = auto_decompose(complete_matroid(10))
         assert d.branch == "orbit"

@@ -572,6 +572,22 @@ def test_removal_keeps_the_peel_state_a_fresh_one(m, last_non_basis):
             assert state_row_sets(work) == state_row_sets(fresh)
 
 
+@given(st.one_of(tiny_eulerian_matroids(), near_complete_matroids(),
+                 sparse_high_rank_matroids()))
+def test_removing_the_searched_circuit_or_an_equal_one_leaves_one_state(m):
+    """remove reads the positions the search recorded for the very circuit
+    it returned, and locates those of any other object; an equal Circuit
+    built separately leaves the same state, compactions included."""
+    searched, rebuilt = WorkingSet(m), WorkingSet(m)
+    while searched:
+        c = largest_fundamental_circuit(searched)
+        assert largest_fundamental_circuit(rebuilt) == c
+        searched.remove(c)
+        rebuilt.remove(Circuit(c.dim, c.keys))
+        assert (searched.at, searched.left) == (rebuilt.at, rebuilt.left)
+        assert state_row_sets(searched) == state_row_sets(rebuilt)
+
+
 def check_peel_circuits_everywhere(m):
     peeled = peel_decompose(m)
     for d in (peeled, auto_decompose(m), auto_decompose(m, DENSE_EPSILON)):
